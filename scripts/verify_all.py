@@ -23,7 +23,7 @@ def gather() -> list[Report]:
     reports: list[Report] = []
     for k in (2, 3, 4):
         reports.extend(verify_moy(k))
-    for k in (2, 3):
+    for k in (2, 3, 4):
         reports.extend(reidemeister_suite(k))
     for n in (2, 3, 4, 5):
         reports.extend(_suite_bijections(n, 3))

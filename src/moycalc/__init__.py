@@ -7,8 +7,8 @@ Layers (each importable on its own):
   parabolic sign modules, translation combinatorics
 - ``boxcomb``    box diagrams, column-strict fillings, the wedge-basis
   bijection, and the diagrammatic split/merge operators
-- ``weblin``     tensor/wedge linear algebra: the intertwiner matrices
-  for web generators and the crossing matrices
+- ``weblin``     tensor/wedge linear algebra: the local window maps and
+  intertwiner matrices for web generators, and the crossing matrices
 - ``webgraph``   a text format for closed/open webs and their evaluation
 - ``tangleinv``  oriented tangles, the link polynomial, skein and
   Reidemeister checks, and the Grothendieck comparison map

@@ -272,6 +272,8 @@ def _suite_groth(n: int, k: int) -> list[Report]:
 def cmd_verify(args: argparse.Namespace) -> int:
     suite = args.suite
     if suite == "moy":
+        if args.k < 2:
+            return _fail("moy suite needs k >= 2")
         reports = verify_moy(args.k)
     elif suite == "reidemeister":
         if args.k < 2:

@@ -879,18 +879,6 @@ def _insert(
     )
 
 
-_MAX_COMPILED_WIDTH = 6
-
-
-def _stays_narrow(t: TangleWord) -> bool:
-    """Whether the compiled web keeps boundaries small enough for the
-    dense matrix layer at every supported rank."""
-    web = to_web(t, 3)
-    return all(
-        len(boundary) <= _MAX_COMPILED_WIDTH for boundary in web.boundaries
-    )
-
-
 def move_pairs(
     move: str, limit: int = 12
 ) -> list[tuple[TangleWord, TangleWord]]:
@@ -952,11 +940,7 @@ def move_pairs(
                             _zigzag_layers(signs[p - 1], p, side),
                         )
                         candidates.append((host, inserted))
-            pairs.extend(
-                pair
-                for pair in candidates
-                if all(_stays_narrow(word) for word in pair)
-            )
+            pairs.extend(candidates)
             if len(pairs) >= limit:
                 return pairs[:limit]
     return pairs

@@ -30,10 +30,10 @@ always spell out both small labels — one-label forms such as
 the label pairs (1,1), (1,k-1) and (k-1,1); cups and caps create or
 close a pair (1,k-1) or (k-1,1) whose shared k-edge stays implicit.
 
-``evaluate`` multiplies the layer matrices bottom to top and is
-functorial for stacking and side-by-side placement; ``evaluate_closed``
-extracts the scalar of a web with empty boundaries (a circle gives the
-quantum integer [k]).  ``verify_moy`` re-checks the five defining local
+``evaluate`` pushes a sparse state through each layer's local window
+map, bottom to top, and is functorial for stacking and side-by-side
+placement; ``evaluate_closed`` extracts the scalar of a web with empty
+boundaries (a circle gives the quantum integer [k]).  ``verify_moy`` re-checks the five defining local
 relations of the calculus at a given rank and returns one report per
 relation.  ``mirror_web`` reflects a web in a vertical axis; the
 evaluation of the mirror is the bar-conjugate of the original under the
@@ -47,14 +47,16 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .qlaurent import LaurentPoly, quantum_int
+from .qlaurent import ONE, LaurentPoly, quantum_int
 from .reporting import Report
 from .weblin import (
     QMatrix,
     TensorBasis,
+    apply_window,
     cap_matrix,
     cross_matrix_at,
     cup_matrix,
+    local_map,
     merge_matrix,
     reversal_matrix,
     special_pairs,
@@ -485,14 +487,25 @@ def layer_matrix(layer: Layer, k: int, labels: Sequence[int]) -> QMatrix:
 
 
 def evaluate(web: Web, k: int | None = None) -> QMatrix:
-    """The product of the layer matrices, bottom basis to top basis."""
+    """The matrix of the web, bottom basis to top basis.
+
+    The identity columns of the bottom basis are pushed as a sparse
+    state through each layer's local window map; a closed web pushes a
+    single column.  The dense matrix is built once, over top x bottom.
+    """
     if k is not None and k != web.k:
         raise ValueError(f"web was typed at k={web.k}, asked to evaluate at k={k}")
     rank = web.k
-    matrix = QMatrix.identity(TensorBasis(rank, web.bottom))
+    bottom = TensorBasis(rank, web.bottom)
+    state = [{key: ONE} for key in bottom]
     for layer, labels in zip(web.layers, web.boundaries):
-        matrix = layer_matrix(layer, rank, labels) @ matrix
-    return matrix
+        if layer.kind in _LABELLED_KINDS:
+            pair = (layer.a, layer.b)
+        else:
+            pair = labels[layer.pos - 1 : layer.pos + 1]
+        local = local_map(layer.kind, rank, *pair)
+        state = apply_window(local, layer.pos, _INPUT_SPANS[layer.kind], state)
+    return QMatrix.from_columns(TensorBasis(rank, web.top), bottom, state)
 
 
 def evaluate_closed(web: Web, k: int | None = None) -> LaurentPoly:

@@ -12,6 +12,12 @@ matrices over Z[q, q^-1], the cup/cap maps obtained by bending a
 k-labelled edge, the induced Temperley-Lieb/Hecke operator E_s on
 V^{⊗n}, and the crossing matrices in their frozen normalization.
 
+Every generator is stored once as a local window map (``local_map``) on
+the one or two factors it touches; ``apply_window`` applies such a map
+to a sparse state of {basis key: poly} columns.  Web evaluation pushes
+states through these maps, and the whole-boundary matrices above are
+built by pushing the identity basis through the same function.
+
 All merge/split coefficients come from one uniform rule.  With
 inv(S, T) = #{(s, t) ∈ S×T : s > t}:
 
@@ -29,8 +35,10 @@ displayed special formulas; e.g. for k = 2:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .qlaurent import ONE, ZERO, LaurentPoly
@@ -39,6 +47,8 @@ __all__ = [
     "TensorBasis",
     "QMatrix",
     "intertwiner_matrix",
+    "local_map",
+    "apply_window",
     "merge_matrix",
     "split_matrix",
     "cup_matrix",
@@ -142,17 +152,18 @@ class QMatrix:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def from_dict(
+    def from_columns(
         cls,
         rows: Sequence,
         cols: Sequence,
-        data: Mapping[tuple[int, int], LaurentPoly],
+        columns: Sequence[Mapping[object, LaurentPoly]],
     ) -> "QMatrix":
-        """Build from a {(row_position, col_position): poly} mapping."""
+        """Build from one sparse {row_key: poly} column per column key."""
         grid = [[ZERO] * len(cols) for _ in range(len(rows))]
-        for (i, j), poly in data.items():
-            grid[i][j] = poly
-        return cls(rows, cols, tuple(tuple(r) for r in grid))
+        for j, column in enumerate(columns):
+            for row_key, poly in column.items():
+                grid[rows.index(row_key)][j] = poly
+        return cls(rows, cols, grid)
 
     @classmethod
     def identity(cls, index: Sequence) -> "QMatrix":
@@ -336,13 +347,49 @@ def _check_pair(kind: str, a: int, b: int, k: int, strict: bool) -> None:
         )
 
 
+LocalMap = Mapping[Key, tuple[tuple[Key, LaurentPoly], ...]]
+State = list[dict[Key, LaurentPoly]]
+
+
+def apply_window(local: LocalMap, pos: int, span: int, state: State) -> State:
+    """Apply a local window map to every column of a sparse state.
+
+    Each column is a {basis key: poly} dict; the map acts on the factors
+    [pos, pos+span) of each key and as the identity on the rest (span 0
+    inserts its window before factor ``pos``).  Zero entries are dropped.
+    """
+    lo, hi = pos - 1, pos - 1 + span
+    get = local.get
+    out: State = []
+    for column in state:
+        acc: dict[Key, dict[int, int]] = {}
+        for key, poly in column.items():
+            head, tail = key[:lo], key[hi:]
+            for out_win, coeff in get(key[lo:hi], ()):
+                out_key = head + out_win + tail
+                terms = acc.get(out_key)
+                if terms is None:
+                    terms = acc[out_key] = {}
+                for e1, c1 in poly.terms:
+                    for e2, c2 in coeff.terms:
+                        e = e1 + e2
+                        terms[e] = terms.get(e, 0) + c1 * c2
+        image = {}
+        for out_key, terms in acc.items():
+            poly = LaurentPoly(terms)
+            if poly:
+                image[out_key] = poly
+        out.append(image)
+    return out
+
+
 def _apply_local(
     k: int,
     labels: Sequence[int],
     pos: int,
     span: int,
     out_window: tuple[int, ...],
-    local: Mapping[tuple, list[tuple[tuple, LaurentPoly]]],
+    local: LocalMap,
 ) -> QMatrix:
     """Lift a local map on factors [pos, pos+span) to the ambient space."""
     labels = tuple(labels)
@@ -356,15 +403,49 @@ def _apply_local(
         )
     new_labels = labels[: pos - 1] + out_window + labels[pos - 1 + span :]
     cols = TensorBasis(k, labels)
-    rows = TensorBasis(k, new_labels)
-    data: dict[tuple[int, int], LaurentPoly] = {}
-    for j, key in enumerate(cols.elements):
-        window = key[pos - 1 : pos - 1 + span]
-        for out_win, coeff in local.get(window, ()):
-            out_key = key[: pos - 1] + out_win + key[pos - 1 + span :]
-            i = rows.index(out_key)
-            data[(i, j)] = data.get((i, j), ZERO) + coeff
-    return QMatrix.from_dict(rows, cols, data)
+    state = apply_window(local, pos, span, [{key: ONE} for key in cols])
+    return QMatrix.from_columns(TensorBasis(k, new_labels), cols, state)
+
+
+@lru_cache(maxsize=None)
+def local_map(kind: str, k: int, a: int, b: int) -> LocalMap:
+    """The local window map of one generator, cached per (kind, k, a, b).
+
+    ``kind`` is one of merge, split, cup, cap, cross+ and cross-; (a, b)
+    is the pair of small labels on the generator's two-strand side
+    (for crossings, (1, 1)).  The map sends a window key to its
+    (output window, coefficient) images.  It is shared by every caller,
+    so it is returned read-only.  Label checks are the caller's.
+    """
+    local: dict[Key, tuple[tuple[Key, LaurentPoly], ...]] = {}
+    full = tuple(range(1, k + 1))
+    if kind == "merge":
+        for S in combinations(full, a):
+            for T in combinations(full, b):
+                if not set(S) & set(T):
+                    U = tuple(sorted(S + T))
+                    local[(S, T)] = (
+                        ((U,), LaurentPoly.q_power(-_inversions(S, T))),
+                    )
+    elif kind == "split":
+        for U in combinations(full, a + b):
+            images = []
+            for S in combinations(U, a):
+                T = tuple(x for x in U if x not in S)
+                images.append(((S, T), LaurentPoly.q_power(_inversions(T, S))))
+            local[(U,)] = tuple(images)
+    elif kind == "cup":
+        # the split of the one-dimensional full power, born from nothing
+        local[()] = local_map("split", k, a, b)[(full,)]
+    elif kind == "cap":
+        for S in combinations(full, a):
+            T = tuple(x for x in full if x not in S)
+            local[(S, T)] = (((), LaurentPoly.q_power(-_inversions(S, T))),)
+    elif kind.startswith("cross"):
+        local = _block_local(crossing_matrix(kind[len("cross"):], k))
+    else:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    return MappingProxyType(local)
 
 
 def merge_matrix(
@@ -376,16 +457,7 @@ def merge_matrix(
         raise ValueError(f"merge position {pos} out of range for {labels}")
     a, b = labels[pos - 1], labels[pos]
     _check_pair("merge", a, b, k, strict)
-    local: dict[tuple, list] = {}
-    for S in combinations(range(1, k + 1), a):
-        for T in combinations(range(1, k + 1), b):
-            if set(S) & set(T):
-                continue
-            U = tuple(sorted(S + T))
-            local[(S, T)] = [
-                ((U,), LaurentPoly.q_power(-_inversions(S, T)))
-            ]
-    return _apply_local(k, labels, pos, 2, (a + b,), local)
+    return _apply_local(k, labels, pos, 2, (a + b,), local_map("merge", k, a, b))
 
 
 def split_matrix(
@@ -407,14 +479,7 @@ def split_matrix(
             f"into ({a},{b})"
         )
     _check_pair("split", a, b, k, strict)
-    local: dict[tuple, list] = {}
-    for U in combinations(range(1, k + 1), a + b):
-        images = []
-        for S in combinations(U, a):
-            T = tuple(x for x in U if x not in S)
-            images.append(((S, T), LaurentPoly.q_power(_inversions(T, S))))
-        local[(U,)] = images
-    return _apply_local(k, labels, pos, 1, (a, b), local)
+    return _apply_local(k, labels, pos, 1, (a, b), local_map("split", k, a, b))
 
 
 def cup_matrix(k: int, labels: Sequence[int], pos: int, a: int, b: int) -> QMatrix:
@@ -430,13 +495,7 @@ def cup_matrix(k: int, labels: Sequence[int], pos: int, a: int, b: int) -> QMatr
         raise ValueError(
             f"cup label pair ({a},{b}) not admissible; use (1,k-1) or (k-1,1)"
         )
-    full = tuple(range(1, k + 1))
-    images = []
-    for S in combinations(full, a):
-        T = tuple(x for x in full if x not in S)
-        images.append(((S, T), LaurentPoly.q_power(_inversions(T, S))))
-    local = {(): images}
-    return _apply_local(k, labels, pos, 0, (a, b), local)
+    return _apply_local(k, labels, pos, 0, (a, b), local_map("cup", k, a, b))
 
 
 def cap_matrix(k: int, labels: Sequence[int], pos: int) -> QMatrix:
@@ -450,11 +509,7 @@ def cap_matrix(k: int, labels: Sequence[int], pos: int) -> QMatrix:
             f"cap at position {pos} needs labels (1,k-1) or (k-1,1), "
             f"found ({a},{b}) with k={k}"
         )
-    local: dict[tuple, list] = {}
-    for S in combinations(range(1, k + 1), a):
-        T = tuple(x for x in range(1, k + 1) if x not in S)
-        local[(S, T)] = [((), LaurentPoly.q_power(-_inversions(S, T)))]
-    return _apply_local(k, labels, pos, 2, (), local)
+    return _apply_local(k, labels, pos, 2, (), local_map("cap", k, a, b))
 
 
 def _resolve_label(token: str, k: int) -> int:
@@ -536,16 +591,14 @@ def crossing_matrix(sign: str, k: int) -> QMatrix:
     return (E - LaurentPoly.q_power(b) * ident) * shift
 
 
-def _block_local(
-    block: QMatrix,
-) -> dict[tuple, list[tuple[tuple, LaurentPoly]]]:
+def _block_local(block: QMatrix) -> dict[Key, tuple[tuple[Key, LaurentPoly], ...]]:
     """Read a small matrix back off as a local map for _apply_local."""
     return {
-        col_key: [
+        col_key: tuple(
             (row_key, block.entries[i][j])
             for i, row_key in enumerate(block.rows)
             if block.entries[i][j]
-        ]
+        )
         for j, col_key in enumerate(block.cols)
     }
 
@@ -560,9 +613,7 @@ def cross_matrix_at(sign: str, k: int, labels: Sequence[int], pos: int) -> QMatr
             f"crossing needs two 1-labelled strands at {pos}, "
             f"found {labels[pos - 1:pos + 1]}"
         )
-    return _apply_local(
-        k, labels, pos, 2, (1, 1), _block_local(crossing_matrix(sign, k))
-    )
+    return _apply_local(k, labels, pos, 2, (1, 1), local_map("cross" + sign, k, 1, 1))
 
 
 def _kink_closures(cand_plus: QMatrix, cand_minus: QMatrix, k: int) -> list[QMatrix]:
@@ -641,7 +692,6 @@ def reversal_matrix(k: int, labels: Sequence[int]) -> QMatrix:
     labels = tuple(labels)
     cols = TensorBasis(k, labels)
     rows = TensorBasis(k, tuple(reversed(labels)))
-    data = {}
-    for j, key in enumerate(cols.elements):
-        data[(rows.index(tuple(reversed(key))), j)] = ONE
-    return QMatrix.from_dict(rows, cols, data)
+    return QMatrix.from_columns(
+        rows, cols, [{tuple(reversed(key)): ONE} for key in cols]
+    )

@@ -156,7 +156,7 @@ def test_criterion_05_unknot_value() -> None:
 
 def test_criterion_06_reidemeister_suite() -> None:
     start = perf_counter()
-    for k in (2, 3):
+    for k in (2, 3, 4):
         reports = reidemeister_suite(k)
         assert [r.check for r in reports] == [
             f"reidemeister-1-k{k}",
@@ -170,7 +170,7 @@ def test_criterion_06_reidemeister_suite() -> None:
     stamp(
         6,
         "kinks, crossing pairs, braid slides and zig-zags are exact "
-        "local identities for k=2,3",
+        "local identities for k=2,3,4",
         elapsed,
         10.0,
     )

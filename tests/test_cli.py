@@ -163,6 +163,14 @@ def test_verify_unknown_suite_is_a_usage_error(capsys) -> None:
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("suite", ["moy", "reidemeister", "groth"])
+def test_verify_rank_one_is_a_usage_error(capsys, suite) -> None:
+    code, out, err = run(capsys, "verify", suite, "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {suite} suite needs k >= 2\n"
+
+
 # ----------------------------------------------------------------------
 # combinatorics printouts
 

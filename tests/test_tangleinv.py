@@ -477,7 +477,7 @@ def test_move_pairs_respects_the_limit():
 
 
 @pytest.mark.parametrize("move", ["r1", "r2", "r3", "zigzag"])
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_link_poly_is_invariant_under_move(move, k):
     pairs = move_pairs(move)
     assert len(pairs) >= 10

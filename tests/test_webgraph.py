@@ -18,6 +18,7 @@ from moycalc.webgraph import (
     e_web,
     evaluate,
     evaluate_closed,
+    layer_matrix,
     mirror_conjugate,
     mirror_exponent,
     mirror_web,
@@ -383,6 +384,23 @@ def test_tensor_matches_kronecker_product(data):
     assert side_by_side.bottom == left.bottom + right.bottom
     assert side_by_side.top == left.top + right.top
     assert evaluate(side_by_side) == evaluate(left).tensor(evaluate(right))
+
+
+def dense_layer_product(web: Web) -> QMatrix:
+    """The reference evaluation: the product of whole-boundary layer
+    matrices."""
+    matrix = identity_on(web.k, web.bottom)
+    for layer, labels in zip(web.layers, web.boundaries):
+        matrix = layer_matrix(layer, web.k, labels) @ matrix
+    return matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_evaluation_matches_dense_layer_product(data):
+    k = data.draw(st.sampled_from([2, 3, 4]))
+    web = data.draw(small_webs(k=k, max_width=4, max_layers=6))
+    assert evaluate(web) == dense_layer_product(web)
 
 
 def test_stack_rejects_mismatched_boundaries():
