@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .qlaurent import ONE, ZERO, LaurentPoly
+from .qlaurent import ONE, LaurentPoly, LinComb
 from .symhecke import Permutation
 
 __all__ = [
@@ -378,15 +378,10 @@ def inversions(f: Filling) -> int:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedDiagramSum:
+class WeightedDiagramSum(LinComb):
     """A Z[q,q^-1]-combination of column-strict fillings."""
 
-    terms: dict[Filling, LaurentPoly]
-
-    def __post_init__(self) -> None:
-        cleaned = {f: c for f, c in self.terms.items() if c}
-        object.__setattr__(self, "terms", cleaned)
+    __slots__ = ()
 
     @classmethod
     def single(cls, f: Filling, coeff: LaurentPoly = ONE) -> "WeightedDiagramSum":
@@ -394,38 +389,17 @@ class WeightedDiagramSum:
 
     @classmethod
     def zero(cls) -> "WeightedDiagramSum":
-        return cls({})
+        return cls()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightedDiagramSum):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "WeightedDiagramSum") -> "WeightedDiagramSum":
-        out = dict(self.terms)
-        for f, c in other.terms.items():
-            out[f] = out.get(f, ZERO) + c
-        return WeightedDiagramSum(out)
-
-    def __mul__(self, scalar) -> "WeightedDiagramSum":
-        if isinstance(scalar, (int, LaurentPoly)):
-            return WeightedDiagramSum(
-                {f: c * scalar for f, c in self.terms.items()}
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def coeff(self, f: Filling) -> LaurentPoly:
-        return self.terms.get(f, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def terms(self) -> "WeightedDiagramSum":
+        """The filling -> coefficient map: the sum itself."""
+        return self
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self:
             return "0"
-        ordered = sorted(self.terms.items(), key=lambda t: t[0].columns)
+        ordered = sorted(self.items(), key=lambda t: t[0].columns)
         return " + ".join(f"({c})*{f.text()}" for f, c in ordered)
 
 
@@ -454,15 +428,15 @@ def curlyvee(
     band = [b for b, v in enumerate(flat) if v == pos]
     base = [v + 1 if v > pos else v for v in flat]
     inv_before = inversions(f)
-    out: dict[Filling, LaurentPoly] = {}
+    out = WeightedDiagramSum()
     for chosen in combinations(band, j):
         values = list(base)
         for b in chosen:
             values[b] = pos + 1
         result = f.with_flat(values)
         exponent = i * j - (inversions(result) - inv_before)
-        out[result] = out.get(result, ZERO) + LaurentPoly.q_power(exponent)
-    return WeightedDiagramSum(out)
+        out.add_term(result, LaurentPoly.q_power(exponent))
+    return out
 
 
 def curlywedge(f: Filling, pos: int) -> WeightedDiagramSum:

@@ -33,7 +33,6 @@ from typing import Sequence
 
 from .boxcomb import all_compositions, column_strict_fillings, positive_compositions
 from .foamalg import verify_foam
-from .qlaurent import ZERO
 from .reporting import Report, all_passed, render_reports
 from .symhecke import O_set, Permutation, annihilates, kl_element, rs_tableaux, sign_action
 from .tangleinv import (
@@ -59,6 +58,8 @@ __all__ = [
 
 MAX_N = 8
 MAX_K = 4
+# verify suites whose sweep does not finish in minutes above these n
+SUITE_MAX_N = {"bijections": 7, "hecke": 5, "groth": 6}
 
 
 def _bounded_k(text: str) -> int:
@@ -223,7 +224,7 @@ def _suite_hecke(n: int) -> list[Report]:
                 continue
             checked += 1
             matrix = sign_action(kl_element(w), mu)
-            if any(p != ZERO for row in matrix.entries for p in row):
+            if not matrix.is_zero():
                 annihilator_ok = False
     return [
         Report(
@@ -271,6 +272,8 @@ def _suite_groth(n: int, k: int) -> list[Report]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suite = args.suite
+    if args.n > SUITE_MAX_N.get(suite, MAX_N):
+        return _fail(f"{suite} suite needs n <= {SUITE_MAX_N[suite]}")
     if suite == "moy":
         if args.k < 2:
             return _fail("moy suite needs k >= 2")

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Hashable, Iterable, Mapping, Union
 
 __all__ = [
     "LaurentPoly",
+    "LinComb",
     "quantum_int",
     "parse_laurent",
     "ZERO",
@@ -192,6 +193,93 @@ def quantum_int(m: int) -> LaurentPoly:
     if m < 0:
         raise ValueError(f"quantum_int expects m >= 0, got {m}")
     return LaurentPoly({m - 1 - 2 * j: 1 for j in range(m)})
+
+
+class LinComb(dict):
+    """A finite Z[q, q^-1]-linear combination: basis key -> nonzero poly.
+
+    Zero coefficients are dropped on construction and by ``add_term``, so
+    equality is dict equality and an empty combination is zero.  Sums,
+    negation, scalar multiples and ``bar`` return the caller's type.
+
+    >>> v = LinComb({"a": Q, "b": ONE})
+    >>> v - LinComb({"b": ONE}) == LinComb({"a": Q})
+    True
+    >>> (v * 0).is_zero(), str(v.bar().coeff("a")), str(v.coeff("c"))
+    (True, 'q^-1', '0')
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms: Union[Mapping, Iterable[tuple]] = ()) -> None:
+        super().__init__()
+        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        for key, coeff in pairs:
+            self.add_term(key, coeff)
+
+    @classmethod
+    def adopt(cls, terms) -> "LinComb":
+        """``terms`` itself if it is already of this type, else a copy."""
+        return terms if isinstance(terms, cls) else cls(terms)
+
+    def _new(self, pairs: Iterable[tuple[Hashable, LaurentPoly]]) -> "LinComb":
+        # trusted: the pairs have distinct keys and nonzero coefficients
+        out = self.__class__.__new__(self.__class__)
+        dict.update(out, pairs)
+        return out
+
+    def add_term(self, key: Hashable, coeff: LaurentPoly) -> None:
+        """Add ``coeff`` to the coefficient of ``key``, dropping a zero."""
+        if not coeff:
+            return
+        old = self.get(key)
+        if old is None:
+            self[key] = coeff
+            return
+        total = old + coeff
+        if total:
+            self[key] = total
+        else:
+            del self[key]
+
+    def coeff(self, key: Hashable) -> LaurentPoly:
+        return self.get(key, ZERO)
+
+    def is_zero(self) -> bool:
+        return not self
+
+    def copy(self) -> "LinComb":
+        return self._new(self.items())
+
+    def __add__(self, other: object) -> "LinComb":
+        if not isinstance(other, LinComb):
+            return NotImplemented
+        out = self.copy()
+        for key, coeff in other.items():
+            out.add_term(key, coeff)
+        return out
+
+    def __neg__(self) -> "LinComb":
+        return self._new((key, -coeff) for key, coeff in self.items())
+
+    def __sub__(self, other: object) -> "LinComb":
+        if not isinstance(other, LinComb):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, scalar: object) -> "LinComb":
+        if not isinstance(scalar, (int, LaurentPoly)):
+            return NotImplemented
+        if not scalar:
+            return self._new(())
+        # Z[q, q^-1] has no zero divisors, so no product vanishes
+        return self._new((key, coeff * scalar) for key, coeff in self.items())
+
+    __rmul__ = __mul__
+
+    def bar(self) -> "LinComb":
+        """The bar involution q -> q^-1 on every coefficient."""
+        return self._new((key, coeff.bar()) for key, coeff in self.items())
 
 
 _TERM_RE = re.compile(

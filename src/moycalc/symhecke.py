@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .qlaurent import ONE, ZERO, LaurentPoly
+from .qlaurent import ONE, LaurentPoly, LinComb
 from .weblin import QMatrix
 
 __all__ = [
@@ -342,11 +342,10 @@ class HeckeElement:
     """A Z[q,q^-1]-combination of standard basis elements H_x, x in S_n."""
 
     n: int
-    terms: dict[Permutation, LaurentPoly]
+    terms: LinComb  # Permutation -> LaurentPoly
 
     def __post_init__(self) -> None:
-        cleaned = {w: c for w, c in self.terms.items() if c}
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", LinComb.adopt(self.terms))
 
     @classmethod
     def unit(cls, n: int) -> "HeckeElement":
@@ -364,19 +363,14 @@ class HeckeElement:
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, ZERO) + c
-        return HeckeElement(self.n, out)
+        return HeckeElement(self.n, self.terms + other.terms)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (other * -1)
+        return HeckeElement(self.n, self.terms - other.terms)
 
     def __mul__(self, scalar) -> "HeckeElement":
         if isinstance(scalar, (int, LaurentPoly)):
-            return HeckeElement(
-                self.n, {w: c * scalar for w, c in self.terms.items()}
-            )
+            return HeckeElement(self.n, self.terms * scalar)
         if isinstance(scalar, HeckeElement):
             return hecke_mul(self, scalar)
         return NotImplemented
@@ -387,17 +381,17 @@ class HeckeElement:
         return NotImplemented
 
     def coeff(self, w: Permutation) -> LaurentPoly:
-        return self.terms.get(w, ZERO)
+        return self.terms.coeff(w)
 
     def bar(self) -> "HeckeElement":
         """The bar involution: q ↦ q^-1 and H_x ↦ (H_{x^{-1}})^{-1}."""
-        out: dict[Permutation, LaurentPoly] = {}
+        out = LinComb()
         for x, c in self.terms.items():
-            vec = {Permutation.identity(self.n): c.bar()}
+            vec = LinComb({Permutation.identity(self.n): c.bar()})
             for i in x.reduced_word():
-                vec = _vec_times_gen_inverse(vec, i)
+                vec = _vec_times_gen(vec, i, inverse=True)
             for w, cc in vec.items():
-                out[w] = out.get(w, ZERO) + cc
+                out.add_term(w, cc)
         return HeckeElement(self.n, out)
 
     def text(self) -> str:
@@ -420,43 +414,33 @@ class HeckeElement:
         return self.text()
 
 
-def _vec_times_gen(
-    vec: dict[Permutation, LaurentPoly], i: int
-) -> dict[Permutation, LaurentPoly]:
-    """Right-multiply a standard-basis vector by H_{s_i}."""
-    out: dict[Permutation, LaurentPoly] = {}
-    for w, c in vec.items():
-        ws = w.times_s(i)
-        out[ws] = out.get(ws, ZERO) + c
-        if not w.right_ascent(i):
-            out[w] = out.get(w, ZERO) + c * _QINV_MINUS_Q
-    return {w: c for w, c in out.items() if c}
+def _vec_times_gen(vec: LinComb, i: int, inverse: bool = False) -> LinComb:
+    """Right-multiply a standard-basis vector by H_{s_i}, or with
+    ``inverse`` by H_{s_i}^{-1} = H_{s_i} + (q - q^-1).
 
-
-def _vec_times_gen_inverse(
-    vec: dict[Permutation, LaurentPoly], i: int
-) -> dict[Permutation, LaurentPoly]:
-    """Right-multiply by H_{s_i}^{-1} = H_{s_i} + (q - q^-1)."""
-    out: dict[Permutation, LaurentPoly] = {}
+    w·H_{s_i} = H_{ws_i}, plus (q^-1 - q)·H_w when ws_i < w; the inverse
+    swaps the correction to (q - q^-1)·H_w when ws_i > w.
+    """
+    correction = _Q_MINUS_QINV if inverse else _QINV_MINUS_Q
+    out = LinComb()
     for w, c in vec.items():
-        ws = w.times_s(i)
-        out[ws] = out.get(ws, ZERO) + c
-        if w.right_ascent(i):
-            out[w] = out.get(w, ZERO) + c * _Q_MINUS_QINV
-    return {w: c for w, c in out.items() if c}
+        out.add_term(w.times_s(i), c)
+        if w.right_ascent(i) == inverse:
+            out.add_term(w, c * correction)
+    return out
 
 
 def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product in the Hecke algebra (fold the right factor's words)."""
     if a.n != b.n:
         raise ValueError("size mismatch in Hecke product")
-    out: dict[Permutation, LaurentPoly] = {}
+    out = LinComb()
     for y, cy in b.terms.items():
-        vec = dict(a.terms)
+        vec = a.terms
         for i in y.reduced_word():
             vec = _vec_times_gen(vec, i)
         for w, c in vec.items():
-            out[w] = out.get(w, ZERO) + c * cy
+            out.add_term(w, c * cy)
     return HeckeElement(a.n, out)
 
 
@@ -572,20 +556,17 @@ def _module_data(mu: tuple[int, ...]):
     return basis, transitions
 
 
-def _module_vec_gen(
-    vec: dict[Permutation, LaurentPoly], trans_i
-) -> dict[Permutation, LaurentPoly]:
-    out: dict[Permutation, LaurentPoly] = {}
+def _module_vec_gen(vec: LinComb, trans_i) -> LinComb:
+    out = LinComb()
     for w, c in vec.items():
         case, ws = trans_i[w]
         if case == "wall":
-            out[w] = out.get(w, ZERO) + c * _MINUS_Q
-        elif case == "up":
-            out[ws] = out.get(ws, ZERO) + c
+            out.add_term(w, c * _MINUS_Q)
         else:
-            out[ws] = out.get(ws, ZERO) + c
-            out[w] = out.get(w, ZERO) + c * _QINV_MINUS_Q
-    return {w: c for w, c in out.items() if c}
+            out.add_term(ws, c)
+            if case == "down":
+                out.add_term(w, c * _QINV_MINUS_Q)
+    return out
 
 
 def sign_action(h: HeckeElement, mu: Sequence[int]) -> QMatrix:
@@ -603,14 +584,12 @@ def sign_action(h: HeckeElement, mu: Sequence[int]) -> QMatrix:
     if n != h.n:
         raise ValueError(f"composition {mu_t} does not match n={h.n}")
     basis, transitions = _module_data(mu_t)
-    columns: list[dict[Permutation, LaurentPoly]] = []
+    columns: list[LinComb] = []
     for w in basis:
         # memoized prefix folding over all standard-basis words of h
-        memo: dict[tuple[int, ...], dict[Permutation, LaurentPoly]] = {
-            (): {w: ONE}
-        }
+        memo: dict[tuple[int, ...], LinComb] = {(): LinComb({w: ONE})}
 
-        def vec_for(word: tuple[int, ...]) -> dict[Permutation, LaurentPoly]:
+        def vec_for(word: tuple[int, ...]) -> LinComb:
             if word in memo:
                 return memo[word]
             prev = vec_for(word[:-1])
@@ -618,16 +597,12 @@ def sign_action(h: HeckeElement, mu: Sequence[int]) -> QMatrix:
             memo[word] = result
             return result
 
-        col: dict[Permutation, LaurentPoly] = {}
+        col = LinComb()
         for x, c in h.terms.items():
             for u, cc in vec_for(x.reduced_word()).items():
-                col[u] = col.get(u, ZERO) + cc * c
-        columns.append({u: cc for u, cc in col.items() if cc})
-    entries = tuple(
-        tuple(columns[j].get(u, ZERO) for j in range(len(basis)))
-        for u in basis
-    )
-    return QMatrix(basis, basis, entries)
+                col.add_term(u, cc * c)
+        columns.append(col)
+    return QMatrix(basis, basis, columns)
 
 
 # ----------------------------------------------------------------------

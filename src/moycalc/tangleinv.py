@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .boxcomb import (
     WeightedDiagramSum,
@@ -48,11 +48,11 @@ from .boxcomb import (
     psi,
     psi_inverse,
 )
-from .qlaurent import ONE, ZERO, LaurentPoly, quantum_int
+from .qlaurent import ONE, ZERO, LaurentPoly, LinComb, quantum_int
 from .reporting import Report
 from .symhecke import FlagList, O_set, Permutation, translation_flag
 from .weblin import QMatrix, TensorBasis, special_pairs
-from .webgraph import Layer, Web, evaluate, evaluate_closed
+from .webgraph import Layer, Web, evaluate, evaluate_closed, slice_chunks
 
 __all__ = [
     "TangleParseError",
@@ -277,19 +277,6 @@ def _parse_layer(piece: str, line: int, col: int) -> TangleLayer:
         raise TangleParseError(str(exc), line, col) from None
 
 
-def _chunks(text: str) -> Iterator[tuple[str, int, int]]:
-    """Non-empty ';'-separated pieces with their (line, column)."""
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0]
-        offset = 0
-        for piece in line.split(";"):
-            stripped = piece.strip()
-            if stripped:
-                col = offset + len(piece) - len(piece.lstrip()) + 1
-                yield stripped, line_no, col
-            offset += len(piece) + 1
-
-
 def parse_tangle(
     text: str, bottom: Sequence[str] | None = None
 ) -> TangleWord:
@@ -304,7 +291,7 @@ def parse_tangle(
     header_bottom: tuple[str, ...] | None = None
     layers: list[TangleLayer] = []
     saw_header = False
-    for index, (piece, line, col) in enumerate(_chunks(text)):
+    for index, (piece, line, col) in enumerate(slice_chunks(text)):
         if index == 0:
             match = _HEADER_RE.match(piece)
             if match is not None:
@@ -960,12 +947,12 @@ class GrothVector:
 
     k: int
     nu: tuple[int, ...]
-    coords: dict[tuple[tuple[int, ...], Permutation], LaurentPoly]
+    coords: LinComb  # (weight, representative) -> LaurentPoly
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nu", tuple(self.nu))
         n = sum(self.nu)
-        cleaned = {}
+        cleaned = LinComb()
         for (mu, z), poly in self.coords.items():
             mu = tuple(mu)
             if len(mu) != self.k or any(p < 0 for p in mu):
@@ -977,8 +964,7 @@ class GrothVector:
                     f"key ({mu}, {z.one_line_text()}) does not match "
                     f"content {self.nu}"
                 )
-            if poly:
-                cleaned[(mu, z)] = poly
+            cleaned.add_term((mu, z), poly)
         object.__setattr__(self, "coords", cleaned)
 
     @classmethod
@@ -1012,19 +998,12 @@ class GrothVector:
             return NotImplemented
         if (self.k, self.nu) != (other.k, other.nu):
             raise ValueError("cannot add vectors over different contents")
-        merged = dict(self.coords)
-        for key, poly in other.coords.items():
-            merged[key] = merged.get(key, ZERO) + poly
-        return GrothVector(self.k, self.nu, merged)
+        return GrothVector(self.k, self.nu, self.coords + other.coords)
 
     def __mul__(self, scalar: object) -> "GrothVector":
         if not isinstance(scalar, (int, LaurentPoly)):
             return NotImplemented
-        return GrothVector(
-            self.k,
-            self.nu,
-            {key: poly * scalar for key, poly in self.coords.items()},
-        )
+        return GrothVector(self.k, self.nu, self.coords * scalar)
 
     __rmul__ = __mul__
 
@@ -1062,46 +1041,36 @@ def _check_transportable(f: Web) -> None:
             )
 
 
-def _curly_apply(
-    f: Web, mu: tuple[int, ...], z: Permutation
-) -> dict[tuple[tuple[int, ...], Permutation], LaurentPoly]:
-    current = WeightedDiagramSum.single(psi(z, mu, f.bottom), ONE)
+def _curly_apply(f: Web, mu: tuple[int, ...], z: Permutation) -> LinComb:
+    current = WeightedDiagramSum.single(psi(z, mu, f.bottom))
     for layer in f.layers:
-        moved = WeightedDiagramSum.zero()
-        for g, coeff in current.terms.items():
+        moved = WeightedDiagramSum()
+        for g, coeff in current.items():
             if layer.kind == "merge":
                 step = curlywedge(g, layer.pos)
             else:
                 step = curlyvee(g, layer.pos, (layer.a, layer.b))
-            moved = moved + step * coeff
+            for h, c in step.items():
+                moved.add_term(h, c * coeff)
         current = moved
-    return {
-        (mu, psi_inverse(g, mu, f.top)): coeff
-        for g, coeff in current.terms.items()
-    }
+    return LinComb(
+        ((mu, psi_inverse(g, mu, f.top)), coeff) for g, coeff in current.items()
+    )
 
 
-def _translation_apply(
-    f: Web, mu: tuple[int, ...], z: Permutation
-) -> dict[tuple[tuple[int, ...], Permutation], LaurentPoly]:
+def _translation_apply(f: Web, mu: tuple[int, ...], z: Permutation) -> LinComb:
     flags = translation_flag(FlagList.single(z), f.boundaries, mu=mu)
-    out: dict[tuple[tuple[int, ...], Permutation], LaurentPoly] = {}
-    for exponent, w in flags.terms:
-        key = (mu, w)
-        out[key] = out.get(key, ZERO) + LaurentPoly.q_power(exponent)
-    return out
+    return LinComb(((mu, w), LaurentPoly.q_power(e)) for e, w in flags.terms)
 
 
 def _matrix_apply(
     f: Web, matrix: QMatrix, k: int, mu: tuple[int, ...], z: Permutation
-) -> dict[tuple[tuple[int, ...], Permutation], LaurentPoly]:
+) -> LinComb:
     source = phi(psi(z, mu, f.bottom), k)
-    out: dict[tuple[tuple[int, ...], Permutation], LaurentPoly] = {}
+    out = LinComb()
     for row_key, coeff in matrix.column(source):
         g = phi_inverse(row_key, k)
-        shape = g.shape
-        key = (shape, psi_inverse(g, shape, f.top))
-        out[key] = out.get(key, ZERO) + coeff
+        out.add_term((g.shape, psi_inverse(g, g.shape, f.top)), coeff)
     return out
 
 
@@ -1139,7 +1108,7 @@ def grothendieck_map(
                 f"vector over k={vec.k}, nu={vec.nu} does not match "
                 f"the web's source k={k}, nu={f.bottom}"
             )
-        total: dict[tuple[tuple[int, ...], Permutation], LaurentPoly] = {}
+        total = LinComb()
         for (mu, z), coeff in vec.coords.items():
             if route == "curly":
                 image = _curly_apply(f, mu, z)
@@ -1148,7 +1117,7 @@ def grothendieck_map(
             else:
                 image = _matrix_apply(f, matrix, k, mu, z)
             for key, poly in image.items():
-                total[key] = total.get(key, ZERO) + poly * coeff
+                total.add_term(key, poly * coeff)
         return GrothVector(k, f.top, total)
 
     return apply

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .qlaurent import ONE, LaurentPoly, quantum_int
 from .reporting import Report
@@ -68,6 +68,7 @@ __all__ = [
     "Layer",
     "Web",
     "parse_web",
+    "slice_chunks",
     "layer_matrix",
     "evaluate",
     "evaluate_closed",
@@ -364,6 +365,21 @@ def _parse_layer(
     return Layer(kind, pos), None
 
 
+def slice_chunks(text: str) -> Iterator[tuple[str, int, int]]:
+    """The slice grammar shared by the web and tangle formats: the
+    non-empty ';'-separated pieces of each line, '#' comments removed,
+    with their 1-based (line, column)."""
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0]
+        offset = 0
+        for piece in line.split(";"):
+            stripped = piece.strip()
+            if stripped:
+                col = offset + len(piece) - len(piece.lstrip()) + 1
+                yield stripped, line_no, col
+            offset += len(piece) + 1
+
+
 def parse_web(
     text: str,
     k: int | None = None,
@@ -379,20 +395,11 @@ def parse_web(
     boundary — are raised as :class:`WebParseError` with the offending
     line and column.
     """
-    chunks: list[tuple[int, int, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        offset = 0
-        for piece in body.split(";"):
-            stripped = piece.strip()
-            if stripped:
-                col = offset + (len(piece) - len(piece.lstrip())) + 1
-                chunks.append((line_no, col, stripped))
-            offset += len(piece) + 1
+    chunks = list(slice_chunks(text))
     if not chunks:
         raise WebParseError("empty web source", 1, 1)
 
-    line0, col0, text0 = chunks[0]
+    text0, line0, col0 = chunks[0]
     if text0.startswith("web"):
         match = _HEADER_RE.match(text0)
         if not match:
@@ -443,7 +450,7 @@ def parse_web(
 
     labels = bot
     layers: list[Layer] = []
-    for line_no, col, chunk in chunks[start:]:
+    for chunk, line_no, col in chunks[start:]:
         layer, declared = _parse_layer(chunk, eff_k, line_no, col)
         if declared is not None:
             if layer.pos > len(labels) - 1:
@@ -491,7 +498,7 @@ def evaluate(web: Web, k: int | None = None) -> QMatrix:
 
     The identity columns of the bottom basis are pushed as a sparse
     state through each layer's local window map; a closed web pushes a
-    single column.  The dense matrix is built once, over top x bottom.
+    single column.  The pushed columns are the matrix's columns.
     """
     if k is not None and k != web.k:
         raise ValueError(f"web was typed at k={web.k}, asked to evaluate at k={k}")
@@ -505,7 +512,7 @@ def evaluate(web: Web, k: int | None = None) -> QMatrix:
             pair = labels[layer.pos - 1 : layer.pos + 1]
         local = local_map(layer.kind, rank, *pair)
         state = apply_window(local, layer.pos, _INPUT_SPANS[layer.kind], state)
-    return QMatrix.from_columns(TensorBasis(rank, web.top), bottom, state)
+    return QMatrix(TensorBasis(rank, web.top), bottom, state)
 
 
 def evaluate_closed(web: Web, k: int | None = None) -> LaurentPoly:

@@ -35,13 +35,13 @@ displayed special formulas; e.g. for k = 2:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .qlaurent import ONE, ZERO, LaurentPoly
+from .qlaurent import ONE, LaurentPoly, LinComb
 
 __all__ = [
     "TensorBasis",
@@ -128,62 +128,55 @@ class TensorBasis:
 # matrices
 
 
+def _positions(index: Sequence) -> Mapping:
+    """Key -> position lookup of an index sequence."""
+    if isinstance(index, TensorBasis):
+        return index._position
+    return {key: i for i, key in enumerate(index)}
+
+
 @dataclass(frozen=True, eq=False)
 class QMatrix:
     """A matrix over Z[q, q^-1] with explicit row/column index keys.
 
     ``rows`` and ``cols`` are index sequences (a TensorBasis, or any
-    tuple of hashable keys); ``entries`` is the dense grid, row-major.
+    tuple of hashable keys); ``columns`` holds one sparse
+    {row_key: poly} ``LinComb`` per column key, in column order.
+    Mappings that are not yet a ``LinComb`` are copied into one.
     """
 
     rows: Sequence
     cols: Sequence
-    entries: tuple[tuple[LaurentPoly, ...], ...]
+    columns: tuple[LinComb, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(tuple(row) for row in self.entries)
-        )
-        if len(self.entries) != len(self.rows):
-            raise ValueError("entry grid height does not match row index")
-        if any(len(row) != len(self.cols) for row in self.entries):
-            raise ValueError("entry grid width does not match column index")
+        columns = tuple(LinComb.adopt(column) for column in self.columns)
+        object.__setattr__(self, "columns", columns)
+        if len(columns) != len(self.cols):
+            raise ValueError("need one column per column key")
+        known = self._row_position
+        for column in columns:
+            for row_key in column:
+                if row_key not in known:
+                    raise ValueError(f"row key {row_key!r} is not in the row index")
+
+    @cached_property
+    def _row_position(self) -> Mapping:
+        return _positions(self.rows)
+
+    @cached_property
+    def _col_position(self) -> Mapping:
+        return _positions(self.cols)
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def from_columns(
-        cls,
-        rows: Sequence,
-        cols: Sequence,
-        columns: Sequence[Mapping[object, LaurentPoly]],
-    ) -> "QMatrix":
-        """Build from one sparse {row_key: poly} column per column key."""
-        grid = [[ZERO] * len(cols) for _ in range(len(rows))]
-        for j, column in enumerate(columns):
-            for row_key, poly in column.items():
-                grid[rows.index(row_key)][j] = poly
-        return cls(rows, cols, grid)
-
-    @classmethod
     def identity(cls, index: Sequence) -> "QMatrix":
-        n = len(index)
-        return cls(
-            index,
-            index,
-            tuple(
-                tuple(ONE if i == j else ZERO for j in range(n))
-                for i in range(n)
-            ),
-        )
+        return cls(index, index, tuple(LinComb({key: ONE}) for key in index))
 
     @classmethod
     def zero(cls, rows: Sequence, cols: Sequence) -> "QMatrix":
-        return cls(
-            rows,
-            cols,
-            tuple(tuple(ZERO for _ in cols) for _ in rows),
-        )
+        return cls(rows, cols, tuple(LinComb() for _ in cols))
 
     # -- shape and access ----------------------------------------------
 
@@ -191,26 +184,34 @@ class QMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
 
+    @cached_property
+    def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """A read-only dense view, row-major, for inspection."""
+        return tuple(
+            tuple(column.coeff(row_key) for column in self.columns)
+            for row_key in self.rows
+        )
+
     def entry(self, row_key, col_key) -> LaurentPoly:
-        return self.entries[self.rows.index(row_key)][self.cols.index(col_key)]
+        return self.columns[self._col_position[col_key]].coeff(row_key)
 
     def column(self, col_key) -> list[tuple[object, LaurentPoly]]:
-        """The nonzero entries of one column as (row_key, poly) pairs."""
-        j = self.cols.index(col_key)
-        return [
-            (row_key, self.entries[i][j])
-            for i, row_key in enumerate(self.rows)
-            if self.entries[i][j]
-        ]
+        """The nonzero entries of one column as (row_key, poly) pairs,
+        in row order."""
+        position = self._row_position
+        return sorted(
+            self.columns[self._col_position[col_key]].items(),
+            key=lambda item: position[item[0]],
+        )
 
     def scalar(self) -> LaurentPoly:
         """The unique entry of a 1x1 matrix."""
         if self.shape != (1, 1):
             raise ValueError(f"matrix of shape {self.shape} is not a scalar")
-        return self.entries[0][0]
+        return self.columns[0].coeff(self.rows[0])
 
     def is_zero(self) -> bool:
-        return all(not p for row in self.entries for p in row)
+        return not any(self.columns)
 
     # -- algebra ---------------------------------------------------------
 
@@ -220,7 +221,7 @@ class QMatrix:
         return (
             tuple(self.rows) == tuple(other.rows)
             and tuple(self.cols) == tuple(other.cols)
-            and self.entries == other.entries
+            and self.columns == other.columns
         )
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
@@ -231,10 +232,7 @@ class QMatrix:
         return QMatrix(
             self.rows,
             self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
+            tuple(a + b for a, b in zip(self.columns, other.columns)),
         )
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
@@ -243,19 +241,13 @@ class QMatrix:
         return self + (-other)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(-a for a in row) for row in self.entries),
-        )
+        return QMatrix(self.rows, self.cols, tuple(-a for a in self.columns))
 
     def __mul__(self, scalar: Scalar) -> "QMatrix":
         if not isinstance(scalar, (int, LaurentPoly)):
             return NotImplemented
         return QMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(a * scalar for a in row) for row in self.entries),
+            self.rows, self.cols, tuple(a * scalar for a in self.columns)
         )
 
     __rmul__ = __mul__
@@ -266,63 +258,44 @@ class QMatrix:
             return NotImplemented
         if tuple(self.cols) != tuple(other.rows):
             raise ValueError("composition index mismatch")
-        n_rows, n_cols = len(self.rows), len(other.cols)
-        other_nonzero = [
-            [(j, p) for j, p in enumerate(row) if p] for row in other.entries
-        ]
-        acc: list[list[dict[int, int] | None]] = [
-            [None] * n_cols for _ in range(n_rows)
-        ]
-        for i, row in enumerate(self.entries):
-            acc_i = acc[i]
-            for m, a in enumerate(row):
-                if not a:
-                    continue
-                for j, b in other_nonzero[m]:
-                    d = acc_i[j]
-                    if d is None:
-                        d = {}
-                        acc_i[j] = d
-                    for e1, c1 in a.terms:
-                        for e2, c2 in b.terms:
-                            e = e1 + e2
-                            d[e] = d.get(e, 0) + c1 * c2
-        entries = tuple(
-            tuple(
-                LaurentPoly(d) if d else ZERO for d in acc_row
-            )
-            for acc_row in acc
-        )
-        return QMatrix(self.rows, other.cols, entries)
+        position = self._col_position
+        out = []
+        for column in other.columns:
+            image = LinComb()
+            for mid, b in column.items():
+                for row_key, a in self.columns[position[mid]].items():
+                    image.add_term(row_key, a * b)
+            out.append(image)
+        return QMatrix(self.rows, other.cols, tuple(out))
 
     def tensor(self, other: "QMatrix") -> "QMatrix":
         """Monoidal (side-by-side) product; keys concatenate."""
         rows = tuple(r1 + r2 for r1 in self.rows for r2 in other.rows)
         cols = tuple(c1 + c2 for c1 in self.cols for c2 in other.cols)
-        entries = tuple(
-            tuple(a * b for a in row1 for b in row2)
-            for row1 in self.entries
-            for row2 in other.entries
+        columns = tuple(
+            LinComb(
+                (r1 + r2, a * b)
+                for r1, a in left.items()
+                for r2, b in right.items()
+            )
+            for left in self.columns
+            for right in other.columns
         )
-        return QMatrix(rows, cols, entries)
+        return QMatrix(rows, cols, columns)
 
     def bar(self) -> "QMatrix":
         """Entrywise bar involution q -> q^-1."""
-        return QMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(a.bar() for a in row) for row in self.entries),
-        )
+        return QMatrix(self.rows, self.cols, tuple(a.bar() for a in self.columns))
 
     def __str__(self) -> str:
+        cells: dict[object, list[str]] = {}
+        for col_key, column in zip(self.cols, self.columns):
+            for row_key, p in column.items():
+                cells.setdefault(row_key, []).append(f"{col_key}: {p}")
         lines = [f"QMatrix {len(self.rows)}x{len(self.cols)}"]
-        for i, row_key in enumerate(self.rows):
-            cells = ", ".join(
-                f"{col_key}: {p}"
-                for col_key, p in zip(self.cols, self.entries[i])
-                if p
-            )
-            lines.append(f"  {row_key} <- {cells if cells else '0'}")
+        for row_key in self.rows:
+            row = cells.get(row_key)
+            lines.append(f"  {row_key} <- {', '.join(row) if row else '0'}")
         return "\n".join(lines)
 
 
@@ -348,15 +321,16 @@ def _check_pair(kind: str, a: int, b: int, k: int, strict: bool) -> None:
 
 
 LocalMap = Mapping[Key, tuple[tuple[Key, LaurentPoly], ...]]
-State = list[dict[Key, LaurentPoly]]
+State = list[Mapping[Key, LaurentPoly]]
 
 
 def apply_window(local: LocalMap, pos: int, span: int, state: State) -> State:
     """Apply a local window map to every column of a sparse state.
 
-    Each column is a {basis key: poly} dict; the map acts on the factors
-    [pos, pos+span) of each key and as the identity on the rest (span 0
-    inserts its window before factor ``pos``).  Zero entries are dropped.
+    Each column is a {basis key: poly} mapping; the map acts on the
+    factors [pos, pos+span) of each key and as the identity on the rest
+    (span 0 inserts its window before factor ``pos``).  The image
+    columns are ``LinComb``s, without zero entries.
     """
     lo, hi = pos - 1, pos - 1 + span
     get = local.get
@@ -374,7 +348,7 @@ def apply_window(local: LocalMap, pos: int, span: int, state: State) -> State:
                     for e2, c2 in coeff.terms:
                         e = e1 + e2
                         terms[e] = terms.get(e, 0) + c1 * c2
-        image = {}
+        image = LinComb()
         for out_key, terms in acc.items():
             poly = LaurentPoly(terms)
             if poly:
@@ -404,7 +378,7 @@ def _apply_local(
     new_labels = labels[: pos - 1] + out_window + labels[pos - 1 + span :]
     cols = TensorBasis(k, labels)
     state = apply_window(local, pos, span, [{key: ONE} for key in cols])
-    return QMatrix.from_columns(TensorBasis(k, new_labels), cols, state)
+    return QMatrix(TensorBasis(k, new_labels), cols, state)
 
 
 @lru_cache(maxsize=None)
@@ -593,14 +567,7 @@ def crossing_matrix(sign: str, k: int) -> QMatrix:
 
 def _block_local(block: QMatrix) -> dict[Key, tuple[tuple[Key, LaurentPoly], ...]]:
     """Read a small matrix back off as a local map for _apply_local."""
-    return {
-        col_key: tuple(
-            (row_key, block.entries[i][j])
-            for i, row_key in enumerate(block.rows)
-            if block.entries[i][j]
-        )
-        for j, col_key in enumerate(block.cols)
-    }
+    return {col_key: tuple(block.column(col_key)) for col_key in block.cols}
 
 
 def cross_matrix_at(sign: str, k: int, labels: Sequence[int], pos: int) -> QMatrix:
@@ -692,6 +659,4 @@ def reversal_matrix(k: int, labels: Sequence[int]) -> QMatrix:
     labels = tuple(labels)
     cols = TensorBasis(k, labels)
     rows = TensorBasis(k, tuple(reversed(labels)))
-    return QMatrix.from_columns(
-        rows, cols, [{tuple(reversed(key)): ONE} for key in cols]
-    )
+    return QMatrix(rows, cols, [{tuple(reversed(key)): ONE} for key in cols])

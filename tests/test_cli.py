@@ -171,6 +171,17 @@ def test_verify_rank_one_is_a_usage_error(capsys, suite) -> None:
     assert err == f"error: {suite} suite needs k >= 2\n"
 
 
+@pytest.mark.parametrize(
+    ("suite", "limit"), [("bijections", 7), ("hecke", 5), ("groth", 6)]
+)
+def test_verify_n_above_the_suite_bound_is_a_usage_error(capsys, suite, limit) -> None:
+    # above these bounds the sweeps run for minutes or do not finish
+    code, out, err = run(capsys, "verify", suite, "--n", str(limit + 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {suite} suite needs n <= {limit}\n"
+
+
 # ----------------------------------------------------------------------
 # combinatorics printouts
 

@@ -5,7 +5,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from moycalc.qlaurent import LaurentPoly, ONE, Q, ZERO, parse_laurent, quantum_int
+from moycalc.qlaurent import (
+    LaurentPoly,
+    LinComb,
+    ONE,
+    Q,
+    ZERO,
+    parse_laurent,
+    quantum_int,
+)
 
 polys = st.builds(
     LaurentPoly,
@@ -110,3 +118,29 @@ def test_scalar_and_power_operations():
     assert quantum_int(2) ** 2 == quantum_int(3) + quantum_int(1)
     assert 1 + Q == Q + 1
     assert 1 - Q == -(Q - 1)
+
+
+# ----------------------------------------------------------------------
+# sparse linear combinations
+
+
+def test_lincomb_drops_zeros_and_merges_repeated_keys():
+    v = LinComb({"a": ONE, "b": ZERO, "c": Q})
+    assert dict(v) == {"a": ONE, "c": Q}
+    v.add_term("a", -ONE)
+    v.add_term("d", ZERO)
+    assert dict(v) == {"c": Q}
+    assert LinComb([("x", Q), ("x", ONE), ("y", Q), ("y", -Q)]) == {"x": Q + ONE}
+
+
+def test_lincomb_arithmetic_keeps_the_subclass():
+    class Sum(LinComb):
+        __slots__ = ()
+
+    v = Sum({"a": Q})
+    for result in (v + v, v - v, -v, v * Q, 2 * v, v.bar(), v.copy()):
+        assert type(result) is Sum
+    assert (v - v).is_zero() and (v * 0).is_zero()
+    assert (v + v) == {"a": 2 * Q}
+    assert v.bar().coeff("a") == LaurentPoly.q_power(-1)
+    assert v.coeff("missing") == ZERO

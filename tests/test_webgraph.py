@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -242,6 +244,22 @@ def test_parse_semicolons_and_newlines_agree():
 def test_identity_web_evaluates_to_identity():
     for k, labels in ((2, (1, 1)), (3, (1, 2)), (4, (3, 4, 1))):
         assert evaluate(Web(k, labels, ())) == identity_on(k, labels)
+
+
+def test_wide_open_web_is_evaluated_and_printed_sparsely():
+    # 6 strands at k=4 give 4096 basis keys: a dense 4096 x 4096 grid of
+    # polynomials would take hundreds of MiB, the sparse columns a few
+    tracemalloc.start()
+    try:
+        matrix = evaluate(Web(4, (1,) * 6, ()))
+        text = str(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix == identity_on(4, (1,) * 6)
+    assert text.startswith("QMatrix 4096x4096\n")
+    assert text.count("\n") == 4096
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

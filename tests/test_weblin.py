@@ -323,13 +323,12 @@ small_polys = st.builds(
 
 
 def _qmatrix(rows, cols):
-    return st.builds(
-        lambda grid: QMatrix(tuple(range(rows)), tuple(range(cols)), grid),
-        st.lists(
-            st.lists(small_polys, min_size=cols, max_size=cols),
-            min_size=rows,
-            max_size=rows,
-        ).map(lambda g: tuple(tuple(r) for r in g)),
+    """Matrices from sparse {row: poly} columns, zero entries included."""
+    column = st.dictionaries(
+        st.integers(min_value=0, max_value=rows - 1), small_polys, max_size=rows
+    )
+    return st.lists(column, min_size=cols, max_size=cols).map(
+        lambda columns: QMatrix(tuple(range(rows)), tuple(range(cols)), columns)
     )
 
 
