@@ -27,7 +27,7 @@ def gather() -> list[Report]:
         reports.extend(reidemeister_suite(k))
     for n in (2, 3, 4, 5):
         reports.extend(_suite_bijections(n, 3))
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         reports.extend(_suite_hecke(n))
     for k in (2, 3):
         reports.extend(_suite_groth(4, k))

@@ -16,8 +16,9 @@ True
 from __future__ import annotations
 
 import re
+from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Union
+from typing import Union
 
 __all__ = [
     "LaurentPoly",
@@ -29,17 +30,16 @@ __all__ = [
     "Q",
 ]
 
-TermsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LaurentPoly:
     """An element of Z[q, q^-1], stored as (exponent, coefficient) pairs.
 
     The ``terms`` tuple is normalized on construction: duplicate
     exponents are merged, zero coefficients dropped, and the pairs
     sorted by descending exponent, so equality and hashing are
-    structural.
+    structural.  The arithmetic below builds its results already in
+    this form and hands them to ``_trusted``, which skips the check.
     """
 
     # normalized (exponent, coefficient) pairs, descending exponent
@@ -47,14 +47,11 @@ class LaurentPoly:
 
     def __post_init__(self) -> None:
         raw = self.terms
-        pairs = raw.items() if isinstance(raw, Mapping) else raw
+        pairs = raw.items() if isinstance(raw, (dict, Mapping)) else raw
         acc: dict[int, int] = {}
         for exp, coeff in pairs:
             acc[exp] = acc.get(exp, 0) + coeff
-        normal = tuple(
-            (exp, acc[exp]) for exp in sorted(acc, reverse=True) if acc[exp] != 0
-        )
-        object.__setattr__(self, "terms", normal)
+        _set_terms(self, _normal(acc))
 
     # ------------------------------------------------------------------
     # constructors
@@ -97,12 +94,15 @@ class LaurentPoly:
             other = LaurentPoly.from_int(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return LaurentPoly(self.terms + other.terms)
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            acc[e] = acc.get(e, 0) + c
+        return _trusted(_normal(acc))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
+        return _trusted(tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other: object) -> "LaurentPoly":
         if isinstance(other, int):
@@ -118,15 +118,24 @@ class LaurentPoly:
 
     def __mul__(self, other: object) -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly(tuple((e, c * other) for e, c in self.terms))
+            if not other:
+                return ZERO
+            return _trusted(tuple((e, c * other) for e, c in self.terms))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        long, short = self.terms, other.terms
+        if len(long) < len(short):
+            long, short = short, long
+        if len(short) == 1:
+            # a monomial shifts every exponent alike: the order survives
+            e2, c2 = short[0]
+            return _trusted(tuple((e + e2, c * c2) for e, c in long))
         acc: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        for e1, c1 in long:
+            for e2, c2 in short:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly(acc)
+        return _trusted(_normal(acc))
 
     __rmul__ = __mul__
 
@@ -140,7 +149,7 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The bar involution q -> q^-1."""
-        return LaurentPoly(tuple((-e, c) for e, c in self.terms))
+        return _trusted(tuple((-e, c) for e, c in reversed(self.terms)))
 
     # ------------------------------------------------------------------
     # canonical text form
@@ -175,6 +184,22 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"
+
+
+_set_terms = LaurentPoly.terms.__set__
+
+
+def _normal(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The normal form of exponent -> coefficient sums: zeros dropped,
+    exponents descending."""
+    return tuple(sorted(((e, c) for e, c in acc.items() if c), reverse=True))
+
+
+def _trusted(terms: tuple[tuple[int, int], ...]) -> LaurentPoly:
+    """A polynomial from terms already in normal form, unchecked."""
+    poly = object.__new__(LaurentPoly)
+    _set_terms(poly, terms)
+    return poly
 
 
 ZERO = LaurentPoly.zero()

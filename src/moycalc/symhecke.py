@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .qlaurent import ONE, LaurentPoly, LinComb
+from .qlaurent import ONE, Q, LaurentPoly, LinComb
 from .weblin import QMatrix
 
 __all__ = [
@@ -60,19 +60,22 @@ __all__ = [
     "nonzero_part_count",
 ]
 
-# q^-1 - q and -q: the two structure constants of the conventions above
+# q^-1 - q and its negative: the quadratic corrections of H_s and H_s^-1
 _QINV_MINUS_Q = LaurentPoly({-1: 1, 1: -1})
 _Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
-_MINUS_Q = LaurentPoly({1: -1})
 
 
 # ----------------------------------------------------------------------
 # permutations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Permutation:
-    """A permutation of {1..n} in one-line notation."""
+    """A permutation of {1..n} in one-line notation.
+
+    Permutations key every Hecke-algebra sum, so the hash (the one a
+    dataclass would compute) is computed once, on construction.
+    """
 
     images: tuple[int, ...]
 
@@ -81,6 +84,15 @@ class Permutation:
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"{self.images} is not a permutation of 1..{n}")
+        object.__setattr__(self, "_hash", hash((self.images,)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Permutation:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- constructors ---------------------------------------------------
 
@@ -157,9 +169,9 @@ class Permutation:
     def length(self) -> int:
         return _inversion_count(self.images)
 
-    def right_ascent(self, i: int) -> bool:
-        """True iff l(self·s_i) > l(self)."""
-        return self.images[i - 1] < self.images[i]
+    def left_ascent(self, i: int) -> bool:
+        """True iff l(s_i·self) > l(self): the value i comes before i+1."""
+        return self.images.index(i) < self.images.index(i + 1)
 
     # -- words and text ---------------------------------------------------
 
@@ -388,8 +400,8 @@ class HeckeElement:
         out = LinComb()
         for x, c in self.terms.items():
             vec = LinComb({Permutation.identity(self.n): c.bar()})
-            for i in x.reduced_word():
-                vec = _vec_times_gen(vec, i, inverse=True)
+            for i in reversed(x.reduced_word()):
+                vec = _gen_times_vec(i, vec, inverse=True)
             for w, cc in vec.items():
                 out.add_term(w, cc)
         return HeckeElement(self.n, out)
@@ -414,33 +426,42 @@ class HeckeElement:
         return self.text()
 
 
-def _vec_times_gen(vec: LinComb, i: int, inverse: bool = False) -> LinComb:
-    """Right-multiply a standard-basis vector by H_{s_i}, or with
+# per generator index i: y -> (s_i·y, whether s_i·y < y), filled on demand
+_LEFT_STEPS: dict[int, dict[Permutation, tuple[Permutation, bool]]] = {}
+
+
+def _gen_times_vec(i: int, vec: LinComb, inverse: bool = False) -> LinComb:
+    """Left-multiply a standard-basis vector by H_{s_i}, or with
     ``inverse`` by H_{s_i}^{-1} = H_{s_i} + (q - q^-1).
 
-    w·H_{s_i} = H_{ws_i}, plus (q^-1 - q)·H_w when ws_i < w; the inverse
-    swaps the correction to (q - q^-1)·H_w when ws_i > w.
+    H_{s_i}·H_y = H_{s_i·y}, plus (q^-1 - q)·H_y when s_i·y < y; the
+    inverse swaps the correction to (q - q^-1)·H_y when s_i·y > y.
     """
     correction = _Q_MINUS_QINV if inverse else _QINV_MINUS_Q
+    steps = _LEFT_STEPS.setdefault(i, {})
     out = LinComb()
-    for w, c in vec.items():
-        out.add_term(w.times_s(i), c)
-        if w.right_ascent(i) == inverse:
-            out.add_term(w, c * correction)
+    for y, c in vec.items():
+        step = steps.get(y)
+        if step is None:
+            step = steps[y] = (y.s_times(i), not y.left_ascent(i))
+        sy, down = step
+        out.add_term(sy, c)
+        if down != inverse:
+            out.add_term(y, c * correction)
     return out
 
 
 def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product in the Hecke algebra (fold the right factor's words)."""
+    """Product in the Hecke algebra: H_x·b by left steps along x's word."""
     if a.n != b.n:
         raise ValueError("size mismatch in Hecke product")
     out = LinComb()
-    for y, cy in b.terms.items():
-        vec = a.terms
-        for i in y.reduced_word():
-            vec = _vec_times_gen(vec, i)
-        for w, c in vec.items():
-            out.add_term(w, c * cy)
+    for x, c in a.terms.items():
+        vec = b.terms
+        for i in reversed(x.reduced_word()):
+            vec = _gen_times_vec(i, vec)
+        for w, cw in vec.items():
+            out.add_term(w, c * cw)
     return HeckeElement(a.n, out)
 
 
@@ -452,7 +473,8 @@ def kl_element(w: Permutation) -> HeckeElement:
 
     Characterized as the unique bar-invariant element of the form
     H_w + Σ_{y≠w} h_y·H_y with every h_y in q·Z[q]; computed by the
-    standard recursion on a left descent with degree-one corrections.
+    standard recursion on a left descent with degree-one corrections:
+    C_{s_i}·C_v = H_{s_i}·C_v + q·C_v, one left step on C_v's terms.
     """
     cached = _KL_CACHE.get(w.images)
     if cached is not None:
@@ -461,17 +483,12 @@ def kl_element(w: Permutation) -> HeckeElement:
     if w.is_identity():
         result = HeckeElement.unit(n)
     else:
-        inv = w.inverse().images
-        i = next(i for i in range(1, n) if inv[i] < inv[i - 1])
-        v = w.s_times(i)
-        kl_v = kl_element(v)
-        kl_s = HeckeElement(
-            n, {Permutation.s(i, n): ONE, Permutation.identity(n): LaurentPoly.q_power(1)}
-        )
-        result = hecke_mul(kl_s, kl_v)
-        for z, coeff in list(kl_v.terms.items()):
+        i = w.reduced_word()[0]
+        kl_v = kl_element(w.s_times(i))
+        result = HeckeElement(n, _gen_times_vec(i, kl_v.terms) + kl_v.terms * Q)
+        for z, coeff in kl_v.terms.items():
             m = coeff.coeff(1)
-            if m and not z.inverse().right_ascent(i):
+            if m and not z.left_ascent(i):
                 # s_i z < z: subtract the degree-one correction
                 result = result - kl_element(z) * m
     _KL_CACHE[w.images] = result
@@ -519,61 +536,43 @@ def annihilates(w: Permutation, mu: Sequence[int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _module_data(mu: tuple[int, ...]):
-    """Basis (sorted) and per-generator transitions for the module of mu.
+def _sign_module(parts: tuple[int, ...]):
+    """Basis (sorted) and projection table for the sign module of the
+    composition with these nonzero parts.
 
-    For each basis element w and generator i, the action of H_{s_i} is
-    one of: move up (w·s_i longer, still minimal), move down (shorter,
-    still minimal), or bounce off the wall (w·s_i not minimal), in
-    which case the eigenvalue -q applies.
+    The projection sends each y in S_n, written y = u·d with u in S_mu
+    and d minimal in S_mu·y, to (d, (-q)^{l(u)}).  Left multiplication
+    by S_mu permutes the values inside each block, so d puts every
+    block's values in increasing order on the positions y gives them.
     """
-    n = sum(mu)
-    blocks = _blocks(mu)
-    basis = tuple(
-        sorted(
-            (
-                w
-                for images in permutations(range(1, n + 1))
-                for w in (Permutation(images),)
-                if _is_left_minimal(w, blocks)
-            ),
-            key=lambda w: w.images,
-        )
-    )
-    basis_set = set(basis)
-    transitions = []
-    for i in range(1, n):
-        row = {}
-        for w in basis:
-            ws = w.times_s(i)
-            if ws not in basis_set:
-                row[w] = ("wall", w)
-            elif w.right_ascent(i):
-                row[w] = ("up", ws)
-            else:
-                row[w] = ("down", ws)
-        transitions.append(row)
-    return basis, transitions
-
-
-def _module_vec_gen(vec: LinComb, trans_i) -> LinComb:
-    out = LinComb()
-    for w, c in vec.items():
-        case, ws = trans_i[w]
-        if case == "wall":
-            out.add_term(w, c * _MINUS_Q)
-        else:
-            out.add_term(ws, c)
-            if case == "down":
-                out.add_term(w, c * _QINV_MINUS_Q)
-    return out
+    n = sum(parts)
+    blocks = _blocks(parts)
+    signs = [LaurentPoly({e: (-1) ** e}) for e in range(n * (n - 1) // 2 + 1)]
+    project = {}
+    for images in permutations(range(1, n + 1)):
+        sorted_images = list(images)
+        for block in blocks:
+            positions = [p for p, v in enumerate(images) if v in block]
+            for p, v in zip(positions, block):
+                sorted_images[p] = v
+        y, d = Permutation(images), Permutation(tuple(sorted_images))
+        project[y] = (d, signs[y.length() - d.length()])
+    basis = tuple(sorted({d for d, _ in project.values()}, key=lambda w: w.images))
+    return basis, project
 
 
 def sign_action(h: HeckeElement, mu: Sequence[int]) -> QMatrix:
     """Matrix of h on the induced sign module, over the minimal-coset basis.
 
-    The action is fixed by: H_{s_i} sends a basis element w to w·s_i
-    when that is again minimal (with the quadratic correction
+    The module is sign ⊗_{H_mu} H: the basis vector of a minimal coset
+    representative d is 1 ⊗ H_d, and H_{s_i} in H_mu acts on the sign
+    line by -q.  So H_y with y = u·d (u in S_mu) projects to
+    (-q)^{l(u)}·d, and the column of a basis vector w is the projection
+    of H_w·h.  The products H_w·h are memoised along left-descent
+    chains: with w = s_i·w', H_w·h = H_{s_i}·(H_{w'}·h), one left step.
+
+    On the basis this is the right action fixed by: H_{s_i} sends w to
+    w·s_i when that is again minimal (with the quadratic correction
     (q^-1 - q)·w when it is shorter), and to -q·w when w·s_i falls out
     of the minimal set.  This is the unique convention under which the
     box-diagram bijection intertwines the module with the E-operators
@@ -583,24 +582,20 @@ def sign_action(h: HeckeElement, mu: Sequence[int]) -> QMatrix:
     n = sum(mu_t)
     if n != h.n:
         raise ValueError(f"composition {mu_t} does not match n={h.n}")
-    basis, transitions = _module_data(mu_t)
+    basis, project = _sign_module(tuple(p for p in mu_t if p))
+    # H_x·h keyed by the greedy reduced word of x, whose tail is the
+    # greedy word of s_i·x for its first letter i
+    products: dict[tuple[int, ...], LinComb] = {(): h.terms}
     columns: list[LinComb] = []
     for w in basis:
-        # memoized prefix folding over all standard-basis words of h
-        memo: dict[tuple[int, ...], LinComb] = {(): LinComb({w: ONE})}
-
-        def vec_for(word: tuple[int, ...]) -> LinComb:
-            if word in memo:
-                return memo[word]
-            prev = vec_for(word[:-1])
-            result = _module_vec_gen(prev, transitions[word[-1] - 1])
-            memo[word] = result
-            return result
-
+        word = w.reduced_word()
+        known = next(k for k in range(len(word) + 1) if word[k:] in products)
+        for k in range(known - 1, -1, -1):
+            products[word[k:]] = _gen_times_vec(word[k], products[word[k + 1 :]])
         col = LinComb()
-        for x, c in h.terms.items():
-            for u, cc in vec_for(x.reduced_word()).items():
-                col.add_term(u, cc * c)
+        for y, c in products[word].items():
+            d, sign = project[y]
+            col.add_term(d, c * sign)
         columns.append(col)
     return QMatrix(basis, basis, columns)
 

@@ -84,6 +84,53 @@ def test_bar_is_ring_involution(a, b):
     assert (a * b).bar() == a.bar() * b.bar()
 
 
+def _is_normal(p: LaurentPoly) -> bool:
+    exps = [e for e, _ in p.terms]
+    return all(a > b for a, b in zip(exps, exps[1:])) and all(c for _, c in p.terms)
+
+
+monomials = st.builds(
+    lambda e, c: LaurentPoly({e: c}),
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-9, max_value=9).filter(bool),
+)
+
+
+@given(polys, polys, monomials, st.integers(min_value=-3, max_value=3))
+def test_arithmetic_results_are_in_normal_form(a, b, m, k):
+    """Every result equals the public constructor's normalisation of
+    the raw (exponent, coefficient) pairs it stands for, and is itself
+    normal: exponents strictly descending, no zero coefficient."""
+    neg_b = [(e, -c) for e, c in b.terms]
+    cases = [
+        (a + b, a.terms + b.terms),
+        (a - b, a.terms + tuple(neg_b)),
+        (-a, [(e, -c) for e, c in a.terms]),
+        (a + k, a.terms + ((0, k),)),
+        (k - a, [(0, k)] + [(e, -c) for e, c in a.terms]),
+        (a * k, [(e, c * k) for e, c in a.terms]),
+        (k * a, [(e, c * k) for e, c in a.terms]),
+        (a * m, [(e + em, c * cm) for e, c in a.terms for em, cm in m.terms]),
+        (m * a, [(e + em, c * cm) for e, c in a.terms for em, cm in m.terms]),
+        (a * b, [(e1 + e2, c1 * c2) for e1, c1 in a.terms for e2, c2 in b.terms]),
+        (a.bar(), [(-e, c) for e, c in a.terms]),
+    ]
+    for result, pairs in cases:
+        assert _is_normal(result), result.terms
+        expected = LaurentPoly(list(pairs))
+        assert result == expected and hash(result) == hash(expected)
+
+
+def test_constructor_accepts_any_mapping_or_pairs():
+    from types import MappingProxyType
+
+    expected = LaurentPoly({2: 1, 0: 2})
+    assert LaurentPoly(MappingProxyType({0: 2, 2: 1})) == expected
+    assert LaurentPoly([(0, 1), (2, 1), (0, 1), (1, 0)]) == expected
+    assert LaurentPoly(((0, 2), (2, 1))).terms == ((2, 1), (0, 2))
+    assert Q * 0 == ZERO and (ZERO * Q).terms == () and (Q * ZERO).terms == ()
+
+
 @given(polys)
 def test_text_round_trip(a):
     assert parse_laurent(str(a)) == a

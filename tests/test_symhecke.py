@@ -417,6 +417,134 @@ def test_sign_action_reverses_products():
     )
 
 
+def _any_reduced_word(x: Permutation) -> tuple[int, ...]:
+    """A reduced word found by bubble sorting, independent of the greedy
+    left-descent word the module uses."""
+    images = list(x.images)
+    word: list[int] = []
+    while True:
+        j = next((j for j in range(1, len(images)) if images[j - 1] > images[j]), None)
+        if j is None:
+            return tuple(reversed(word))
+        images[j - 1], images[j] = images[j], images[j - 1]
+        word.append(j)
+
+
+def reference_sign_action(h: HeckeElement, mu: tuple[int, ...]):
+    """Entries (row images, column images) -> poly of h on the sign module
+    of mu, by folding the reduced word of every term of h through the
+    wall/up/down rule on the basis: H_{s_i} sends w to w·s_i when that
+    is again minimal (plus (q^-1 - q)·w when it is shorter), and to
+    -q·w when w·s_i is not minimal."""
+    n = sum(mu)
+    block_of = [b for b, part in enumerate(mu) for _ in range(part)]
+
+    def minimal(images):
+        return all(
+            images[p] < images[r]
+            for p in range(n)
+            for r in range(p + 1, n)
+            if block_of[images[p] - 1] == block_of[images[r] - 1]
+        )
+
+    def step(vec, i):
+        out = {}
+
+        def add(key, c):
+            total = out.get(key, LaurentPoly()) + c
+            out[key] = total
+
+        for w, c in vec.items():
+            ws = list(w)
+            ws[i - 1], ws[i] = ws[i], ws[i - 1]
+            ws = tuple(ws)
+            if not minimal(ws):
+                add(w, -c * qp(1))
+            elif w[i - 1] < w[i]:
+                add(ws, c)
+            else:
+                add(ws, c)
+                add(w, c * (qp(-1) - qp(1)))
+        return out
+
+    basis = sorted(p for p in permutations(range(1, n + 1)) if minimal(p))
+    entries = {}
+    for w in basis:
+        for x, c in h.terms.items():
+            vec = {w: c}
+            for i in _any_reduced_word(x):
+                vec = step(vec, i)
+            for u, cu in vec.items():
+                entries[(u, w)] = entries.get((u, w), LaurentPoly()) + cu
+    return basis, {key: c for key, c in entries.items() if c}
+
+
+def matrix_entries(m: QMatrix):
+    return {
+        (u.images, w.images): c
+        for w, column in zip(m.cols, m.columns)
+        for u, c in column.items()
+    }
+
+
+POLYS = st.dictionaries(
+    st.integers(-3, 3), st.integers(-3, 3), max_size=3
+).map(LaurentPoly)
+
+
+@st.composite
+def compositions(draw, n: int) -> tuple[int, ...]:
+    """A composition of n into 1..n+1 parts, zero parts allowed."""
+    parts = draw(st.integers(1, n + 1))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=parts - 1, max_size=parts - 1)))
+    bounds = [0] + cuts + [n]
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def hecke_elements(n: int):
+    """Random elements of the Hecke algebra of S_n with 0..8 terms."""
+    return st.dictionaries(
+        st.permutations(list(range(1, n + 1))).map(lambda im: Permutation(tuple(im))),
+        POLYS,
+        max_size=8,
+    ).map(lambda terms: HeckeElement(n, terms))
+
+
+def element_and_composition(ns):
+    return ns.flatmap(lambda n: st.tuples(hecke_elements(n), compositions(n)))
+
+
+def _assert_matches_reference(h: HeckeElement, mu: tuple[int, ...]) -> None:
+    basis, expected = reference_sign_action(h, mu)
+    m = sign_action(h, mu)
+    assert [w.images for w in m.cols] == basis
+    assert [w.images for w in m.rows] == basis
+    assert matrix_entries(m) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_and_composition(st.integers(1, 4)))
+def test_sign_action_matches_the_right_fold_reference(case):
+    _assert_matches_reference(*case)
+
+
+@settings(max_examples=6, deadline=None)
+@given(element_and_composition(st.just(5)))
+def test_sign_action_matches_the_right_fold_reference_n5(case):
+    _assert_matches_reference(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(hecke_elements(n), hecke_elements(n), compositions(n))
+    )
+)
+def test_sign_action_of_a_product_is_the_reversed_product(case):
+    a, b, mu = case
+    assert sign_action(a * b, mu) == sign_action(b, mu) @ sign_action(a, mu)
+
+
 def test_annihilator_spot_checks():
     assert sign_action(kl_element(perm("321")), (2, 1)).is_zero()
     assert not sign_action(kl_element(perm("231")), (2, 1)).is_zero()
