@@ -451,8 +451,7 @@ def reference_sign_action(h: HeckeElement, mu: tuple[int, ...]):
         out = {}
 
         def add(key, c):
-            total = out.get(key, LaurentPoly()) + c
-            out[key] = total
+            out[key] = out.get(key, LaurentPoly()) + c
 
         for w, c in vec.items():
             ws = list(w)
