@@ -29,7 +29,7 @@ def gather() -> list[Report]:
         reports.extend(_suite_bijections(n, 3))
     for n in (2, 3, 4, 5):
         reports.extend(_suite_hecke(n))
-    for k in (2, 3):
+    for k in (2, 3, 4):
         reports.extend(_suite_groth(4, k))
     reports.extend(verify_foam())
     return reports

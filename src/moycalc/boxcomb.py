@@ -131,7 +131,7 @@ class Filling:
         object.__setattr__(
             self, "columns", tuple(tuple(col) for col in self.columns)
         )
-        if any(v < 1 for col in self.columns for v in col):
+        if any(type(v) is not int or v < 1 for col in self.columns for v in col):
             raise ValueError("entries must be positive integers")
 
     @property
@@ -313,21 +313,35 @@ def psi(
 ) -> Filling:
     """The column-strict filling attached to a restricted coset class.
 
-    Computes the box-action of w on the standard filling of mu, then
-    relabels values through the content blocks of nu.  Raises when the
-    result is not column-strict, which happens exactly when the coset
-    of w does not qualify."""
+    This is the box-action of w on the standard filling of mu, relabelled
+    through the content blocks of nu: the entry in box b is the nu-block
+    of w^{-1}(b), so position p of w's one-line word fills box w(p).
+    Raises when the result is not column-strict, which happens exactly
+    when the coset of w does not qualify."""
     mu_t = tuple(int(p) for p in mu)
     nu_t = tuple(int(p) for p in nu)
     if sum(mu_t) != sum(nu_t) or sum(mu_t) != w.n:
         raise ValueError("composition sizes do not match the permutation")
-    relabeled = relabel_by_content(act_left(w, standard_filling(mu_t)), nu_t)
-    if not relabeled.is_column_strict():
-        raise ValueError(
-            f"{w.one_line_text()} does not represent a qualifying coset "
-            f"for shape {mu_t} and content {nu_t}"
-        )
-    return relabeled
+    for parts in (mu_t, nu_t):
+        if any(p < 0 for p in parts):
+            raise ValueError(f"negative part in composition {parts}")
+    block = [index for index, p in enumerate(nu_t, start=1) for _ in range(p)]
+    entries = [0] * w.n
+    for position, box in enumerate(w.images):
+        entries[box - 1] = block[position]
+    columns = []
+    start = 0
+    for p in mu_t:
+        column = entries[start : start + p]
+        start += p
+        for upper, lower in zip(column, column[1:]):
+            if upper >= lower:
+                raise ValueError(
+                    f"{w.one_line_text()} does not represent a qualifying "
+                    f"coset for shape {mu_t} and content {nu_t}"
+                )
+        columns.append(tuple(column))
+    return Filling(tuple(columns))
 
 
 def psi_inverse(
@@ -338,7 +352,9 @@ def psi_inverse(
     All permutations mapping to ``f`` form one coset of the content
     stabiliser; filling each content block into its marked boxes in
     increasing box order selects the minimal representative, so the
-    roundtrip through ``psi`` is the identity on those.
+    roundtrip through ``psi`` is the identity on those.  The result
+    sends the next unused value of the block of each box's entry to
+    that box.
     """
     mu_t = tuple(int(p) for p in mu)
     nu_t = tuple(int(p) for p in nu)
@@ -352,15 +368,16 @@ def psi_inverse(
     ) != nu_t:
         raise ValueError(f"filling has content {content}, not {nu_t}")
     next_value = []
-    start = 1
+    start = 0
     for p in nu_t:
         next_value.append(start)
         start += p
-    preimages = []
-    for v in f.flat():
-        preimages.append(next_value[v - 1])
+    # the content check makes the assigned values exactly 1..n, once each
+    images = [0] * start
+    for box, v in enumerate(f.flat(), start=1):
+        images[next_value[v - 1]] = box
         next_value[v - 1] += 1
-    return Permutation(tuple(preimages)).inverse()
+    return Permutation._trusted(tuple(images))
 
 
 # ----------------------------------------------------------------------

@@ -67,7 +67,7 @@ class LaurentPoly:
     @classmethod
     def q_power(cls, exponent: int) -> "LaurentPoly":
         """The monomial q^exponent (exponent may be negative)."""
-        return cls({exponent: 1})
+        return _trusted(((exponent, 1),))
 
     @classmethod
     def from_int(cls, value: int) -> "LaurentPoly":
@@ -238,7 +238,7 @@ class LinComb(dict):
 
     def __init__(self, terms: Union[Mapping, Iterable[tuple]] = ()) -> None:
         super().__init__()
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        pairs = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         for key, coeff in pairs:
             self.add_term(key, coeff)
 

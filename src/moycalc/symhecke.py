@@ -74,17 +74,30 @@ class Permutation:
     """A permutation of {1..n} in one-line notation.
 
     Permutations key every Hecke-algebra sum, so the hash (the one a
-    dataclass would compute) is computed once, on construction.
+    dataclass would compute) is computed once, on construction.  The
+    constructor validates its input; group operations on valid
+    permutations build their results through ``_trusted``.
     """
 
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"{self.images} is not a permutation of 1..{n}")
-        object.__setattr__(self, "_hash", hash((self.images,)))
+        images = tuple(self.images)
+        n = len(images)
+        if any(type(v) is not int for v in images):
+            raise ValueError(f"permutation entries must be ints, got {images}")
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"{images} is not a permutation of 1..{n}")
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_hash", hash((images,)))
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """A permutation from images known to be valid, unchecked."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        object.__setattr__(perm, "_hash", hash((images,)))
+        return perm
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Permutation:
@@ -103,8 +116,7 @@ class Permutation:
     @classmethod
     def s(cls, i: int, n: int) -> "Permutation":
         """The adjacent transposition swapping i and i+1."""
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range for n={n}")
+        _check_generator(i, n)
         images = list(range(1, n + 1))
         images[i - 1], images[i] = images[i], images[i - 1]
         return cls(tuple(images))
@@ -144,24 +156,24 @@ class Permutation:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("size mismatch in permutation product")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
+        images = self.images
+        return Permutation._trusted(tuple(images[j - 1] for j in other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for pos, val in enumerate(self.images, start=1):
-            inv[val - 1] = pos
-        return Permutation(tuple(inv))
+        return Permutation._trusted(_inverse_images(self.images))
 
     def times_s(self, i: int) -> "Permutation":
         """Right product self·s_i (swaps the entries at positions i, i+1)."""
+        _check_generator(i, self.n)
         images = list(self.images)
         images[i - 1], images[i] = images[i], images[i - 1]
-        return Permutation(tuple(images))
+        return Permutation._trusted(tuple(images))
 
     def s_times(self, i: int) -> "Permutation":
         """Left product s_i·self (swaps the values i, i+1)."""
+        _check_generator(i, self.n)
         swap = {i: i + 1, i + 1: i}
-        return Permutation(tuple(swap.get(v, v) for v in self.images))
+        return Permutation._trusted(tuple(swap.get(v, v) for v in self.images))
 
     def is_identity(self) -> bool:
         return all(v == j for j, v in enumerate(self.images, start=1))
@@ -192,6 +204,18 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.images})"
+
+
+def _check_generator(i: int, n: int) -> None:
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index {i} out of range for n={n}")
+
+
+def _inverse_images(images: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(images)
+    for pos, val in enumerate(images, start=1):
+        inv[val - 1] = pos
+    return tuple(inv)
 
 
 @lru_cache(maxsize=None)
@@ -259,23 +283,21 @@ def _block_index(mu: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def _is_left_minimal(w: Permutation, mu_blocks: list[range]) -> bool:
+def _in_block_pairs(mu: Sequence[int]) -> tuple[int, ...]:
+    """The indices i with i and i+1 inside one block of mu."""
+    return tuple(i for block in _blocks(mu) for i in block[:-1])
+
+
+def _is_left_minimal(w: Permutation, pairs: tuple[int, ...]) -> bool:
     """w minimal in S_mu·w: values i, i+1 in one block appear in order."""
-    inv = w.inverse().images
-    return all(
-        inv[i - 1] < inv[i]
-        for block in mu_blocks
-        for i in block[:-1]
-    )
+    inv = _inverse_images(w.images)
+    return all(inv[i - 1] < inv[i] for i in pairs)
 
 
-def _is_right_minimal(w: Permutation, mu_blocks: list[range]) -> bool:
+def _is_right_minimal(w: Permutation, pairs: tuple[int, ...]) -> bool:
     """w minimal in w·S_mu: entries at in-block positions increase."""
-    return all(
-        w.images[i - 1] < w.images[i]
-        for block in mu_blocks
-        for i in block[:-1]
-    )
+    images = w.images
+    return all(images[i - 1] < images[i] for i in pairs)
 
 
 def min_coset_reps(mu: Sequence[int], side: str) -> set[Permutation]:
@@ -288,17 +310,17 @@ def min_coset_reps(mu: Sequence[int], side: str) -> set[Permutation]:
     """
     parts = parts_of(mu)
     n = sum(parts)
-    blocks = _blocks(parts)
+    pairs = _in_block_pairs(parts)
     if side == "left":
-        test = lambda w: _is_left_minimal(w, blocks)
+        test = lambda w: _is_left_minimal(w, pairs)
     elif side == "right":
-        test = lambda w: _is_right_minimal(w, blocks)
+        test = lambda w: _is_right_minimal(w, pairs)
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return {
         w
         for images in permutations(range(1, n + 1))
-        for w in (Permutation(images),)
+        for w in (Permutation._trusted(images),)
         if test(w)
     }
 
@@ -306,27 +328,34 @@ def min_coset_reps(mu: Sequence[int], side: str) -> set[Permutation]:
 @lru_cache(maxsize=None)
 def _right_minimal_reps(nu: tuple[int, ...]) -> tuple[Permutation, ...]:
     n = sum(nu)
-    blocks = _blocks(nu)
+    pairs = _in_block_pairs(nu)
     return tuple(
         w
         for images in permutations(range(1, n + 1))
-        for w in (Permutation(images),)
-        if _is_right_minimal(w, blocks)
+        for w in (Permutation._trusted(images),)
+        if _is_right_minimal(w, pairs)
     )
 
 
-def _o_qualifies(z: Permutation, mu: tuple[int, ...], nu_block: list[int]) -> bool:
-    """Whether the whole coset z·S_nu lies among the mu-minimal elements.
+@lru_cache(maxsize=None)
+def _rep_inverses(nu: tuple[int, ...]) -> dict[Permutation, tuple[int, ...]]:
+    """The inverse images of each right-minimal representative of nu."""
+    return {z: _inverse_images(z.images) for z in _right_minimal_reps(nu)}
+
+
+def _o_qualifies(
+    inv: tuple[int, ...], mu_pairs: tuple[int, ...], nu_block: list[int]
+) -> bool:
+    """Whether the whole coset z·S_nu lies among the mu-minimal elements,
+    given the inverse images ``inv`` of z.
 
     Every element of the coset is left-mu-minimal iff for each pair of
     values i, i+1 inside one mu-block, the position of i falls in a
     strictly earlier nu-block than the position of i+1.
     """
-    inv = z.inverse().images
-    for block in _blocks(mu):
-        for i in block[:-1]:
-            if nu_block[inv[i - 1]] >= nu_block[inv[i]]:
-                return False
+    for i in mu_pairs:
+        if nu_block[inv[i - 1]] >= nu_block[inv[i]]:
+            return False
     return True
 
 
@@ -336,12 +365,12 @@ def O_set(mu: Sequence[int], nu: Sequence[int]) -> set[Permutation]:
     mu_t, nu_t = parts_of(mu), parts_of(nu)
     if sum(mu_t) != sum(nu_t):
         raise ValueError(f"compositions {mu_t} and {nu_t} have different sums")
-    n = sum(nu_t)
-    nu_block = _block_index(nu_t, n)
+    mu_pairs = _in_block_pairs(mu_t)
+    nu_block = _block_index(nu_t, sum(nu_t))
     return {
         z
-        for z in _right_minimal_reps(nu_t)
-        if _o_qualifies(z, mu_t, nu_block)
+        for z, inv in _rep_inverses(nu_t).items()
+        if _o_qualifies(inv, mu_pairs, nu_block)
     }
 
 
@@ -725,7 +754,10 @@ def _single_split(
     return None
 
 
-def _out_of_wall_reps(offset: int, a: int, b: int, n: int) -> list[Permutation]:
+@lru_cache(maxsize=None)
+def _out_of_wall_reps(
+    offset: int, a: int, b: int, n: int
+) -> tuple[Permutation, ...]:
     """Minimal representatives for splitting the block at ``offset`` into
     (a, b): choose which a of the block values sit in the first a
     positions."""
@@ -737,7 +769,7 @@ def _out_of_wall_reps(offset: int, a: int, b: int, n: int) -> list[Permutation]:
         images = list(range(1, n + 1))
         images[offset : offset + c] = list(chosen) + rest
         reps.append(Permutation(tuple(images)))
-    return reps
+    return tuple(reps)
 
 
 def translation_flag(
@@ -765,14 +797,14 @@ def translation_flag(
     walls = [parts_of(c) for c in path]
     if not walls:
         raise ValueError("path must contain at least the starting wall")
-    mu_t = parts_of(mu) if mu is not None else None
+    mu_pairs = _in_block_pairs(mu) if mu is not None else None
     n = sum(walls[0])
     if any(sum(c) != n for c in walls):
         raise ValueError("all walls in the path must be compositions of n")
     for src, dst in zip(walls, walls[1:]):
-        src_blocks = _blocks(src)
+        src_pairs = _in_block_pairs(src)
         for _, w in terms:
-            if not _is_right_minimal(w, src_blocks):
+            if not _is_right_minimal(w, src_pairs):
                 raise ValueError(
                     f"class {w.one_line_text()} is not minimal over {src}"
                 )
@@ -794,7 +826,9 @@ def translation_flag(
             offset, a, b = merge
             c = a + b
             new_terms = []
-            nu_block = _block_index(dst, n) if mu_t is not None else None
+            if mu_pairs is not None:
+                nu_block = _block_index(dst, n)
+                inverses = _rep_inverses(dst)
             for e, w in terms:
                 segment = list(w.images[offset : offset + c])
                 # inversions inside the merged window = l(y)
@@ -806,8 +840,11 @@ def translation_flag(
                 )
                 images = list(w.images)
                 images[offset : offset + c] = sorted(segment)
-                z = Permutation(tuple(images))
-                if mu_t is not None and not _o_qualifies(z, mu_t, nu_block):
+                # sorting the merged window keeps z minimal over dst
+                z = Permutation._trusted(tuple(images))
+                if mu_pairs is not None and not _o_qualifies(
+                    inverses[z], mu_pairs, nu_block
+                ):
                     continue
                 new_terms.append((e - l_y, z))
             terms = new_terms

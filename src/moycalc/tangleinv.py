@@ -943,6 +943,8 @@ class GrothVector:
     Coordinates are keyed by (weight composition with exactly ``k``
     parts, minimal coset representative); all keys share the content
     composition ``nu``.  Zero coordinates are dropped on construction.
+    A ``LinComb`` whose weights are already tuples is adopted as it is,
+    after its keys are checked.
     """
 
     k: int
@@ -952,8 +954,10 @@ class GrothVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nu", tuple(self.nu))
         n = sum(self.nu)
-        cleaned = LinComb()
-        for (mu, z), poly in self.coords.items():
+        coords = self.coords
+        adopt = isinstance(coords, LinComb)
+        for mu, z in coords:
+            adopt = adopt and type(mu) is tuple
             mu = tuple(mu)
             if len(mu) != self.k or any(p < 0 for p in mu):
                 raise ValueError(
@@ -964,8 +968,11 @@ class GrothVector:
                     f"key ({mu}, {z.one_line_text()}) does not match "
                     f"content {self.nu}"
                 )
-            cleaned.add_term((mu, z), poly)
-        object.__setattr__(self, "coords", cleaned)
+        if not adopt:
+            coords = LinComb(
+                ((tuple(mu), z), poly) for (mu, z), poly in coords.items()
+            )
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def basis(

@@ -257,7 +257,7 @@ def test_criterion_08_bijection_counts() -> None:
 def test_criterion_09_three_route_transport() -> None:
     start = perf_counter()
     webs = 0
-    for k in (2, 3):
+    for k in (2, 3, 4):
         for n in range(1, 5):
             for web in special_generator_webs(n, k):
                 webs += 1
@@ -268,7 +268,7 @@ def test_criterion_09_three_route_transport() -> None:
         9,
         f"diagrammatic, translation, and matrix transports agree on "
         f"every basis class of all {webs} one-generator webs (n<=4, "
-        f"k<=3)",
+        f"k<=4)",
         elapsed,
         60.0,
     )

@@ -278,6 +278,90 @@ def test_psi_constant_on_cosets():
                 assert psi(z * y, mu, nu) == base
 
 
+# psi and psi_inverse against the chains they replaced: the box-action of
+# w on the standard filling relabelled by content, and the inverse of the
+# permutation of preimages
+
+
+def reference_psi(w, mu, nu):
+    relabeled = relabel_by_content(act_left(w, standard_filling(mu)), nu)
+    if not relabeled.is_column_strict():
+        raise ValueError("not a qualifying coset")
+    return relabeled
+
+
+def reference_psi_inverse(f, nu):
+    next_value = []
+    start = 1
+    for p in nu:
+        next_value.append(start)
+        start += p
+    preimages = []
+    for v in f.flat():
+        preimages.append(next_value[v - 1])
+        next_value[v - 1] += 1
+    return Permutation(tuple(preimages)).inverse()
+
+
+def coset_minimum(w, nu):
+    """The shortest element of w·S_nu: w's entries sorted on each block."""
+    images, start = [], 0
+    for p in nu:
+        images.extend(sorted(w.images[start : start + p]))
+        start += p
+    return Permutation(tuple(images))
+
+
+def with_zero_parts(n):
+    """A zero part put at every place of each composition of n with at
+    most two parts."""
+    out = set()
+    for c in positive_compositions(n):
+        if len(c) <= 2:
+            out.update(c[:i] + (0,) + c[i:] for i in range(len(c) + 1))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_psi_and_psi_inverse_match_the_reference_chains(n):
+    comps = positive_compositions(n) + with_zero_parts(n)
+    group = all_perms(n)
+    for mu in comps:
+        for nu in comps:
+            classes = O_set(mu, nu)
+            for w in group:
+                qualifies = coset_minimum(w, nu) in classes
+                try:
+                    expected = reference_psi(w, mu, nu)
+                except ValueError:
+                    assert not qualifies, (w, mu, nu)
+                    with pytest.raises(ValueError):
+                        psi(w, mu, nu)
+                    continue
+                assert qualifies, (w, mu, nu)
+                f = psi(w, mu, nu)
+                assert f == expected
+                z = psi_inverse(f, mu, nu)
+                assert z == reference_psi_inverse(f, nu)
+                assert z == coset_minimum(w, nu)
+                assert psi(z, mu, nu) == f
+
+
+def test_psi_rejects_negative_parts():
+    e3 = Permutation.identity(3)
+    with pytest.raises(ValueError):
+        psi(e3, (4, -1), (1, 1, 1))
+    # the reference chain relabels this to content (3,), not (4, -1)
+    with pytest.raises(ValueError):
+        psi(e3, (1, 1, 1), (4, -1))
+
+
+def test_filling_rejects_entries_that_are_not_ints():
+    for columns in (((1.5,), (2,)), ((True,), (2,)), ((1, 2.0),), (("1",),)):
+        with pytest.raises(ValueError):
+            Filling(columns)
+
+
 # ----------------------------------------------------------------------
 # inversions and the refine/merge moves
 

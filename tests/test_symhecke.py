@@ -137,6 +137,41 @@ def test_invalid_permutations_rejected():
         Permutation.from_one_line("e")
 
 
+@pytest.mark.parametrize(
+    "images", [(True, 2.0), (True, 2), (1.0, 2), (2, 1.0), ("1",), (1, None)]
+)
+def test_permutation_entries_must_be_ints(images):
+    with pytest.raises(ValueError):
+        Permutation(images)
+
+
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_side_products_reject_generators_out_of_range(i):
+    p = perm("2413")
+    with pytest.raises(ValueError):
+        p.times_s(i)
+    with pytest.raises(ValueError):
+        p.s_times(i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PERMS, st.data())
+def test_group_operations_match_validated_construction(p, data):
+    """Results built through the trusted path equal, and hash like, the
+    same images passed through the validating constructor."""
+    other = data.draw(
+        st.permutations(list(range(1, p.n + 1))).map(
+            lambda images: Permutation(tuple(images))
+        )
+    )
+    i = data.draw(st.integers(1, p.n - 1))
+    for result in (p.inverse(), p * other, p.times_s(i), p.s_times(i)):
+        validated = Permutation(result.images)
+        assert type(result.images) is tuple
+        assert result == validated
+        assert hash(result) == hash(validated)
+
+
 # ----------------------------------------------------------------------
 # coset representatives
 
@@ -186,18 +221,30 @@ def test_O_set_ignores_zero_parts():
     assert O_set((2, 1), (1, 0, 1, 1)) == O_set((2, 1), (1, 1, 1))
 
 
+def compositions_with_zero_parts(n):
+    """A zero part put at every place of each composition of n."""
+    return sorted(
+        {
+            c[:i] + (0,) + c[i:]
+            for c in positive_compositions(n)
+            for i in range(len(c) + 1)
+        }
+    )
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_O_set_against_brute_force(n):
-    for mu in positive_compositions(n):
+    comps = positive_compositions(n) + compositions_with_zero_parts(n)
+    for mu in comps:
         left_min = min_coset_reps(mu, "left")
-        for nu in positive_compositions(n):
+        for nu in comps:
             subgroup = young_subgroup(nu)
             brute = {
                 z
                 for z in min_coset_reps(nu, "right")
                 if all(z * y in left_min for y in subgroup)
             }
-            assert O_set(mu, nu) == brute
+            assert O_set(mu, nu) == brute, (mu, nu)
 
 
 # ----------------------------------------------------------------------
