@@ -18,8 +18,9 @@ Subcommands:
 Exit codes: 0 when the command (and every check, for ``verify``)
 succeeds, 1 when a verification check fails, 2 on input errors.  The
 enumeration bounds n <= 8 and k <= 4 are enforced when arguments are
-parsed.  All output is deterministic: polynomial text is canonical and
-report lists are emitted in a fixed order.
+parsed, and a rank read from a file header is held to the same bound.
+All output is deterministic: polynomial text is canonical and report
+lists are emitted in a fixed order.
 """
 
 from __future__ import annotations
@@ -43,7 +44,14 @@ from .tangleinv import (
     reidemeister_suite,
     special_generator_webs,
 )
-from .webgraph import WebParseError, evaluate, evaluate_closed, parse_web, verify_moy
+from .webgraph import (
+    WebParseError,
+    evaluate,
+    evaluate_closed,
+    parse_web,
+    slice_chunks,
+    verify_moy,
+)
 
 __all__ = [
     "main",
@@ -95,6 +103,16 @@ def _read_file(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _check_header_rank(k: int | None, source: str) -> None:
+    """Hold a rank read from a file header to the bound on --k."""
+    if k is not None and k > MAX_K:
+        _, line, col = next(slice_chunks(source))
+        raise ValueError(
+            f"line {line}, column {col}: k out of range: need k <= {MAX_K}, "
+            f"got {k}"
+        )
+
+
 def _parse_permutation(word: str) -> Permutation:
     pieces = word.split(",") if "," in word else list(word)
     try:
@@ -137,6 +155,7 @@ def cmd_eval_web(args: argparse.Namespace) -> int:
         return _fail(str(err))
     try:
         web = parse_web(source, k=args.k)
+        _check_header_rank(web.k, source)
         if web.bottom or web.top:
             print(evaluate(web))
         else:
@@ -155,6 +174,8 @@ def cmd_link_poly(args: argparse.Namespace) -> int:
         return _fail(str(err))
     try:
         word = parse_tangle(source)
+        if args.k is None:
+            _check_header_rank(word.k, source)
         print(link_poly(word, args.k))
     except TangleParseError as err:
         return _fail(str(err))

@@ -39,9 +39,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
 from .reporting import Report
+
+_Key = TypeVar("_Key")
 
 __all__ = [
     "FrobElement",
@@ -61,82 +63,75 @@ __all__ = [
 ]
 
 
-Scalar = int | Fraction
-
-
 # ----------------------------------------------------------------------
-# the three-dimensional Frobenius algebra
+# exact ring elements on a fixed basis
+
+
+def _exact(value: object) -> Fraction:
+    """An exact coefficient: an int (not a bool) or a Fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"coefficients must be ints or Fractions, got {value!r}")
+    return Fraction(value)
+
+
+def _sparse(pairs: Iterable[tuple[_Key, Fraction]]) -> dict[_Key, Fraction]:
+    """Sum (key, coefficient) pairs, dropping the zero sums."""
+    out: dict[_Key, Fraction] = {}
+    for key, coeff in pairs:
+        out[key] = out.get(key, 0) + coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
 
 @dataclass(frozen=True)
-class FrobElement:
-    """An element of C[x]/(x^3), as coefficients of 1, x, x^2."""
+class _RingElement:
+    """Exact coefficients on a subclass's basis ``_names``; subclasses
+    supply the size-error message and the product ``_times``."""
 
-    coeffs: tuple[Fraction, Fraction, Fraction]
+    coeffs: tuple[Fraction, ...]
+    _names: ClassVar[tuple[str, ...]]
+    _size_error: ClassVar[str]
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) != 3:
-            raise ValueError(
-                f"need coefficients of 1, x, x^2, got {len(self.coeffs)}"
-            )
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
+        if len(self.coeffs) != len(self._names):
+            raise ValueError(self._size_error.format(len(self.coeffs)))
+        object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
 
     @classmethod
-    def zero(cls) -> "FrobElement":
-        return cls((Fraction(0), Fraction(0), Fraction(0)))
+    def zero(cls):
+        return cls((0,) * len(cls._names))
 
     @classmethod
-    def one(cls) -> "FrobElement":
-        return cls((Fraction(1), Fraction(0), Fraction(0)))
-
-    @classmethod
-    def x(cls, power: int = 1) -> "FrobElement":
-        if power < 0:
-            raise ValueError(f"power must be >= 0, got {power}")
-        if power > 2:
-            return cls.zero()
-        coeffs = [Fraction(0)] * 3
-        coeffs[power] = Fraction(1)
-        return cls(tuple(coeffs))
+    def one(cls):
+        return cls((1,) + (0,) * (len(cls._names) - 1))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __add__(self, other: "FrobElement") -> "FrobElement":
-        if not isinstance(other, FrobElement):
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return FrobElement(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return type(self)(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "FrobElement":
-        return FrobElement(tuple(-c for c in self.coeffs))
+    def __neg__(self):
+        return type(self)(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: "FrobElement") -> "FrobElement":
-        if not isinstance(other, FrobElement):
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: object) -> "FrobElement":
-        if isinstance(other, FrobElement):
-            out = [Fraction(0)] * 3
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    if i + j <= 2:
-                        out[i + j] += a * b
-            return FrobElement(tuple(out))
+    def __mul__(self, other: object):
+        if isinstance(other, type(self)):
+            return self._times(other)
         if isinstance(other, (int, Fraction)):
-            return FrobElement(tuple(c * other for c in self.coeffs))
+            return type(self)(tuple(c * other for c in self.coeffs))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def text(self) -> str:
-        if self.is_zero():
-            return "0"
         pieces = []
-        for coeff, name in zip(self.coeffs, ("1", "x", "x^2")):
+        for coeff, name in zip(self.coeffs, self._names):
             if not coeff:
                 continue
             if coeff == 1 and name != "1":
@@ -147,6 +142,8 @@ class FrobElement:
                 pieces.append(str(coeff))
             else:
                 pieces.append(f"{coeff}{name}")
+        if not pieces:
+            return "0"
         out = pieces[0]
         for piece in pieces[1:]:
             out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
@@ -154,6 +151,32 @@ class FrobElement:
 
     def __str__(self) -> str:
         return self.text()
+
+
+# ----------------------------------------------------------------------
+# the three-dimensional Frobenius algebra
+
+
+class FrobElement(_RingElement):
+    """An element of C[x]/(x^3), as coefficients of 1, x, x^2."""
+
+    _names = ("1", "x", "x^2")
+    _size_error = "need coefficients of 1, x, x^2, got {}"
+
+    @classmethod
+    def x(cls, power: int = 1) -> "FrobElement":
+        if power < 0:
+            raise ValueError(f"power must be >= 0, got {power}")
+        return cls(tuple(int(i == power) for i in range(3)))
+
+    def _times(self, other: "FrobElement") -> "FrobElement":
+        a, b = self.coeffs, other.coeffs
+        return FrobElement(
+            tuple(sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(3))
+        )
+
+
+_FROB_BASIS = tuple(FrobElement.x(power) for power in range(3))
 
 
 def frob_mul(a: FrobElement, b: FrobElement) -> FrobElement:
@@ -172,15 +195,11 @@ def frob_comul(a: FrobElement) -> dict[tuple[int, int], Fraction]:
     Keys are pairs of basis exponents; the value at (i, j) is the
     coefficient of x^i @ x^j.  Zero entries are dropped.
     """
-    out: dict[tuple[int, int], Fraction] = {}
-    for power, coeff in enumerate(a.coeffs):
-        if not coeff:
-            continue
-        for i in range(3):
-            j = 2 + power - i
-            if 0 <= j <= 2:
-                out[(i, j)] = out.get((i, j), Fraction(0)) - coeff
-    return {key: value for key, value in out.items() if value}
+    return _sparse(
+        ((i, 2 + power - i), -coeff)
+        for power, coeff in enumerate(a.coeffs)
+        for i in range(power, 3)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -208,116 +227,50 @@ def _reduce_power_pair(a: int, b: int) -> tuple[tuple[tuple[int, int], int], ...
     return (((a, b), 1),)
 
 
-@dataclass(frozen=True)
-class FlagRingElement:
+class FlagRingElement(_RingElement):
     """An element of C[X1,X2,X3] modulo all elementary symmetric
     polynomials, in the frozen basis {1, X1, X2, X1X2, X1^2, X1X2^2}."""
 
-    coords: tuple[Fraction, ...]
+    _names = ("1", "X1", "X2", "X1X2", "X1^2", "X1X2^2")
+    _size_error = "need 6 coordinates, got {}"
 
-    def __post_init__(self) -> None:
-        if len(self.coords) != len(_FLAG_BASIS):
-            raise ValueError(
-                f"need {len(_FLAG_BASIS)} coordinates, got {len(self.coords)}"
-            )
-        object.__setattr__(
-            self, "coords", tuple(Fraction(c) for c in self.coords)
-        )
-
-    @classmethod
-    def zero(cls) -> "FlagRingElement":
-        return cls((Fraction(0),) * len(_FLAG_BASIS))
-
-    @classmethod
-    def one(cls) -> "FlagRingElement":
-        return cls((Fraction(1),) + (Fraction(0),) * (len(_FLAG_BASIS) - 1))
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return self.coeffs
 
     @classmethod
     def generator(cls, index: int) -> "FlagRingElement":
         """The class of X1, X2, or X3 (the last is -X1 - X2)."""
         if index == 1:
-            return cls._from_pairs({(1, 0): Fraction(1)})
+            return cls._from_pairs([((1, 0), 1)])
         if index == 2:
-            return cls._from_pairs({(0, 1): Fraction(1)})
+            return cls._from_pairs([((0, 1), 1)])
         if index == 3:
-            return cls._from_pairs(
-                {(1, 0): Fraction(-1), (0, 1): Fraction(-1)}
-            )
+            return cls._from_pairs([((1, 0), -1), ((0, 1), -1)])
         raise ValueError(f"generator index must be 1, 2 or 3, got {index}")
 
     @classmethod
     def _from_pairs(
-        cls, pairs: Mapping[tuple[int, int], Fraction]
+        cls, pairs: Iterable[tuple[tuple[int, int], Fraction]]
     ) -> "FlagRingElement":
-        coords = [Fraction(0)] * len(_FLAG_BASIS)
-        for (a, b), coeff in pairs.items():
-            for monomial, factor in _reduce_power_pair(a, b):
-                coords[_FLAG_BASIS.index(monomial)] += coeff * factor
-        return cls(tuple(coords))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def __add__(self, other: "FlagRingElement") -> "FlagRingElement":
-        if not isinstance(other, FlagRingElement):
-            return NotImplemented
-        return FlagRingElement(
-            tuple(a + b for a, b in zip(self.coords, other.coords))
+        """The normal form of a sum of coefficients times X1^a X2^b."""
+        reduced = _sparse(
+            (monomial, coeff * factor)
+            for (a, b), coeff in pairs
+            for monomial, factor in _reduce_power_pair(a, b)
         )
+        return cls(tuple(reduced.get(monomial, 0) for monomial in _FLAG_BASIS))
 
-    def __neg__(self) -> "FlagRingElement":
-        return FlagRingElement(tuple(-c for c in self.coords))
-
-    def __sub__(self, other: "FlagRingElement") -> "FlagRingElement":
-        if not isinstance(other, FlagRingElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: object) -> "FlagRingElement":
-        if isinstance(other, FlagRingElement):
-            pairs: dict[tuple[int, int], Fraction] = {}
-            for (a, b), left in zip(_FLAG_BASIS, self.coords):
-                if not left:
-                    continue
-                for (c, d), right in zip(_FLAG_BASIS, other.coords):
-                    if not right:
-                        continue
-                    key = (a + c, b + d)
-                    pairs[key] = pairs.get(key, Fraction(0)) + left * right
-            return FlagRingElement._from_pairs(pairs)
-        if isinstance(other, (int, Fraction)):
-            return FlagRingElement(tuple(c * other for c in self.coords))
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def _times(self, other: "FlagRingElement") -> "FlagRingElement":
+        return FlagRingElement._from_pairs(
+            ((a + c, b + d), left * right)
+            for (a, b), left in zip(_FLAG_BASIS, self.coeffs)
+            for (c, d), right in zip(_FLAG_BASIS, other.coeffs)
+        )
 
     def trace(self) -> Fraction:
         """The trace: the coefficient of X1X2^2."""
-        return self.coords[_FLAG_BASIS.index((1, 2))]
-
-    def text(self) -> str:
-        if self.is_zero():
-            return "0"
-        names = ("1", "X1", "X2", "X1X2", "X1^2", "X1X2^2")
-        pieces = []
-        for coeff, name in zip(self.coords, names):
-            if not coeff:
-                continue
-            if coeff == 1 and name != "1":
-                pieces.append(name)
-            elif coeff == -1 and name != "1":
-                pieces.append(f"-{name}")
-            elif name == "1":
-                pieces.append(str(coeff))
-            else:
-                pieces.append(f"{coeff}{name}")
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
-
-    def __str__(self) -> str:
-        return self.text()
+        return self.coeffs[_FLAG_BASIS.index((1, 2))]
 
 
 def flag_monomial(d1: int, d2: int, d3: int) -> FlagRingElement:
@@ -325,12 +278,10 @@ def flag_monomial(d1: int, d2: int, d3: int) -> FlagRingElement:
     for d in (d1, d2, d3):
         if not isinstance(d, int) or d < 0:
             raise ValueError(f"dot counts must be nonnegative ints, got {d!r}")
-    pairs: dict[tuple[int, int], Fraction] = {}
     sign = (-1) ** d3
-    for j in range(d3 + 1):
-        key = (d1 + j, d2 + d3 - j)
-        pairs[key] = pairs.get(key, Fraction(0)) + sign * comb(d3, j)
-    return FlagRingElement._from_pairs(pairs)
+    return FlagRingElement._from_pairs(
+        ((d1 + j, d2 + d3 - j), sign * comb(d3, j)) for j in range(d3 + 1)
+    )
 
 
 def theta_eval(d1: int, d2: int, d3: int) -> Fraction:
@@ -370,10 +321,7 @@ def surgery_check() -> bool:
     """Whether cutting a tube decomposes minus the identity:
     -id = m_x m_x N + m_x N m_x + N m_x m_x with N = unit-after-trace,
     checked on the whole basis."""
-    return all(
-        _surgery_sum(_neck, a) == -a
-        for a in (FrobElement.one(), FrobElement.x(), FrobElement.x(2))
-    )
+    return all(_surgery_sum(_neck, a) == -a for a in _FROB_BASIS)
 
 
 def _map_degree_on_algebra(
@@ -381,18 +329,14 @@ def _map_degree_on_algebra(
 ) -> int | None:
     """Homogeneous degree of a linear self-map of C[x]/(x^3), or None
     if the map is zero or not homogeneous."""
-    degree: int | None = None
-    for power in range(3):
-        image = rule(FrobElement.x(power))
-        for out_power, coeff in enumerate(image.coeffs):
-            if not coeff:
-                continue
-            step = 2 * out_power - 2 * power
-            if degree is None:
-                degree = step
-            elif degree != step:
-                return None
-    return degree
+    entries = {
+        (power,): {(out,): c for out, c in enumerate(rule(a).coeffs)}
+        for power, a in enumerate(_FROB_BASIS)
+    }
+    try:
+        return FoamMap((3,), (3,), entries).degree()
+    except ValueError:
+        return None
 
 
 def surgery_search() -> list[str]:
@@ -426,15 +370,7 @@ def surgery_search() -> list[str]:
             scaled = lambda a, rule=rule, factor=factor: factor * rule(a)
             if _map_degree_on_algebra(scaled) != -4:
                 continue
-            holds = all(
-                _surgery_sum(scaled, a) == -a
-                for a in (
-                    FrobElement.one(),
-                    FrobElement.x(),
-                    FrobElement.x(2),
-                )
-            )
-            if holds:
+            if all(_surgery_sum(scaled, a) == -a for a in _FROB_BASIS):
                 label = name if factor == 1 else f"{factor} {name}"
                 accepted.append(label)
     return accepted
@@ -465,15 +401,11 @@ class FoamMap:
                 raise ValueError(
                     f"factor truncation order must be 2 or 3, got {order}"
                 )
-        frozen = {
-            tuple(key): {
-                tuple(out): Fraction(coeff)
-                for out, coeff in row.items()
-                if coeff
-            }
-            for key, row in self.entries.items()
-            if any(row.values())
-        }
+        frozen = {}
+        for key, row in self.entries.items():
+            exact = _sparse((tuple(out), _exact(coeff)) for out, coeff in row.items())
+            if exact:
+                frozen[tuple(key)] = exact
         object.__setattr__(self, "entries", frozen)
 
     @staticmethod
@@ -481,16 +413,14 @@ class FoamMap:
         return sum(1 - order for order in factors)
 
     def is_zero(self) -> bool:
-        return not any(row for row in self.entries.values())
+        return not self.entries
 
     def degree(self) -> int:
         """The homogeneous degree, shifts included."""
         offset = self._shift(self.target) - self._shift(self.source)
         degree: int | None = None
         for key, row in self.entries.items():
-            for out, coeff in row.items():
-                if not coeff:
-                    continue
+            for out in row:
                 step = 2 * sum(out) - 2 * sum(key) + offset
                 if degree is None:
                     degree = step
@@ -501,34 +431,25 @@ class FoamMap:
         return degree
 
     def apply(
-        self, vector: Mapping[tuple[int, ...], Scalar]
+        self, vector: Mapping[tuple[int, ...], int | Fraction]
     ) -> dict[tuple[int, ...], Fraction]:
         """Image of a vector given by basis-tuple coefficients."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for key, coeff in vector.items():
-            for target_key, factor in self.entries.get(tuple(key), {}).items():
-                value = out.get(target_key, Fraction(0)) + coeff * factor
-                if value:
-                    out[target_key] = value
-                else:
-                    out.pop(target_key, None)
-        return out
-
-
-def _one() -> Fraction:
-    return Fraction(1)
+        return _sparse(
+            (target_key, coeff * factor)
+            for key, coeff in vector.items()
+            for target_key, factor in self.entries.get(tuple(key), {}).items()
+        )
 
 
 def _catalogue() -> dict[str, tuple[FoamMap, int]]:
-    minus = Fraction(-1)
     return {
         # seam foams between two sheets: the two-dimensional algebra
         "seam-birth": (
-            FoamMap((), (2,), {(): {(0,): _one()}}),
+            FoamMap((), (2,), {(): {(0,): 1}}),
             -1,
         ),
         "seam-death": (
-            FoamMap((2,), (), {(1,): {(): _one()}}),
+            FoamMap((2,), (), {(1,): {(): 1}}),
             -1,
         ),
         "seam-merge": (
@@ -536,9 +457,9 @@ def _catalogue() -> dict[str, tuple[FoamMap, int]]:
                 (2, 2),
                 (2,),
                 {
-                    (0, 0): {(0,): _one()},
-                    (0, 1): {(1,): _one()},
-                    (1, 0): {(1,): _one()},
+                    (0, 0): {(0,): 1},
+                    (0, 1): {(1,): 1},
+                    (1, 0): {(1,): 1},
                 },
             ),
             1,
@@ -548,19 +469,19 @@ def _catalogue() -> dict[str, tuple[FoamMap, int]]:
                 (2,),
                 (2, 2),
                 {
-                    (0,): {(1, 0): _one(), (0, 1): _one()},
-                    (1,): {(1, 1): _one()},
+                    (0,): {(1, 0): 1, (0, 1): 1},
+                    (1,): {(1, 1): 1},
                 },
             ),
             1,
         ),
         # closed-surface foams on one sheet: the three-dimensional algebra
         "circle-birth": (
-            FoamMap((), (3,), {(): {(0,): _one()}}),
+            FoamMap((), (3,), {(): {(0,): 1}}),
             -2,
         ),
         "circle-death": (
-            FoamMap((3,), (), {(2,): {(): minus}}),
+            FoamMap((3,), (), {(2,): {(): -1}}),
             -2,
         ),
         "tube-merge": (
@@ -568,7 +489,7 @@ def _catalogue() -> dict[str, tuple[FoamMap, int]]:
                 (3, 3),
                 (3,),
                 {
-                    (i, j): {(i + j,): _one()}
+                    (i, j): {(i + j,): 1}
                     for i in range(3)
                     for j in range(3)
                     if i + j <= 2
@@ -581,9 +502,7 @@ def _catalogue() -> dict[str, tuple[FoamMap, int]]:
                 (3,),
                 (3, 3),
                 {
-                    (power,): dict(
-                        frob_comul(FrobElement.x(power)).items()
-                    )
+                    (power,): frob_comul(FrobElement.x(power))
                     for power in range(3)
                 },
             ),
@@ -595,15 +514,20 @@ def _catalogue() -> dict[str, tuple[FoamMap, int]]:
 BASIC_FOAM_NAMES: tuple[str, ...] = tuple(sorted(_catalogue()))
 
 
-def foam_degree(name: str, dots: int = 0) -> int:
-    """Catalogue degree of a basic foam piece with ``dots`` dots."""
+def _catalogue_entry(name: str, dots: int) -> tuple[FoamMap, int]:
+    """The undotted map and degree of a basic foam piece."""
     if dots < 0:
         raise ValueError(f"dot count must be >= 0, got {dots}")
     try:
-        _, base = _catalogue()[name]
+        return _catalogue()[name]
     except KeyError:
         known = ", ".join(BASIC_FOAM_NAMES)
-        raise ValueError(f"unknown basic foam {name!r}; have {known}")
+        raise ValueError(f"unknown basic foam {name!r}; have {known}") from None
+
+
+def foam_degree(name: str, dots: int = 0) -> int:
+    """Catalogue degree of a basic foam piece with ``dots`` dots."""
+    _, base = _catalogue_entry(name, dots)
     return base + 2 * dots
 
 
@@ -614,13 +538,7 @@ def basic_map(name: str, dots: int = 0) -> FoamMap:
     (of the target, for the two birth foams whose source is empty);
     dots beyond the factor's truncation produce the zero map.
     """
-    if dots < 0:
-        raise ValueError(f"dot count must be >= 0, got {dots}")
-    try:
-        base, _ = _catalogue()[name]
-    except KeyError:
-        known = ", ".join(BASIC_FOAM_NAMES)
-        raise ValueError(f"unknown basic foam {name!r}; have {known}")
+    base, _ = _catalogue_entry(name, dots)
     if dots == 0:
         return base
     if base.source:
@@ -649,19 +567,18 @@ def basic_map(name: str, dots: int = 0) -> FoamMap:
 
 def _frobenius_failures() -> list[str]:
     failures = []
-    basis = [FrobElement.x(power) for power in range(3)]
     one = FrobElement.one()
-    for a in basis:
-        for b in basis:
+    for a in _FROB_BASIS:
+        for b in _FROB_BASIS:
             if a * b != b * a:
                 failures.append(f"commutativity at {a}, {b}")
-            for c in basis:
+            for c in _FROB_BASIS:
                 if (a * b) * c != a * (b * c):
                     failures.append(f"associativity at {a}, {b}, {c}")
         if one * a != a:
             failures.append(f"unit at {a}")
 
-    for a in basis:
+    for a in _FROB_BASIS:
         # counit laws: applying the trace to either leg returns the input
         left = FrobElement.zero()
         right = FrobElement.zero()
@@ -675,43 +592,37 @@ def _frobenius_failures() -> list[str]:
         if left != a or right != a:
             failures.append(f"counit at {a}")
         # coassociativity on basis tensors
-        first: dict[tuple[int, int, int], Fraction] = {}
-        second: dict[tuple[int, int, int], Fraction] = {}
-        for (i, j), coeff in frob_comul(a).items():
-            for (p, q), inner in frob_comul(FrobElement.x(i)).items():
-                key = (p, q, j)
-                first[key] = first.get(key, Fraction(0)) + coeff * inner
-            for (p, q), inner in frob_comul(FrobElement.x(j)).items():
-                key = (i, p, q)
-                second[key] = second.get(key, Fraction(0)) + coeff * inner
-        first = {k: v for k, v in first.items() if v}
-        second = {k: v for k, v in second.items() if v}
+        comul = frob_comul(a).items()
+        first = _sparse(
+            ((p, q, j), coeff * inner)
+            for (i, j), coeff in comul
+            for (p, q), inner in frob_comul(FrobElement.x(i)).items()
+        )
+        second = _sparse(
+            ((i, p, q), coeff * inner)
+            for (i, j), coeff in comul
+            for (p, q), inner in frob_comul(FrobElement.x(j)).items()
+        )
         if first != second:
             failures.append(f"coassociativity at {a}")
     # the compatibility square on all nine basis tensors
     for i in range(3):
         for j in range(3):
             product_side = frob_comul(FrobElement.x(i) * FrobElement.x(j))
-            through_left: dict[tuple[int, int], Fraction] = {}
-            through_right: dict[tuple[int, int], Fraction] = {}
-            for (p, q), coeff in frob_comul(FrobElement.x(i)).items():
-                image = FrobElement.x(q) * FrobElement.x(j)
-                for out, value in enumerate(image.coeffs):
-                    if value:
-                        key = (p, out)
-                        through_left[key] = through_left.get(
-                            key, Fraction(0)
-                        ) + coeff * value
-            for (p, q), coeff in frob_comul(FrobElement.x(j)).items():
-                image = FrobElement.x(i) * FrobElement.x(p)
-                for out, value in enumerate(image.coeffs):
-                    if value:
-                        key = (out, q)
-                        through_right[key] = through_right.get(
-                            key, Fraction(0)
-                        ) + coeff * value
-            through_left = {k: v for k, v in through_left.items() if v}
-            through_right = {k: v for k, v in through_right.items() if v}
+            through_left = _sparse(
+                ((p, out), coeff * value)
+                for (p, q), coeff in frob_comul(FrobElement.x(i)).items()
+                for out, value in enumerate(
+                    (FrobElement.x(q) * FrobElement.x(j)).coeffs
+                )
+            )
+            through_right = _sparse(
+                ((out, q), coeff * value)
+                for (p, q), coeff in frob_comul(FrobElement.x(j)).items()
+                for out, value in enumerate(
+                    (FrobElement.x(i) * FrobElement.x(p)).coeffs
+                )
+            )
             if product_side != through_left or product_side != through_right:
                 failures.append(f"compatibility at x^{i} @ x^{j}")
     return failures
@@ -797,11 +708,10 @@ def verify_foam() -> list[Report]:
         )
     )
 
-    basis = (FrobElement.one(), FrobElement.x(), FrobElement.x(2))
     mutations_fail = all(
-        any(_surgery_sum(_neck, a, keep) != -a for a in basis)
+        any(_surgery_sum(_neck, a, keep) != -a for a in _FROB_BASIS)
         for keep in ((0, 1), (0, 2), (1, 2))
-    ) and any(_surgery_sum(_neck, a) != a for a in basis)
+    ) and any(_surgery_sum(_neck, a) != a for a in _FROB_BASIS)
     surgery_ok = surgery_check() and mutations_fail
     accepted = surgery_search()
     reports.append(

@@ -50,16 +50,17 @@ from typing import Iterator, Sequence
 from .qlaurent import ONE, LaurentPoly, quantum_int
 from .reporting import Report
 from .weblin import (
+    INPUT_SPANS,
     QMatrix,
     TensorBasis,
     apply_window,
     cap_matrix,
     cross_matrix_at,
     cup_matrix,
+    generator_step,
     local_map,
     merge_matrix,
     reversal_matrix,
-    special_pairs,
     split_matrix,
 )
 
@@ -104,15 +105,6 @@ class WebParseError(ValueError):
 
 _LAYER_KINDS = ("merge", "split", "cup", "cap", "cross+", "cross-")
 _LABELLED_KINDS = ("merge", "split", "cup")
-# number of strands each generator consumes from the boundary below it
-_INPUT_SPANS = {
-    "merge": 2,
-    "split": 1,
-    "cup": 0,
-    "cap": 2,
-    "cross+": 2,
-    "cross-": 2,
-}
 _MIRROR_KINDS = {"cross+": "cross-", "cross-": "cross+"}
 
 
@@ -154,75 +146,6 @@ class Layer:
         return f"{self.kind}(@{self.pos})"
 
 
-def _step(k: int, labels: tuple[int, ...], layer: Layer) -> tuple[int, ...]:
-    """The boundary above ``layer`` given the boundary ``labels`` below it."""
-    pos, a, b = layer.pos, layer.a, layer.b
-    kind = layer.kind
-    if kind == "merge":
-        if pos > len(labels) - 1:
-            raise ValueError(
-                f"merge position {pos} out of range for boundary {labels}"
-            )
-        if (labels[pos - 1], labels[pos]) != (a, b):
-            raise ValueError(
-                f"merge({a},{b}) does not match boundary {labels} "
-                f"at position {pos}"
-            )
-        if (a, b) not in special_pairs(k):
-            raise ValueError(
-                f"merge label pair ({a},{b}) not admissible for k={k}"
-            )
-        return labels[: pos - 1] + (a + b,) + labels[pos + 1 :]
-    if kind == "split":
-        if pos > len(labels):
-            raise ValueError(
-                f"split position {pos} out of range for boundary {labels}"
-            )
-        if labels[pos - 1] != a + b:
-            raise ValueError(
-                f"cannot split label {labels[pos - 1]} at position {pos} "
-                f"into ({a},{b})"
-            )
-        if (a, b) not in special_pairs(k):
-            raise ValueError(
-                f"split label pair ({a},{b}) not admissible for k={k}"
-            )
-        return labels[: pos - 1] + (a, b) + labels[pos:]
-    if kind == "cup":
-        if pos > len(labels) + 1:
-            raise ValueError(
-                f"cup position {pos} out of range for boundary {labels}"
-            )
-        if a + b != k or {a, b} != {1, k - 1}:
-            raise ValueError(
-                f"cup label pair ({a},{b}) not admissible for k={k}"
-            )
-        return labels[: pos - 1] + (a, b) + labels[pos - 1 :]
-    if kind == "cap":
-        if pos > len(labels) - 1:
-            raise ValueError(
-                f"cap position {pos} out of range for boundary {labels}"
-            )
-        pair = (labels[pos - 1], labels[pos])
-        if sum(pair) != k or set(pair) != {1, k - 1}:
-            raise ValueError(
-                f"cap at position {pos} needs labels (1,{k - 1}) or "
-                f"({k - 1},1), found {pair}"
-            )
-        return labels[: pos - 1] + labels[pos + 1 :]
-    # crossings
-    if pos > len(labels) - 1:
-        raise ValueError(
-            f"crossing position {pos} out of range for boundary {labels}"
-        )
-    if (labels[pos - 1], labels[pos]) != (1, 1):
-        raise ValueError(
-            f"crossing at position {pos} needs labels (1,1), "
-            f"found ({labels[pos - 1]},{labels[pos]})"
-        )
-    return labels
-
-
 @dataclass(frozen=True)
 class Web:
     """A type-checked web: rank, bottom boundary, and layers bottom-up.
@@ -254,7 +177,11 @@ class Web:
         bounds = [self.bottom]
         for i, layer in enumerate(self.layers, start=1):
             try:
-                bounds.append(_step(self.k, bounds[-1], layer))
+                bounds.append(
+                    generator_step(
+                        layer.kind, self.k, bounds[-1], layer.pos, layer.a, layer.b
+                    )
+                )
             except ValueError as exc:
                 raise ValueError(f"layer {i}: {exc}") from None
         object.__setattr__(self, "boundaries", tuple(bounds))
@@ -312,8 +239,8 @@ def _parse_bottom(
 
 def _parse_layer(
     chunk: str, k: int, line: int, col: int
-) -> tuple[Layer, tuple[int, int] | None]:
-    """Parse one layer; also return the optional declared cap labels."""
+) -> tuple[Layer, tuple[int, ...]]:
+    """Parse one layer; also return the labels it spells out."""
     match = _LAYER_RE.match(chunk)
     if not match:
         raise WebParseError(
@@ -351,7 +278,7 @@ def _parse_layer(
                 line,
                 col,
             )
-        return Layer(kind, pos, values[0], values[1]), None
+        return Layer(kind, pos, values[0], values[1]), values
     if kind == "cap":
         if values and len(values) != 2:
             raise WebParseError(
@@ -359,10 +286,10 @@ def _parse_layer(
                 line,
                 col,
             )
-        return Layer("cap", pos), (values if values else None)
+        return Layer("cap", pos), values
     if values:
         raise WebParseError(f"{kind} takes no labels, got {chunk!r}", line, col)
-    return Layer(kind, pos), None
+    return Layer(kind, pos), values
 
 
 def slice_chunks(text: str) -> Iterator[tuple[str, int, int]]:
@@ -451,25 +378,9 @@ def parse_web(
     labels = bot
     layers: list[Layer] = []
     for chunk, line_no, col in chunks[start:]:
-        layer, declared = _parse_layer(chunk, eff_k, line_no, col)
-        if declared is not None:
-            if layer.pos > len(labels) - 1:
-                raise WebParseError(
-                    f"cap position {layer.pos} out of range for boundary "
-                    f"{labels}",
-                    line_no,
-                    col,
-                )
-            found = (labels[layer.pos - 1], labels[layer.pos])
-            if found != declared:
-                raise WebParseError(
-                    f"cap labels {declared} do not match boundary {labels} "
-                    f"at position {layer.pos}",
-                    line_no,
-                    col,
-                )
+        layer, values = _parse_layer(chunk, eff_k, line_no, col)
         try:
-            labels = _step(eff_k, labels, layer)
+            labels = generator_step(layer.kind, eff_k, labels, layer.pos, *values)
         except ValueError as exc:
             raise WebParseError(str(exc), line_no, col) from None
         layers.append(layer)
@@ -511,7 +422,7 @@ def evaluate(web: Web, k: int | None = None) -> QMatrix:
         else:
             pair = labels[layer.pos - 1 : layer.pos + 1]
         local = local_map(layer.kind, rank, *pair)
-        state = apply_window(local, layer.pos, _INPUT_SPANS[layer.kind], state)
+        state = apply_window(local, layer.pos, INPUT_SPANS[layer.kind], state)
     return QMatrix(TensorBasis(rank, web.top), bottom, state)
 
 
@@ -561,7 +472,7 @@ def mirror_web(web: Web) -> Web:
     crossing signs exchanged."""
     layers = []
     for layer, labels in zip(web.layers, web.boundaries):
-        span = _INPUT_SPANS[layer.kind]
+        span = INPUT_SPANS[layer.kind]
         pos = len(labels) - layer.pos - span + 2
         kind = _MIRROR_KINDS.get(layer.kind, layer.kind)
         if layer.kind in _LABELLED_KINDS:

@@ -17,6 +17,9 @@ the one or two factors it touches; ``apply_window`` applies such a map
 to a sparse state of {basis key: poly} columns.  Web evaluation pushes
 states through these maps, and the whole-boundary matrices above are
 built by pushing the identity basis through the same function.
+``generator_step`` is the one rule for which generator fits which
+boundary; the matrix constructors here and webs and their parser in
+``webgraph`` all call it.
 
 All merge/split coefficients come from one uniform rule.  With
 inv(S, T) = #{(s, t) ∈ S×T : s > t}:
@@ -46,6 +49,8 @@ from .qlaurent import ONE, LaurentPoly, LinComb
 __all__ = [
     "TensorBasis",
     "QMatrix",
+    "INPUT_SPANS",
+    "generator_step",
     "intertwiner_matrix",
     "local_map",
     "apply_window",
@@ -113,9 +118,6 @@ class TensorBasis:
 
     def index(self, key: Key) -> int:
         return self._position[key]
-
-    def dimension_check(self) -> bool:
-        return len(self.elements) == self.expected_dimension()
 
     def expected_dimension(self) -> int:
         total = 1
@@ -312,12 +314,75 @@ def special_pairs(k: int) -> set[tuple[int, int]]:
     return {(1, 1), (1, k - 1), (k - 1, 1)}
 
 
-def _check_pair(kind: str, a: int, b: int, k: int, strict: bool) -> None:
-    if strict and (a, b) not in special_pairs(k):
-        raise ValueError(
-            f"{kind} label pair ({a},{b}) not admissible for k={k}; "
-            f"allowed pairs are (1,1), (1,k-1), (k-1,1)"
-        )
+# number of strands each generator consumes from the boundary below it
+INPUT_SPANS = {"merge": 2, "split": 1, "cup": 0, "cap": 2, "cross+": 2, "cross-": 2}
+
+
+def generator_step(
+    kind: str,
+    k: int,
+    labels: tuple[int, ...],
+    pos: int,
+    a: int | None = None,
+    b: int | None = None,
+    strict: bool = True,
+) -> tuple[int, ...]:
+    """The boundary above one generator at ``pos`` on the boundary
+    ``labels`` below it; ValueError when the generator does not fit.
+
+    This is the one typing rule for generators.  Split and cup take
+    their label pair (a, b); merge and cap read theirs off the boundary,
+    and a pair passed to them must match it.  ``strict=False`` lifts the
+    restriction of merges and splits to the special pairs.
+    """
+    span = INPUT_SPANS.get(kind)
+    if span is None:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    if not 1 <= pos <= len(labels) + 1 - span:
+        name = "crossing" if kind.startswith("cross") else kind
+        raise ValueError(f"{name} position {pos} out of range for boundary {labels}")
+    window = labels[pos - 1 : pos - 1 + span]
+    if kind == "merge":
+        if a is not None and window != (a, b):
+            raise ValueError(
+                f"merge({a},{b}) does not match boundary {labels} "
+                f"at position {pos}"
+            )
+        a, b = window
+        out = (a + b,)
+    elif kind == "split":
+        if window != (a + b,):
+            raise ValueError(
+                f"cannot split label {window[0]} at position {pos} "
+                f"into ({a},{b})"
+            )
+        out = (a, b)
+    elif kind == "cup":
+        if a + b != k or {a, b} != {1, k - 1}:
+            raise ValueError(f"cup label pair ({a},{b}) not admissible for k={k}")
+        out = (a, b)
+    elif kind == "cap":
+        if a is not None and window != (a, b):
+            raise ValueError(
+                f"cap labels {(a, b)} do not match boundary {labels} "
+                f"at position {pos}"
+            )
+        if sum(window) != k or set(window) != {1, k - 1}:
+            raise ValueError(
+                f"cap at position {pos} needs labels (1,{k - 1}) or "
+                f"({k - 1},1), found {window}"
+            )
+        out = ()
+    else:
+        if window != (1, 1):
+            raise ValueError(
+                f"crossing at position {pos} needs labels (1,1), "
+                f"found ({window[0]},{window[1]})"
+            )
+        out = window
+    if kind in ("merge", "split") and strict and (a, b) not in special_pairs(k):
+        raise ValueError(f"{kind} label pair ({a},{b}) not admissible for k={k}")
+    return labels[: pos - 1] + out + labels[pos - 1 + span :]
 
 
 LocalMap = Mapping[Key, tuple[tuple[Key, LaurentPoly], ...]]
@@ -357,28 +422,37 @@ def apply_window(local: LocalMap, pos: int, span: int, state: State) -> State:
     return out
 
 
-def _apply_local(
+def _lift(
+    k: int,
+    labels: tuple[int, ...],
+    top: tuple[int, ...],
+    pos: int,
+    span: int,
+    local: LocalMap,
+) -> QMatrix:
+    """Lift a local map on factors [pos, pos+span) of ``labels`` to the
+    whole boundary, with ``top`` the boundary above it."""
+    cols = TensorBasis(k, labels)
+    state = apply_window(local, pos, span, [{key: ONE} for key in cols])
+    return QMatrix(TensorBasis(k, top), cols, state)
+
+
+def _generator_matrix(
+    kind: str,
     k: int,
     labels: Sequence[int],
     pos: int,
-    span: int,
-    out_window: tuple[int, ...],
-    local: LocalMap,
+    a: int | None = None,
+    b: int | None = None,
+    strict: bool = True,
 ) -> QMatrix:
-    """Lift a local map on factors [pos, pos+span) to the ambient space."""
+    """The whole-boundary matrix of one generator, typed by
+    ``generator_step``."""
     labels = tuple(labels)
-    if not (1 <= pos and pos + span - 1 <= len(labels)) and span > 0:
-        raise ValueError(
-            f"position {pos} (span {span}) out of range for boundary {labels}"
-        )
-    if span == 0 and not (1 <= pos <= len(labels) + 1):
-        raise ValueError(
-            f"insertion position {pos} out of range for boundary {labels}"
-        )
-    new_labels = labels[: pos - 1] + out_window + labels[pos - 1 + span :]
-    cols = TensorBasis(k, labels)
-    state = apply_window(local, pos, span, [{key: ONE} for key in cols])
-    return QMatrix(TensorBasis(k, new_labels), cols, state)
+    top = generator_step(kind, k, labels, pos, a, b, strict)
+    if a is None:
+        a, b = labels[pos - 1 : pos + 1]
+    return _lift(k, labels, top, pos, INPUT_SPANS[kind], local_map(kind, k, a, b))
 
 
 @lru_cache(maxsize=None)
@@ -389,7 +463,7 @@ def local_map(kind: str, k: int, a: int, b: int) -> LocalMap:
     is the pair of small labels on the generator's two-strand side
     (for crossings, (1, 1)).  The map sends a window key to its
     (output window, coefficient) images.  It is shared by every caller,
-    so it is returned read-only.  Label checks are the caller's.
+    so it is returned read-only.  Label checks are ``generator_step``'s.
     """
     local: dict[Key, tuple[tuple[Key, LaurentPoly], ...]] = {}
     full = tuple(range(1, k + 1))
@@ -426,12 +500,7 @@ def merge_matrix(
     k: int, labels: Sequence[int], pos: int, *, strict: bool = True
 ) -> QMatrix:
     """Merge the factors at (pos, pos+1): v_S ⊗ v_T ↦ q^{-inv(S,T)} v_{S∪T}."""
-    labels = tuple(labels)
-    if not (1 <= pos <= len(labels) - 1):
-        raise ValueError(f"merge position {pos} out of range for {labels}")
-    a, b = labels[pos - 1], labels[pos]
-    _check_pair("merge", a, b, k, strict)
-    return _apply_local(k, labels, pos, 2, (a + b,), local_map("merge", k, a, b))
+    return _generator_matrix("merge", k, labels, pos, strict=strict)
 
 
 def split_matrix(
@@ -444,16 +513,7 @@ def split_matrix(
     strict: bool = True,
 ) -> QMatrix:
     """Split the factor at pos into (a, b): v_U ↦ Σ q^{inv(T,S)} v_S ⊗ v_T."""
-    labels = tuple(labels)
-    if not (1 <= pos <= len(labels)):
-        raise ValueError(f"split position {pos} out of range for {labels}")
-    if labels[pos - 1] != a + b:
-        raise ValueError(
-            f"cannot split label {labels[pos - 1]} at position {pos} "
-            f"into ({a},{b})"
-        )
-    _check_pair("split", a, b, k, strict)
-    return _apply_local(k, labels, pos, 1, (a, b), local_map("split", k, a, b))
+    return _generator_matrix("split", k, labels, pos, a, b, strict)
 
 
 def cup_matrix(k: int, labels: Sequence[int], pos: int, a: int, b: int) -> QMatrix:
@@ -463,27 +523,12 @@ def cup_matrix(k: int, labels: Sequence[int], pos: int, a: int, b: int) -> QMatr
     power, so the map sends a basis vector to the split of v_{1..k}
     placed at the insertion point.
     """
-    if a + b != k:
-        raise ValueError(f"cup labels ({a},{b}) must sum to k={k}")
-    if {a, b} != {1, k - 1}:
-        raise ValueError(
-            f"cup label pair ({a},{b}) not admissible; use (1,k-1) or (k-1,1)"
-        )
-    return _apply_local(k, labels, pos, 0, (a, b), local_map("cup", k, a, b))
+    return _generator_matrix("cup", k, labels, pos, a, b)
 
 
 def cap_matrix(k: int, labels: Sequence[int], pos: int) -> QMatrix:
     """Close the factors at (pos, pos+1) off into an implicit k-edge."""
-    labels = tuple(labels)
-    if not (1 <= pos <= len(labels) - 1):
-        raise ValueError(f"cap position {pos} out of range for {labels}")
-    a, b = labels[pos - 1], labels[pos]
-    if a + b != k or {a, b} != {1, k - 1}:
-        raise ValueError(
-            f"cap at position {pos} needs labels (1,k-1) or (k-1,1), "
-            f"found ({a},{b}) with k={k}"
-        )
-    return _apply_local(k, labels, pos, 2, (), local_map("cap", k, a, b))
+    return _generator_matrix("cap", k, labels, pos)
 
 
 def _resolve_label(token: str, k: int) -> int:
@@ -519,14 +564,7 @@ def intertwiner_matrix(
             f"unknown generator {gen!r}; expected merge(a,b) or split(a,b)"
         )
     a, b = (_resolve_label(t, k) for t in args)
-    labels = tuple(labels)
-    if name == "merge":
-        if pos > len(labels) - 1 or (labels[pos - 1], labels[pos]) != (a, b):
-            raise ValueError(
-                f"merge({a},{b}) does not match boundary {labels} at {pos}"
-            )
-        return merge_matrix(k, labels, pos)
-    return split_matrix(k, labels, pos, a, b)
+    return _generator_matrix(name, k, labels, pos, a, b)
 
 
 # ----------------------------------------------------------------------
@@ -566,21 +604,13 @@ def crossing_matrix(sign: str, k: int) -> QMatrix:
 
 
 def _block_local(block: QMatrix) -> dict[Key, tuple[tuple[Key, LaurentPoly], ...]]:
-    """Read a small matrix back off as a local map for _apply_local."""
+    """Read a small matrix back off as a local map for _lift."""
     return {col_key: tuple(block.column(col_key)) for col_key in block.cols}
 
 
 def cross_matrix_at(sign: str, k: int, labels: Sequence[int], pos: int) -> QMatrix:
     """The crossing embedded at factors (pos, pos+1) of a larger boundary."""
-    labels = tuple(labels)
-    if not (1 <= pos <= len(labels) - 1):
-        raise ValueError(f"crossing position {pos} out of range for {labels}")
-    if (labels[pos - 1], labels[pos]) != (1, 1):
-        raise ValueError(
-            f"crossing needs two 1-labelled strands at {pos}, "
-            f"found {labels[pos - 1:pos + 1]}"
-        )
-    return _apply_local(k, labels, pos, 2, (1, 1), local_map("cross" + sign, k, 1, 1))
+    return _generator_matrix("cross" + sign, k, labels, pos)
 
 
 def _kink_closures(cand_plus: QMatrix, cand_minus: QMatrix, k: int) -> list[QMatrix]:
@@ -590,12 +620,12 @@ def _kink_closures(cand_plus: QMatrix, cand_minus: QMatrix, k: int) -> list[QMat
         local = _block_local(block)
         # right kink: bend in a (1, k-1) pair above-right, cross, close
         m1 = cup_matrix(k, (1,), 2, 1, k - 1)
-        m2 = _apply_local(k, (1, 1, k - 1), 1, 2, (1, 1), local)
+        m2 = _lift(k, (1, 1, k - 1), (1, 1, k - 1), 1, 2, local)
         m3 = cap_matrix(k, (1, 1, k - 1), 2)
         closures.append(m3 @ m2 @ m1)
         # left kink: bend in a (k-1, 1) pair below-left, cross, close
         m1 = cup_matrix(k, (1,), 1, k - 1, 1)
-        m2 = _apply_local(k, (k - 1, 1, 1), 2, 2, (1, 1), local)
+        m2 = _lift(k, (k - 1, 1, 1), (k - 1, 1, 1), 2, 2, local)
         m3 = cap_matrix(k, (k - 1, 1, 1), 1)
         closures.append(m3 @ m2 @ m1)
     return closures
@@ -649,8 +679,8 @@ def crossing_search(k: int) -> list[tuple[int, int, int]]:
 def _braid_holds(block: QMatrix, k: int) -> bool:
     local = _block_local(block)
     labels = (1, 1, 1)
-    x1 = _apply_local(k, labels, 1, 2, (1, 1), local)
-    x2 = _apply_local(k, labels, 2, 2, (1, 1), local)
+    x1 = _lift(k, labels, labels, 1, 2, local)
+    x2 = _lift(k, labels, labels, 2, 2, local)
     return x1 @ x2 @ x1 == x2 @ x1 @ x2
 
 

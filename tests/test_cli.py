@@ -61,6 +61,15 @@ def test_eval_web_rank_override_can_reject_labels(tmp_path, capsys) -> None:
     assert "not admissible for k=2" in err
 
 
+def test_eval_web_header_rank_above_the_bound(tmp_path, capsys) -> None:
+    path = tmp_path / "circle9.web"
+    path.write_text("web k=9 bottom=\ncup(1,8@1); cap(@1)\n")
+    code, out, err = run(capsys, "eval-web", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1, column 1: k out of range: need k <= 4, got 9\n"
+
+
 def test_eval_web_missing_file(capsys) -> None:
     code, _, err = run(capsys, "eval-web", "--file", "/nonexistent.web")
     assert code == 2
@@ -93,6 +102,18 @@ def test_link_poly_kinked_unknot_is_unchanged(tmp_path, capsys) -> None:
     code, out, _ = run(capsys, "link-poly", "--file", str(path))
     assert code == 0
     assert out == "q + q^-1\n"
+
+
+def test_link_poly_header_rank_above_the_bound(tmp_path, capsys) -> None:
+    path = tmp_path / "unknot7.tangle"
+    path.write_text("tangle k=7 bottom=\ncup(-+@1)\ncap(@1)\n")
+    code, out, err = run(capsys, "link-poly", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1, column 1: k out of range: need k <= 4, got 7\n"
+    code, out, _ = run(capsys, "link-poly", "--file", str(path), "--k", "3")
+    assert code == 0
+    assert out == "q^2 + 1 + q^-2\n"
 
 
 def test_link_poly_rejects_open_words(tmp_path, capsys) -> None:
@@ -141,6 +162,27 @@ def test_verify_records_format(capsys) -> None:
         assert line.startswith("check=foam-")
         assert "passed=true" in line
         assert "anchor=" in line
+
+
+FOAM_TEXT = """\
+PASS foam-frobenius: C[x]/(x^3) with the signed comultiplication and the trace -1 on x^2 is a commutative Frobenius algebra [unit, associativity, counit, coassociativity and the compatibility square hold on the full basis]
+PASS foam-structure-constants: the comultiplication sends 1 to -(1@x^2 + x@x + x^2@1), x to -(x@x^2 + x^2@x), x^2 to -x^2@x^2, and the trace kills 1 and x and sends x^2 to -1 [all structure constants match]
+PASS foam-theta: theta surfaces evaluate to the sign of the dot arrangement: +1 on even arrangements of 0,1,2 dots, -1 on odd ones, 0 whenever two disks carry equal dots [all dot triples up to 3 dots per disk]
+PASS foam-surgery: cutting a tube decomposes minus the identity into the three two-dot terms through the trace-then-unit composite, and fails under sign flips or dropped terms [accepted realizations: trace-then-unit]
+PASS foam-degrees: the degree of every basic foam piece equals the degree of its linear map, shifts included, and each dot adds 2 [all catalogue entries with up to two dots]
+"""
+FOAM_RECORDS = """\
+check=foam-frobenius passed=true anchor='C[x]/(x^3) with the signed comultiplication and the trace -1 on x^2 is a commutative Frobenius algebra' witness='unit, associativity, counit, coassociativity and the compatibility square hold on the full basis'
+check=foam-structure-constants passed=true anchor='the comultiplication sends 1 to -(1@x^2 + x@x + x^2@1), x to -(x@x^2 + x^2@x), x^2 to -x^2@x^2, and the trace kills 1 and x and sends x^2 to -1' witness='all structure constants match'
+check=foam-theta passed=true anchor='theta surfaces evaluate to the sign of the dot arrangement: +1 on even arrangements of 0,1,2 dots, -1 on odd ones, 0 whenever two disks carry equal dots' witness='all dot triples up to 3 dots per disk'
+check=foam-surgery passed=true anchor='cutting a tube decomposes minus the identity into the three two-dot terms through the trace-then-unit composite, and fails under sign flips or dropped terms' witness='accepted realizations: trace-then-unit'
+check=foam-degrees passed=true anchor='the degree of every basic foam piece equals the degree of its linear map, shifts included, and each dot adds 2' witness='all catalogue entries with up to two dots'
+"""
+
+
+@pytest.mark.parametrize("fmt,expected", [("text", FOAM_TEXT), ("records", FOAM_RECORDS)])
+def test_verify_foam_stdout_is_pinned(capsys, fmt, expected) -> None:
+    assert run(capsys, "verify", "foam", "--format", fmt) == (0, expected, "")
 
 
 def test_verify_reports_are_deterministic(capsys) -> None:

@@ -500,6 +500,18 @@ def test_foam_map_validation() -> None:
         foam_degree("seam-birth", -2)
 
 
+@pytest.mark.parametrize("bad", [0.1, "1", True, None, 1j])
+def test_coefficients_must_be_exact(bad) -> None:
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        FrobElement((bad, 0, 0))
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        FlagRingElement((0, 0, 0, 0, 0, bad))
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        FoamMap((2,), (2,), {(0,): {(1,): bad}})
+    assert FrobElement((1, Fraction(1, 2), -3)).coeffs == (1, Fraction(1, 2), -3)
+    assert FoamMap((2,), (2,), {(0,): {(1,): 2}}).entries == {(0,): {(1,): 2}}
+
+
 def test_foam_map_apply_is_linear() -> None:
     split = basic_map("seam-split")
     combined = split.apply({(0,): Fraction(2), (1,): Fraction(-1)})

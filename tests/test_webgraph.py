@@ -3,13 +3,23 @@
 from __future__ import annotations
 
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from moycalc.qlaurent import LaurentPoly, ONE, quantum_int
 from moycalc.reporting import Report, all_passed, render_reports
-from moycalc.weblin import QMatrix, TensorBasis, hecke_E
+from moycalc.weblin import (
+    QMatrix,
+    TensorBasis,
+    cap_matrix,
+    cross_matrix_at,
+    cup_matrix,
+    hecke_E,
+    intertwiner_matrix,
+    split_matrix,
+)
 from moycalc.webgraph import (
     Layer,
     Web,
@@ -419,6 +429,50 @@ def test_sparse_evaluation_matches_dense_layer_product(data):
     k = data.draw(st.sampled_from([2, 3, 4]))
     web = data.draw(small_webs(k=k, max_width=4, max_layers=6))
     assert evaluate(web) == dense_layer_product(web)
+
+
+def _constructor_matrix(layer: Layer, k: int, labels: tuple[int, ...]) -> QMatrix:
+    """The weblin constructor that takes exactly the layer's data."""
+    if layer.kind == "merge":
+        return intertwiner_matrix(f"merge({layer.a},{layer.b})", k, labels, layer.pos)
+    if layer.kind == "split":
+        return split_matrix(k, labels, layer.pos, layer.a, layer.b)
+    if layer.kind == "cup":
+        return cup_matrix(k, labels, layer.pos, layer.a, layer.b)
+    if layer.kind == "cap":
+        return cap_matrix(k, labels, layer.pos)
+    return cross_matrix_at(layer.kind[-1], k, labels, layer.pos)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_web_typing_agrees_with_the_constructors(k):
+    # every generator at every position of every boundary of width <= 3
+    # over {1, 2, k-1, k}: a one-layer web fits exactly when the matrix
+    # constructor accepts the same data, and then the two agree
+    allowed = sorted({1, 2, k - 1, k})
+    checked = accepted = 0
+    for width in range(4):
+        for labels in product(allowed, repeat=width):
+            for pos in range(1, width + 3):
+                layers = [Layer(kind, pos) for kind in ("cap", "cross+", "cross-")]
+                layers += [
+                    Layer(kind, pos, a, b)
+                    for kind in ("merge", "split", "cup")
+                    for a in range(1, k + 1)
+                    for b in range(1, k + 1)
+                ]
+                for layer in layers:
+                    checked += 1
+                    try:
+                        web = Web(k, labels, (layer,))
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            _constructor_matrix(layer, k, labels)
+                        continue
+                    accepted += 1
+                    matrix = _constructor_matrix(layer, k, labels)
+                    assert evaluate(web) == matrix == layer_matrix(layer, k, labels)
+    assert accepted and accepted < checked
 
 
 def test_stack_rejects_mismatched_boundaries():
