@@ -28,13 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .qlaurent import ONE, LaurentPoly, LinComb
 from .symhecke import Permutation
 
 __all__ = [
-    "Composition",
     "Filling",
     "WeightedDiagramSum",
     "all_compositions",
@@ -52,47 +51,6 @@ __all__ = [
     "curlyvee",
     "curlywedge",
 ]
-
-
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of nonnegative parts; behaves as a sequence."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        if any(p < 0 for p in self.parts):
-            raise ValueError(f"negative part in composition {self.parts}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    @property
-    def actual_length(self) -> int:
-        """Number of nonzero parts."""
-        return sum(1 for p in self.parts if p)
-
-    def reduced(self) -> "Composition":
-        """The composition with zero parts removed."""
-        return Composition(tuple(p for p in self.parts if p))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
 def all_compositions(n: int, parts: int) -> list[tuple[int, ...]]:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .boxcomb import (
     WeightedDiagramSum,
@@ -51,7 +51,7 @@ from .boxcomb import (
 from .qlaurent import ONE, ZERO, LaurentPoly, LinComb, quantum_int
 from .reporting import Report
 from .symhecke import FlagList, O_set, Permutation, translation_flag
-from .weblin import QMatrix, TensorBasis, special_pairs
+from .weblin import QMatrix, special_pairs
 from .webgraph import Layer, Web, evaluate, evaluate_closed, slice_chunks
 
 __all__ = [
@@ -606,58 +606,98 @@ def _loop_count(picture: Sequence[tuple[str, int]]) -> int:
 # ----------------------------------------------------------------------
 # local moves
 
-def _kink_layers(
-    sign: str, p: int, side: str, cross: str
-) -> tuple[TangleLayer, ...]:
-    """A kink on the strand of ``sign`` at position ``p``."""
-    if side == "right":
-        return (
-            TangleLayer("cup", p + 1, (sign, _opp(sign))),
-            TangleLayer(cross, p),
-            TangleLayer("cap", p + 1),
-        )
-    return (
-        TangleLayer("cup", p, (_opp(sign), sign)),
-        TangleLayer(cross, p + 1),
-        TangleLayer("cap", p),
-    )
+_MOVES = ("r1", "r2", "r3", "zigzag")
 
 
-def _zigzag_layers(sign: str, p: int, side: str) -> tuple[TangleLayer, ...]:
-    """A cup-cap zig-zag on the strand of ``sign`` at position ``p``."""
-    if side == "right":
-        return (
-            TangleLayer("cup", p + 1, (_opp(sign), sign)),
-            TangleLayer("cap", p),
-        )
-    return (
-        TangleLayer("cup", p, (sign, _opp(sign))),
-        TangleLayer("cap", p + 1),
-    )
+def _move_sides(
+    move: str, signs: tuple[str, ...], p: int
+) -> Iterator[tuple[str, tuple[TangleLayer, ...], tuple[TangleLayer, ...]]]:
+    """Every variant of ``move`` at position ``p`` of the boundary ``signs``.
 
-
-def _r3_layers(
-    window: tuple[str, str, str], p: int, picture: str
-) -> tuple[tuple[TangleLayer, ...], tuple[TangleLayer, ...]]:
-    """Both sides of the braid move on three strands at position ``p``.
-
-    All three crossings show the same over/under picture; the sign of
-    each layer follows from its strands' orientations at that moment
-    (same picture on an antiparallel pair means the opposite crossing
-    sign), so the two words are related by an oriented slide move.
+    Yields ``(label, one, other)``, two layer runs that a single local
+    move relates.  For r1, r2 and zigzag ``one`` is empty (the plain
+    strands); for r3 the two sides are the braid words 121 and 212.
     """
+    sign = signs[p - 1]
+    if move in ("r1", "zigzag"):
+        # A cup opens right or left of the strand; the kink's crossing
+        # or the zig-zag's cap then acts at ``turn``.
+        for side, cup, turn, ends in (
+            ("right", p + 1, p, (sign, _opp(sign))),
+            ("left", p, p + 1, (_opp(sign), sign)),
+        ):
+            if move == "zigzag":
+                yield f"{sign}/{side}", (), (
+                    TangleLayer("cup", cup, ends[::-1]),
+                    TangleLayer("cap", turn),
+                )
+            else:
+                for cross in _CROSSING_KINDS:
+                    yield f"{sign}/{side}/{cross}", (), (
+                        TangleLayer("cup", cup, ends),
+                        TangleLayer(cross, turn),
+                        TangleLayer("cap", cup),
+                    )
+    elif move == "r2" and p < len(signs):
+        for first, second in (("X+", "X-"), ("X-", "X+")):
+            yield f"{sign}{signs[p]}/{first} first", (), (
+                TangleLayer(first, p),
+                TangleLayer(second, p),
+            )
+    elif move == "r3" and p + 1 < len(signs) and sign == signs[p + 1]:
+        # Each picture shows all three crossings over/under alike; a
+        # layer's sign follows from its strands' orientations at that
+        # height (the same picture on an antiparallel pair is the
+        # opposite crossing sign), so the sides differ by a slide move.
+        for picture in ("+", "-"):
+            sides = []
+            for offsets in ((0, 1, 0), (1, 0, 1)):
+                current = list(signs[p - 1 : p + 2])
+                layers = []
+                for off in offsets:
+                    parallel = current[off] == current[off + 1]
+                    kind = "X+" if parallel == (picture == "+") else "X-"
+                    layers.append(TangleLayer(kind, p + off))
+                    current[off : off + 2] = current[off + 1], current[off]
+                sides.append(tuple(layers))
+            yield f"picture {picture}", sides[0], sides[1]
 
-    def build(offsets: tuple[int, int, int]) -> tuple[TangleLayer, ...]:
-        layers = []
-        current = list(window)
-        for off in offsets:
-            parallel = current[off] == current[off + 1]
-            kind = "X+" if parallel == (picture == "+") else "X-"
-            layers.append(TangleLayer(kind, p + off))
-            current[off], current[off + 1] = current[off + 1], current[off]
-        return tuple(layers)
 
-    return build((0, 1, 0)), build((1, 0, 1))
+# (move, check prefix, boundaries, anchor, witness when every variant holds)
+_SUITE = (
+    (
+        "r1",
+        "reidemeister-1",
+        ("-", "+"),
+        "a kinked strand equals the plain strand: both kink sides, both "
+        "crossing signs, both orientations",
+        "8 kink diagrams equal the identity matrix",
+    ),
+    (
+        "r2",
+        "reidemeister-2",
+        ("--", "-+", "+-", "++"),
+        "a crossing followed by its reverse equals the identity on all "
+        "four orientation pairs, both orders",
+        "8 crossing pairs cancel to the identity matrix",
+    ),
+    (
+        "r3",
+        "reidemeister-3",
+        ("---",),
+        "the two ways of braiding three upward strands give the same "
+        "matrix, for either crossing sign",
+        "both braid words agree",
+    ),
+    (
+        "zigzag",
+        "zigzag",
+        ("-", "+"),
+        "a cup-cap zig-zag straightens to the plain strand, both sides "
+        "and both orientations",
+        "4 zig-zags equal the identity matrix",
+    ),
+)
 
 
 def reidemeister_suite(k: int) -> list[Report]:
@@ -669,110 +709,24 @@ def reidemeister_suite(k: int) -> list[Report]:
     plain strand.
     """
     reports = []
-
-    kink_failures = []
-    for sign in _SIGNS:
-        identity = QMatrix.identity(TensorBasis(k, _strand_labels(sign, k)))
-        for side in ("right", "left"):
-            for cross in _CROSSING_KINDS:
-                word = TangleWord(
-                    (sign,), _kink_layers(sign, 1, side, cross)
-                )
-                if tangle_matrix(word, k) != identity:
-                    kink_failures.append(f"{sign}/{side}/{cross}")
-    reports.append(
-        Report(
-            check=f"reidemeister-1-k{k}",
-            anchor=(
-                "a kinked strand equals the plain strand: both kink "
-                "sides, both crossing signs, both orientations"
-            ),
-            passed=not kink_failures,
-            witness=(
-                "8 kink diagrams equal the identity matrix"
-                if not kink_failures
-                else "failed at " + ", ".join(kink_failures)
-            ),
-        )
-    )
-
-    slide_failures = []
-    for first in _SIGNS:
-        for second in _SIGNS:
-            pair = (first, second)
-            identity = QMatrix.identity(
-                TensorBasis(k, _strand_labels(pair, k))
+    for move, prefix, boundaries, anchor, witness in _SUITE:
+        failures = [
+            label
+            for signs in map(tuple, boundaries)
+            for label, one, other in _move_sides(move, signs, 1)
+            if tangle_matrix(TangleWord(signs, one), k)
+            != tangle_matrix(TangleWord(signs, other), k)
+        ]
+        if failures:
+            witness = "failed at " + ", ".join(failures)
+        reports.append(
+            Report(
+                check=f"{prefix}-k{k}",
+                anchor=anchor,
+                passed=not failures,
+                witness=witness,
             )
-            for order in (("X+", "X-"), ("X-", "X+")):
-                word = TangleWord(
-                    pair,
-                    (TangleLayer(order[0], 1), TangleLayer(order[1], 1)),
-                )
-                if tangle_matrix(word, k) != identity:
-                    slide_failures.append(f"{first}{second}/{order[0]} first")
-    reports.append(
-        Report(
-            check=f"reidemeister-2-k{k}",
-            anchor=(
-                "a crossing followed by its reverse equals the identity "
-                "on all four orientation pairs, both orders"
-            ),
-            passed=not slide_failures,
-            witness=(
-                "8 crossing pairs cancel to the identity matrix"
-                if not slide_failures
-                else "failed at " + ", ".join(slide_failures)
-            ),
         )
-    )
-
-    braid_failures = []
-    for picture in ("+", "-"):
-        window = ("-", "-", "-")
-        left, right = _r3_layers(window, 1, picture)
-        one = TangleWord(window, left)
-        two = TangleWord(window, right)
-        if tangle_matrix(one, k) != tangle_matrix(two, k):
-            braid_failures.append(f"picture {picture}")
-    reports.append(
-        Report(
-            check=f"reidemeister-3-k{k}",
-            anchor=(
-                "the two ways of braiding three upward strands give "
-                "the same matrix, for either crossing sign"
-            ),
-            passed=not braid_failures,
-            witness=(
-                "both braid words agree"
-                if not braid_failures
-                else "failed at " + ", ".join(braid_failures)
-            ),
-        )
-    )
-
-    zigzag_failures = []
-    for sign in _SIGNS:
-        identity = QMatrix.identity(TensorBasis(k, _strand_labels(sign, k)))
-        for side in ("right", "left"):
-            word = TangleWord((sign,), _zigzag_layers(sign, 1, side))
-            if tangle_matrix(word, k) != identity:
-                zigzag_failures.append(f"{sign}/{side}")
-    reports.append(
-        Report(
-            check=f"zigzag-k{k}",
-            anchor=(
-                "a cup-cap zig-zag straightens to the plain strand, "
-                "both sides and both orientations"
-            ),
-            passed=not zigzag_failures,
-            witness=(
-                "4 zig-zags equal the identity matrix"
-                if not zigzag_failures
-                else "failed at " + ", ".join(zigzag_failures)
-            ),
-        )
-    )
-
     return reports
 
 
@@ -846,7 +800,6 @@ def corpus_word(name: str) -> TangleWord:
     return parse_tangle(text)
 
 
-_MOVES = ("r1", "r2", "r3", "zigzag")
 _MOVE_HOSTS = (
     "unknot",
     "unlink-2",
@@ -881,53 +834,11 @@ def move_pairs(
     for name in _MOVE_HOSTS:
         host = corpus_word(name)
         for index, signs in enumerate(host.boundaries):
-            width = len(signs)
-            candidates: list[tuple[TangleWord, TangleWord]] = []
-            if move == "r1":
-                for p in range(1, width + 1):
-                    for side in ("right", "left"):
-                        for cross in _CROSSING_KINDS:
-                            inserted = _insert(
-                                host,
-                                index,
-                                _kink_layers(signs[p - 1], p, side, cross),
-                            )
-                            candidates.append((host, inserted))
-            elif move == "r2":
-                for p in range(1, width):
-                    for order in (("X+", "X-"), ("X-", "X+")):
-                        inserted = _insert(
-                            host,
-                            index,
-                            (
-                                TangleLayer(order[0], p),
-                                TangleLayer(order[1], p),
-                            ),
-                        )
-                        candidates.append((host, inserted))
-            elif move == "r3":
-                for p in range(1, width - 1):
-                    if signs[p - 1] != signs[p + 1]:
-                        continue
-                    window = (signs[p - 1], signs[p], signs[p + 1])
-                    for picture in ("+", "-"):
-                        left, right = _r3_layers(window, p, picture)
-                        candidates.append(
-                            (
-                                _insert(host, index, left),
-                                _insert(host, index, right),
-                            )
-                        )
-            else:
-                for p in range(1, width + 1):
-                    for side in ("right", "left"):
-                        inserted = _insert(
-                            host,
-                            index,
-                            _zigzag_layers(signs[p - 1], p, side),
-                        )
-                        candidates.append((host, inserted))
-            pairs.extend(candidates)
+            for p in range(1, len(signs) + 1):
+                for _, one, other in _move_sides(move, signs, p):
+                    pairs.append(
+                        (_insert(host, index, one), _insert(host, index, other))
+                    )
             if len(pairs) >= limit:
                 return pairs[:limit]
     return pairs

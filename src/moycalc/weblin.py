@@ -65,7 +65,6 @@ __all__ = [
     "reversal_matrix",
     "special_pairs",
     "CROSSING_SIGN",
-    "CROSSING_SHIFT_IS_MINUS_K",
     "CROSSING_EIGEN_EXPONENT",
 ]
 
@@ -175,10 +174,6 @@ class QMatrix:
     @classmethod
     def identity(cls, index: Sequence) -> "QMatrix":
         return cls(index, index, tuple(LinComb({key: ONE}) for key in index))
-
-    @classmethod
-    def zero(cls, rows: Sequence, cols: Sequence) -> "QMatrix":
-        return cls(rows, cols, tuple(LinComb() for _ in cols))
 
     # -- shape and access ----------------------------------------------
 
@@ -585,7 +580,6 @@ def hecke_E(s: int, n: int, k: int) -> QMatrix:
 # Frozen crossing normalization, fixed once by crossing_search (see the
 # regression test): X⁺ = -q^{-k}(E - q·id), X⁻ = -q^{k}(E - q^{-1}·id).
 CROSSING_SIGN = -1
-CROSSING_SHIFT_IS_MINUS_K = True  # exponent a in ±q^a(E - q^b id) is -k
 CROSSING_EIGEN_EXPONENT = 1  # exponent b for the positive crossing
 
 

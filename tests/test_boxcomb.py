@@ -9,7 +9,6 @@ from math import comb, factorial
 import pytest
 
 from moycalc.boxcomb import (
-    Composition,
     Filling,
     WeightedDiagramSum,
     act_left,
@@ -46,19 +45,6 @@ def all_perms(n: int):
 
 # ----------------------------------------------------------------------
 # compositions
-
-
-def test_composition_basic_properties():
-    c = Composition((3, 0, 1))
-    assert c.n == 4
-    assert c.length == 3
-    assert c.actual_length == 2
-    assert c.reduced() == Composition((3, 1))
-    assert list(c) == [3, 0, 1]
-    assert c[1] == 0
-    assert str(c) == "(3,0,1)"
-    with pytest.raises(ValueError):
-        Composition((2, -1))
 
 
 def test_composition_enumeration_counts():

@@ -185,6 +185,29 @@ def test_verify_foam_stdout_is_pinned(capsys, fmt, expected) -> None:
     assert run(capsys, "verify", "foam", "--format", fmt) == (0, expected, "")
 
 
+REIDEMEISTER_TEXT = """\
+PASS reidemeister-1-k{k}: a kinked strand equals the plain strand: both kink sides, both crossing signs, both orientations [8 kink diagrams equal the identity matrix]
+PASS reidemeister-2-k{k}: a crossing followed by its reverse equals the identity on all four orientation pairs, both orders [8 crossing pairs cancel to the identity matrix]
+PASS reidemeister-3-k{k}: the two ways of braiding three upward strands give the same matrix, for either crossing sign [both braid words agree]
+PASS zigzag-k{k}: a cup-cap zig-zag straightens to the plain strand, both sides and both orientations [4 zig-zags equal the identity matrix]
+"""
+REIDEMEISTER_RECORDS = """\
+check=reidemeister-1-k{k} passed=true anchor='a kinked strand equals the plain strand: both kink sides, both crossing signs, both orientations' witness='8 kink diagrams equal the identity matrix'
+check=reidemeister-2-k{k} passed=true anchor='a crossing followed by its reverse equals the identity on all four orientation pairs, both orders' witness='8 crossing pairs cancel to the identity matrix'
+check=reidemeister-3-k{k} passed=true anchor='the two ways of braiding three upward strands give the same matrix, for either crossing sign' witness='both braid words agree'
+check=zigzag-k{k} passed=true anchor='a cup-cap zig-zag straightens to the plain strand, both sides and both orientations' witness='4 zig-zags equal the identity matrix'
+"""
+
+
+@pytest.mark.parametrize(
+    "fmt,template", [("text", REIDEMEISTER_TEXT), ("records", REIDEMEISTER_RECORDS)]
+)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_verify_reidemeister_stdout_is_pinned(capsys, fmt, template, k) -> None:
+    argv = ("verify", "reidemeister", "--k", str(k), "--format", fmt)
+    assert run(capsys, *argv) == (0, template.format(k=k), "")
+
+
 def test_verify_reports_are_deterministic(capsys) -> None:
     first = run(capsys, "verify", "moy", "--k", "2")
     second = run(capsys, "verify", "moy", "--k", "2")

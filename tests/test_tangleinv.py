@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from moycalc import tangleinv
 from moycalc.boxcomb import all_compositions
 from moycalc.qlaurent import LaurentPoly, ONE, ZERO, parse_laurent, quantum_int
 from moycalc.reporting import all_passed
@@ -465,6 +466,74 @@ def test_reidemeister_suite_passes(k):
     ]
     assert all_passed(reports)
     assert all(r.line().startswith("PASS") for r in reports)
+
+
+def test_reidemeister_suite_names_every_failing_variant(monkeypatch):
+    # A fake crossing normalisation that negates every word holding X+:
+    # each R1 kink through X+ and every R2 pair must be named.
+    real = tangleinv.tangle_matrix
+
+    def negated(t, k=None):
+        matrix = real(t, k)
+        return -matrix if any(l.kind == "X+" for l in t.layers) else matrix
+
+    monkeypatch.setattr(tangleinv, "tangle_matrix", negated)
+    r1, r2, r3, zigzag = reidemeister_suite(2)
+    assert not r1.passed
+    assert r1.witness == "failed at -/right/X+, -/left/X+, +/right/X+, +/left/X+"
+    assert not r2.passed
+    assert r2.witness == "failed at " + ", ".join(
+        f"{pair}/{first} first"
+        for pair in ("--", "-+", "+-", "++")
+        for first in ("X+", "X-")
+    )
+    assert r3.passed and zigzag.passed
+
+
+# The last host, twist-4-antiparallel: its cups and crossings, then
+# the same word up to its final cap.
+TWIST_BODY = "cup(-+@1); cup(-+@3); X+(@2); X+(@2); X+(@2); X+(@2)"
+TWIST = TWIST_BODY + "; cap(@1)"
+MOVE_PAIR_ENDS = {
+    # move: (count, first pair, last pair) of move_pairs(move, 10**6)
+    "r1": (
+        416,
+        ("cup(-+@1); cap(@1)", "cup(-+@1); cup(-+@2); X+(@1); cap(@2); cap(@1)"),
+        (TWIST + "; cap(@1)", TWIST + "; cup(-+@2); X-(@3); cap(@2); cap(@1)"),
+    ),
+    "r2": (
+        144,
+        ("cup(-+@1); cap(@1)", "cup(-+@1); X+(@1); X-(@1); cap(@1)"),
+        (TWIST + "; cap(@1)", TWIST + "; X-(@1); X+(@1); cap(@1)"),
+    ),
+    "r3": (
+        24,
+        (
+            "cup(-+@1); cup(-+@2); cup(-+@3); X+(@1); X+(@2); X+(@1); "
+            "cap(@3); cap(@2); cap(@1)",
+            "cup(-+@1); cup(-+@2); cup(-+@3); X+(@2); X+(@1); X+(@2); "
+            "cap(@3); cap(@2); cap(@1)",
+        ),
+        (
+            TWIST_BODY + "; X+(@2); X-(@3); X+(@2); cap(@1); cap(@1)",
+            TWIST_BODY + "; X+(@3); X-(@2); X+(@3); cap(@1); cap(@1)",
+        ),
+    ),
+    "zigzag": (
+        208,
+        ("cup(-+@1); cap(@1)", "cup(-+@1); cup(+-@2); cap(@1); cap(@1)"),
+        (TWIST + "; cap(@1)", TWIST + "; cup(+-@2); cap(@3); cap(@1)"),
+    ),
+}
+
+
+@pytest.mark.parametrize("move", sorted(MOVE_PAIR_ENDS))
+def test_move_pairs_are_pinned(move):
+    count, first, last = MOVE_PAIR_ENDS[move]
+    pairs = move_pairs(move, limit=10**6)
+    assert len(pairs) == count
+    for pair, expected in ((pairs[0], first), (pairs[-1], last)):
+        assert tuple(t.text().replace("\n", "; ") for t in pair) == expected
 
 
 def test_move_pairs_rejects_unknown_move():
