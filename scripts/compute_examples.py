@@ -54,7 +54,7 @@ def main() -> None:
     print()
     print("== a transport matrix (first splitter web at n=2, k=2) ==")
     web = special_generator_webs(2, 2)[0]
-    mapping = grothendieck_map(web, web.bottom, web.top, 2, route="curly")
+    mapping = grothendieck_map(web, route="curly")
     for mu in ((1, 1), (2, 0), (0, 2)):
         for z in (Permutation.identity(2), Permutation((2, 1))):
             try:

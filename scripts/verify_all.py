@@ -12,10 +12,10 @@ from __future__ import annotations
 import sys
 from time import perf_counter
 
-from moycalc.cli import _suite_bijections, _suite_groth, _suite_hecke
 from moycalc.foamalg import verify_foam
 from moycalc.reporting import Report, all_passed
 from moycalc.tangleinv import reidemeister_suite
+from moycalc.verify import bijections_suite, groth_suite, hecke_suite
 from moycalc.webgraph import verify_moy
 
 
@@ -26,11 +26,11 @@ def gather() -> list[Report]:
     for k in (2, 3, 4):
         reports.extend(reidemeister_suite(k))
     for n in (2, 3, 4, 5):
-        reports.extend(_suite_bijections(n, 3))
+        reports.extend(bijections_suite(n, 3))
     for n in (2, 3, 4, 5):
-        reports.extend(_suite_hecke(n))
+        reports.extend(hecke_suite(n))
     for k in (2, 3, 4):
-        reports.extend(_suite_groth(4, k))
+        reports.extend(groth_suite(4, k))
     reports.extend(verify_foam())
     return reports
 

@@ -14,6 +14,8 @@ Layers (each importable on its own):
   Reidemeister checks, and the Grothendieck comparison map
 - ``foamalg``    the rank-3 Frobenius/flag-ring shadow of the foam
   category, with degree bookkeeping
+- ``verify``     the table of verification suites and the bijection,
+  Hecke and transport sweeps
 - ``cli``        the ``moycalc`` command-line entry point
 """
 

@@ -100,6 +100,15 @@ class TangleParseError(ValueError):
         self.column = column
 
 
+class _LayerError(ValueError):
+    """An ill-typed layer of a tangle word, by its 1-based index."""
+
+    def __init__(self, index: int, reason: str) -> None:
+        super().__init__(f"layer {index}: {reason}")
+        self.index = index
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class TangleLayer:
     """One slice of a tangle: a generator at a 1-based strand position.
@@ -199,7 +208,7 @@ class TangleWord:
             try:
                 bounds.append(_sign_step(bounds[-1], layer))
             except ValueError as exc:
-                raise ValueError(f"layer {i}: {exc}") from None
+                raise _LayerError(i, str(exc)) from None
         object.__setattr__(self, "boundaries", tuple(bounds))
 
     @property
@@ -285,11 +294,14 @@ def parse_tangle(
     The first piece may be a header ``tangle k=<int> bottom=<signs>``;
     without one the word is a fragment whose bottom defaults to the
     ``bottom`` argument (or the empty boundary of a closed word) and
-    whose preferred rank is left unset.
+    whose preferred rank is left unset.  A layer that does not fit the
+    boundary below it raises ``TangleParseError`` at its line and column,
+    like every other fault in the text.
     """
     header_k: int | None = None
     header_bottom: tuple[str, ...] | None = None
     layers: list[TangleLayer] = []
+    spots: list[tuple[int, int]] = []
     saw_header = False
     for index, (piece, line, col) in enumerate(slice_chunks(text)):
         if index == 0:
@@ -311,6 +323,7 @@ def parse_tangle(
                 header_bottom = _parse_bottom(match.group(2), line, col)
                 continue
         layers.append(_parse_layer(piece, line, col))
+        spots.append((line, col))
     if saw_header and bottom is not None:
         raise ValueError(
             f"the tangle header already declares "
@@ -318,7 +331,10 @@ def parse_tangle(
         )
     if header_bottom is None:
         header_bottom = tuple(bottom) if bottom is not None else ()
-    return TangleWord(header_bottom, tuple(layers), header_k)
+    try:
+        return TangleWord(header_bottom, tuple(layers), header_k)
+    except _LayerError as err:
+        raise TangleParseError(err.reason, *spots[err.index - 1]) from None
 
 
 # ----------------------------------------------------------------------
@@ -993,31 +1009,22 @@ def _matrix_apply(
 
 
 def grothendieck_map(
-    f: Web,
-    nu: Sequence[int],
-    nu_prime: Sequence[int],
-    k: int,
-    route: str = "curly",
+    f: Web, route: str = "curly"
 ) -> Callable[[GrothVector], GrothVector]:
-    """The linear map a merge/split web induces on class combinations.
+    """The linear map a merge/split web induces on class combinations:
+    from the classes of its bottom boundary to those of its top, at the
+    web's rank.
 
-    ``nu`` and ``nu_prime`` must be the web's bottom and top
-    boundaries.  ``route`` selects the computation: "curly" folds the
-    box-diagram moves, "translation" folds the flag-class translation
-    steps, "matrix" reads columns of the web's own matrix through the
-    filling encodings.  All three return the same map when the theory
-    holds; ``compare_theorem13`` asserts exactly that.
+    ``route`` selects the computation: "curly" folds the box-diagram
+    moves, "translation" folds the flag-class translation steps,
+    "matrix" reads columns of the web's own matrix through the filling
+    encodings.  All three return the same map when the theory holds;
+    ``compare_theorem13`` asserts exactly that.
     """
     if route not in _ROUTES:
         raise ValueError(f"unknown route {route!r}; have {', '.join(_ROUTES)}")
-    if k != f.k:
-        raise ValueError(f"web was typed at k={f.k}, asked for k={k}")
-    if tuple(nu) != f.bottom or tuple(nu_prime) != f.top:
-        raise ValueError(
-            f"boundary mismatch: web maps {f.bottom} -> {f.top}, "
-            f"asked for {tuple(nu)} -> {tuple(nu_prime)}"
-        )
     _check_transportable(f)
+    k = f.k
     matrix = evaluate(f) if route == "matrix" else None
 
     def apply(vec: GrothVector) -> GrothVector:
@@ -1075,23 +1082,17 @@ def _label_compositions(
     return out
 
 
-def compare_theorem13(f: Web, k: int | None = None) -> bool:
+def compare_theorem13(f: Web) -> bool:
     """Whether the three transport routes agree on every basis class.
 
-    Runs over all weight compositions with exactly ``k`` parts and all
-    their minimal coset representatives for the web's bottom content.
+    Runs over all weight compositions with exactly ``k`` parts (the
+    web's rank) and all their minimal coset representatives for the
+    web's bottom content.
     """
-    rank = f.k if k is None else k
-    if rank != f.k:
-        raise ValueError(f"web was typed at k={f.k}, asked for k={rank}")
-    maps = [
-        grothendieck_map(f, f.bottom, f.top, rank, route=route)
-        for route in _ROUTES
-    ]
-    n = sum(f.bottom)
-    for mu in all_compositions(n, rank):
+    maps = [grothendieck_map(f, route=route) for route in _ROUTES]
+    for mu in all_compositions(sum(f.bottom), f.k):
         for z in sorted(O_set(mu, f.bottom), key=lambda w: w.images):
-            vector = GrothVector.basis(rank, f.bottom, mu, z)
+            vector = GrothVector.basis(f.k, f.bottom, mu, z)
             first, second, third = (apply(vector) for apply in maps)
             if not (first == second and second == third):
                 return False

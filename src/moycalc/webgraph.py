@@ -404,15 +404,13 @@ def layer_matrix(layer: Layer, k: int, labels: Sequence[int]) -> QMatrix:
     return cross_matrix_at(layer.kind[-1], k, labels, layer.pos)
 
 
-def evaluate(web: Web, k: int | None = None) -> QMatrix:
+def evaluate(web: Web) -> QMatrix:
     """The matrix of the web, bottom basis to top basis.
 
     The identity columns of the bottom basis are pushed as a sparse
     state through each layer's local window map; a closed web pushes a
     single column.  The pushed columns are the matrix's columns.
     """
-    if k is not None and k != web.k:
-        raise ValueError(f"web was typed at k={web.k}, asked to evaluate at k={k}")
     rank = web.k
     bottom = TensorBasis(rank, web.bottom)
     state = [{key: ONE} for key in bottom]
@@ -426,13 +424,13 @@ def evaluate(web: Web, k: int | None = None) -> QMatrix:
     return QMatrix(TensorBasis(rank, web.top), bottom, state)
 
 
-def evaluate_closed(web: Web, k: int | None = None) -> LaurentPoly:
+def evaluate_closed(web: Web) -> LaurentPoly:
     """The scalar of a web with empty bottom and top boundaries."""
     if web.bottom or web.top:
         raise ValueError(
             f"closed web required; boundary is {web.bottom} -> {web.top}"
         )
-    return evaluate(web, k).scalar()
+    return evaluate(web).scalar()
 
 
 def stack_webs(lower: Web, upper: Web) -> Web:

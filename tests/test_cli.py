@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-import moycalc.cli as cli
+import moycalc.verify as verify
 from moycalc.cli import main
 from moycalc.reporting import Report
 
@@ -116,6 +116,28 @@ def test_link_poly_header_rank_above_the_bound(tmp_path, capsys) -> None:
     assert out == "q^2 + 1 + q^-2\n"
 
 
+def test_link_poly_positions_ill_typed_layers(tmp_path, capsys) -> None:
+    path = tmp_path / "bad.tangle"
+    path.write_text("cup(-+@1)\ncap(@2)\n")
+    assert run(capsys, "link-poly", "--file", str(path), "--k", "2") == (
+        2,
+        "",
+        "error: line 2, column 1: cap position 2 out of range for boundary '-+'\n",
+    )
+
+
+@pytest.mark.parametrize("command", ["eval-web", "link-poly"])
+def test_undecodable_file_is_a_usage_error(tmp_path, capsys, command) -> None:
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"web k=3 bottom=\n\xff\n")
+    assert run(capsys, command, "--file", str(path)) == (
+        2,
+        "",
+        "error: 'utf-8' codec can't decode byte 0xff in position 16: "
+        "invalid start byte\n",
+    )
+
+
 def test_link_poly_rejects_open_words(tmp_path, capsys) -> None:
     path = tmp_path / "open.tangle"
     path.write_text(OPEN_TANGLE)
@@ -208,6 +230,92 @@ def test_verify_reidemeister_stdout_is_pinned(capsys, fmt, template, k) -> None:
     assert run(capsys, *argv) == (0, template.format(k=k), "")
 
 
+MOY_TEXT = """\
+PASS moy-I-k{k}: digon webs with label pairs (1,{k1}) and ({k1},1) on one {k}-strand both equal [{k}]*id at k={k} [[{k}] = {qk}]
+PASS moy-II-k{k}: the digon web split(1,1);merge(1,1) on one 2-strand equals [2]*id at k={k} [[2] = q + q^-1]
+PASS moy-III-k{k}: the four-layer web on boundary (1,{k}) equals the square web plus [{k1}]*id at k={k} [[{k1}] = {qk1}; square web vanishes (its middle edge spans a 0-dimensional space)]
+PASS moy-IV-k{k}: the eight-layer web on boundary ({k},1,{k1}) equals id plus [{k2}]*(double wall web) at k={k} [[{k2}] = {qk2}]
+PASS moy-V-k{k}: the two braid differences of the E-webs on three 1-strands agree at k={k} [E_s = split(1,1) after merge(1,1)]
+"""
+MOY_RECORDS = """\
+check=moy-I-k{k} passed=true anchor='digon webs with label pairs (1,{k1}) and ({k1},1) on one {k}-strand both equal [{k}]*id at k={k}' witness='[{k}] = {qk}'
+check=moy-II-k{k} passed=true anchor='the digon web split(1,1);merge(1,1) on one 2-strand equals [2]*id at k={k}' witness='[2] = q + q^-1'
+check=moy-III-k{k} passed=true anchor='the four-layer web on boundary (1,{k}) equals the square web plus [{k1}]*id at k={k}' witness='[{k1}] = {qk1}; square web vanishes (its middle edge spans a 0-dimensional space)'
+check=moy-IV-k{k} passed=true anchor='the eight-layer web on boundary ({k},1,{k1}) equals id plus [{k2}]*(double wall web) at k={k}' witness='[{k2}] = {qk2}'
+check=moy-V-k{k} passed=true anchor='the two braid differences of the E-webs on three 1-strands agree at k={k}' witness='E_s = split(1,1) after merge(1,1)'
+"""
+# [k], [k-1] and [k-2] as the reports print them
+QUANTUM_INTS = {
+    2: ("q + q^-1", "1", "0"),
+    3: ("q^2 + 1 + q^-2", "q + q^-1", "1"),
+    4: ("q^3 + q + q^-1 + q^-3", "q^2 + 1 + q^-2", "q + q^-1"),
+}
+
+
+@pytest.mark.parametrize("fmt,template", [("text", MOY_TEXT), ("records", MOY_RECORDS)])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_verify_moy_stdout_is_pinned(capsys, fmt, template, k) -> None:
+    qk, qk1, qk2 = QUANTUM_INTS[k]
+    expected = template.format(k=k, k1=k - 1, k2=k - 2, qk=qk, qk1=qk1, qk2=qk2)
+    argv = ("verify", "moy", "--k", str(k), "--format", fmt)
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+BIJECTIONS_TEXT = """\
+PASS bijections-coset-filling-n4: minimal double-coset representatives and column-strict fillings are equinumerous for every shape/content pair [64 (mu, nu) pairs]
+PASS bijections-dimension-n4-k3: column-strict fillings over all shapes count the wedge space dimension, the product of binomials C(k, part) [8 contents at k=3]
+"""
+BIJECTIONS_RECORDS = """\
+check=bijections-coset-filling-n4 passed=true anchor='minimal double-coset representatives and column-strict fillings are equinumerous for every shape/content pair' witness='64 (mu, nu) pairs'
+check=bijections-dimension-n4-k3 passed=true anchor='column-strict fillings over all shapes count the wedge space dimension, the product of binomials C(k, part)' witness='8 contents at k=3'
+"""
+HECKE_TEXT = """\
+PASS hecke-kl-bar-invariant-n4: every Kazhdan-Lusztig basis element is fixed by the bar involution [24 elements]
+PASS hecke-annihilator-n4: when the insertion tableau has more rows than the composition has nonzero parts, the Kazhdan-Lusztig element acts as zero on the induced sign module [56 (element, composition) pairs]
+"""
+HECKE_RECORDS = """\
+check=hecke-kl-bar-invariant-n4 passed=true anchor='every Kazhdan-Lusztig basis element is fixed by the bar involution' witness='24 elements'
+check=hecke-annihilator-n4 passed=true anchor='when the insertion tableau has more rows than the composition has nonzero parts, the Kazhdan-Lusztig element acts as zero on the induced sign module' witness='56 (element, composition) pairs'
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("bijections", "--n", "4", "--k", "3", "--format", "text"), BIJECTIONS_TEXT),
+        (("bijections", "--n", "4", "--k", "3", "--format", "records"), BIJECTIONS_RECORDS),
+        (("hecke", "--n", "4", "--format", "text"), HECKE_TEXT),
+        (("hecke", "--n", "4", "--format", "records"), HECKE_RECORDS),
+    ],
+)
+def test_verify_sweep_stdout_is_pinned(capsys, argv, expected) -> None:
+    assert run(capsys, "verify", *argv) == (0, expected, "")
+
+
+GROTH_ANCHOR = (
+    "the diagrammatic, translation, and matrix transports agree on every "
+    "basis class of every one-generator web"
+)
+GROTH_TEXT = "PASS groth-three-routes-n3-k{k}: " + GROTH_ANCHOR + " [{webs} webs]\n"
+GROTH_RECORDS = (
+    "check=groth-three-routes-n3-k{k} passed=true anchor='"
+    + GROTH_ANCHOR
+    + "' witness='{webs} webs'\n"
+)
+
+
+@pytest.mark.parametrize("fmt,template", [("text", GROTH_TEXT), ("records", GROTH_RECORDS)])
+@pytest.mark.parametrize("k,webs", [(2, 6), (3, 10), (4, 6)])
+def test_verify_groth_stdout_is_pinned(capsys, fmt, template, k, webs) -> None:
+    argv = ("verify", "groth", "--n", "3", "--k", str(k), "--format", fmt)
+    assert run(capsys, *argv) == (0, template.format(k=k, webs=webs), "")
+
+
+def test_verify_reports_the_n_cap_before_the_k_floor(capsys) -> None:
+    argv = ("verify", "groth", "--n", "7", "--k", "1")
+    assert run(capsys, *argv) == (2, "", "error: groth suite needs n <= 6\n")
+
+
 def test_verify_reports_are_deterministic(capsys) -> None:
     first = run(capsys, "verify", "moy", "--k", "2")
     second = run(capsys, "verify", "moy", "--k", "2")
@@ -216,7 +324,7 @@ def test_verify_reports_are_deterministic(capsys) -> None:
 
 def test_verify_exit_one_on_check_failure(capsys, monkeypatch) -> None:
     broken = [Report(check="foam-x", anchor="claim", passed=False)]
-    monkeypatch.setattr(cli, "verify_foam", lambda: broken)
+    monkeypatch.setattr(verify, "verify_foam", lambda: broken)
     code, out, _ = run(capsys, "verify", "foam")
     assert code == 1
     assert out.startswith("FAIL foam-x")

@@ -312,15 +312,6 @@ def test_evaluate_closed_requires_empty_boundary():
         evaluate_closed(digon_web(3, 1, 2))
 
 
-def test_evaluate_rank_mismatch():
-    with pytest.raises(ValueError, match="typed at k=3"):
-        evaluate(digon_web(3, 1, 2), k=4)
-
-
-def test_evaluate_accepts_matching_rank():
-    assert evaluate_closed(circle_web(2), k=2) == quantum_int(2)
-
-
 # ----------------------------------------------------------------------
 # functoriality on randomized well-typed webs
 
