@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Time the Hecke and box layers one call at a time.
+
+Prints one ``key=value`` record per layer and input: the number of
+repeats and the median and quartiles of their wall times.  The inputs
+are fixed, so two checkouts can be compared on one machine:
+
+    python3 scripts/bench_layers.py --repeats 7
+
+``kl_element`` is timed cold, over all of S_5, in a fresh interpreter
+per repeat (its cache lives for the process); every other layer is
+timed warm, with its Kazhdan-Lusztig input computed beforehand.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+from functools import partial
+from time import perf_counter
+from typing import Callable, Sequence
+
+from moycalc.boxcomb import column_strict_fillings
+from moycalc.symhecke import Permutation, kl_element, sign_action
+
+COLD_KL_S5 = """
+import itertools, time
+from moycalc.symhecke import Permutation, kl_element
+group = [Permutation(p) for p in itertools.permutations(range(1, 6))]
+start = time.perf_counter()
+for w in group:
+    kl_element(w)
+print(time.perf_counter() - start)
+"""
+
+
+def cold_kl_s5() -> float:
+    """Seconds for kl_element over S_5 in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_KL_S5],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return float(done.stdout)
+
+
+def timed(call: Callable[..., object], *args: object) -> float:
+    start = perf_counter()
+    call(*args)
+    return perf_counter() - start
+
+
+def cases() -> list[tuple[str, str, Callable[[], float]]]:
+    """(layer, input, one repeat returning its seconds)."""
+    out: list[tuple[str, str, Callable[[], float]]] = [
+        ("kl_element", "S5-cold", cold_kl_s5)
+    ]
+    for text in ("54321", "654321"):
+        element = kl_element(Permutation.from_one_line(text))
+        out.append(("bar", text, partial(timed, element.bar)))
+    for text, mu in (("4231", (1, 2, 1)), ("53412", (2, 2, 1))):
+        element = kl_element(Permutation.from_one_line(text))
+        label = f"{text}|{','.join(map(str, mu))}"
+        out.append(("sign_action", label, partial(timed, sign_action, element, mu)))
+    ones = (1,) * 7
+    fill = partial(timed, column_strict_fillings, ones, ones)
+    out.append(("column_strict_fillings", "1,1,1,1,1,1,1|1,1,1,1,1,1,1", fill))
+    return out
+
+
+def record(layer: str, text: str, seconds: list[float]) -> str:
+    ms = sorted(s * 1000 for s in seconds)
+    if len(ms) == 1:
+        q1 = median = q3 = ms[0]
+    else:
+        q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
+    return (
+        f"layer={layer} input={text} repeats={len(ms)} "
+        f"median_ms={median:.3f} q1_ms={q1:.3f} q3_ms={q3:.3f}"
+    )
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=7, help="timed calls per layer")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    for layer, text, repeat in cases():
+        print(record(layer, text, [repeat() for _ in range(args.repeats)]), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -184,7 +184,6 @@ def column_strict_fillings(
         raise ValueError(
             f"shape {mu_t} and content {nu_t} have different sizes"
         )
-    values = len(nu_t)
     out: set[Filling] = set()
 
     def extend(col: int, remaining: list[int], acc: list[tuple[int, ...]]):
@@ -192,14 +191,17 @@ def column_strict_fillings(
             if all(r == 0 for r in remaining):
                 out.add(Filling(tuple(acc)))
             return
-        height = mu_t[col]
-        for chosen in combinations(range(1, values + 1), height):
-            if all(remaining[v - 1] > 0 for v in chosen):
-                for v in chosen:
-                    remaining[v - 1] -= 1
-                extend(col + 1, remaining, acc + [chosen])
-                for v in chosen:
-                    remaining[v - 1] += 1
+        # a column holds a value at most once, so no value may have more
+        # copies left than there are columns left
+        if max(remaining, default=0) > len(mu_t) - col:
+            return
+        left = [v for v, r in enumerate(remaining, start=1) if r > 0]
+        for chosen in combinations(left, mu_t[col]):
+            for v in chosen:
+                remaining[v - 1] -= 1
+            extend(col + 1, remaining, acc + [chosen])
+            for v in chosen:
+                remaining[v - 1] += 1
 
     extend(0, list(nu_t), [])
     return out

@@ -441,7 +441,9 @@ class FoamMap:
         )
 
 
+@lru_cache(maxsize=None)
 def _catalogue() -> dict[str, tuple[FoamMap, int]]:
+    """Built once; ``basic_map`` hands out copies of these maps."""
     return {
         # seam foams between two sheets: the two-dimensional algebra
         "seam-birth": (
@@ -540,7 +542,7 @@ def basic_map(name: str, dots: int = 0) -> FoamMap:
     """
     base, _ = _catalogue_entry(name, dots)
     if dots == 0:
-        return base
+        return FoamMap(base.source, base.target, base.entries)
     if base.source:
         order = base.source[0]
         entries: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}

@@ -247,6 +247,21 @@ class LinComb(dict):
         """``terms`` itself if it is already of this type, else a copy."""
         return terms if isinstance(terms, cls) else cls(terms)
 
+    @classmethod
+    def from_sums(cls, sums: Mapping[Hashable, Mapping[int, int]]) -> "LinComb":
+        """The combination of raw sums key -> {exponent: coefficient},
+        each made a polynomial once; zero sums are dropped.
+
+        >>> LinComb.from_sums({"a": {1: 2, 0: 0}, "b": {3: 0}}) == LinComb({"a": 2 * Q})
+        True
+        """
+        out = cls()
+        for key, acc in sums.items():
+            terms = _normal(acc)
+            if terms:
+                out[key] = _trusted(terms)
+        return out
+
     def _new(self, pairs: Iterable[tuple[Hashable, LaurentPoly]]) -> "LinComb":
         # trusted: the pairs have distinct keys and nonzero coefficients
         out = self.__class__.__new__(self.__class__)

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .qlaurent import ONE, Q, LaurentPoly, LinComb
+from .qlaurent import ONE, LaurentPoly, LinComb
 from .weblin import QMatrix
 
 __all__ = [
@@ -59,11 +59,6 @@ __all__ = [
     "parts_of",
     "nonzero_part_count",
 ]
-
-# q^-1 - q and its negative: the quadratic corrections of H_s and H_s^-1
-_QINV_MINUS_Q = LaurentPoly({-1: 1, 1: -1})
-_Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
-
 
 # ----------------------------------------------------------------------
 # permutations
@@ -386,7 +381,11 @@ class HeckeElement:
     terms: LinComb  # Permutation -> LaurentPoly
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", LinComb.adopt(self.terms))
+        terms = LinComb.adopt(self.terms)
+        for x in terms:
+            if x.__class__ is not Permutation or x.n != self.n:
+                raise ValueError(f"{x!r} is not a permutation of size n={self.n}")
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def unit(cls, n: int) -> "HeckeElement":
@@ -404,9 +403,13 @@ class HeckeElement:
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if not isinstance(other, HeckeElement):
             return NotImplemented
+        _check_same_n(self, other, "sum")
         return HeckeElement(self.n, self.terms + other.terms)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
+        if not isinstance(other, HeckeElement):
+            return NotImplemented
+        _check_same_n(self, other, "difference")
         return HeckeElement(self.n, self.terms - other.terms)
 
     def __mul__(self, scalar) -> "HeckeElement":
@@ -426,14 +429,13 @@ class HeckeElement:
 
     def bar(self) -> "HeckeElement":
         """The bar involution: q ↦ q^-1 and H_x ↦ (H_{x^{-1}})^{-1}."""
-        out = LinComb()
-        for x, c in self.terms.items():
-            vec = LinComb({Permutation.identity(self.n): c.bar()})
-            for i in reversed(x.reduced_word()):
-                vec = _gen_times_vec(i, vec, inverse=True)
-            for w, cc in vec.items():
-                out.add_term(w, cc)
-        return HeckeElement(self.n, out)
+        unit = Permutation.identity(self.n)
+        leaves = {
+            x.reduced_word(): {unit: {-e: v for e, v in c.terms}}
+            for x, c in self.terms.items()
+        }
+        vec = _fold_words(leaves, inverse=True)
+        return HeckeElement(self.n, LinComb.from_sums(vec))
 
     def text(self) -> str:
         """Canonical form "H[321]*(1) + H[231]*(q) + ...".
@@ -455,46 +457,106 @@ class HeckeElement:
         return self.text()
 
 
+# Raw sums: the Hecke code below computes on plain {Permutation:
+# {exponent: coefficient}} dicts and makes each output coefficient a
+# LaurentPoly once, at its boundary (LinComb.from_sums).
+RawSum = dict[Permutation, dict[int, int]]
+
 # per generator index i: y -> (s_i·y, whether s_i·y < y), filled on demand
 _LEFT_STEPS: dict[int, dict[Permutation, tuple[Permutation, bool]]] = {}
 
 
-def _gen_times_vec(i: int, vec: LinComb, inverse: bool = False) -> LinComb:
-    """Left-multiply a standard-basis vector by H_{s_i}, or with
-    ``inverse`` by H_{s_i}^{-1} = H_{s_i} + (q - q^-1).
+def _raw(terms: LinComb) -> RawSum:
+    return {x: dict(c.terms) for x, c in terms.items()}
+
+
+def _merge(out: RawSum, vec: RawSum) -> None:
+    """out += vec; vec's sums are taken over, so vec must not be used again."""
+    for y, acc in vec.items():
+        target = out.get(y)
+        if target is None:
+            out[y] = acc
+        else:
+            for e, c in acc.items():
+                target[e] = target.get(e, 0) + c
+
+
+def _left_step(i: int, vec: RawSum, inverse: bool = False) -> RawSum:
+    """Left-multiply a raw sum by H_{s_i}, or with ``inverse`` by
+    H_{s_i}^{-1} = H_{s_i} + (q - q^-1).
 
     H_{s_i}·H_y = H_{s_i·y}, plus (q^-1 - q)·H_y when s_i·y < y; the
-    inverse swaps the correction to (q - q^-1)·H_y when s_i·y > y.
+    inverse swaps the correction to (q - q^-1)·H_y when s_i·y > y.  The
+    correction is two shifted integer adds: +c at e + plus, -c at
+    e - plus.
     """
-    correction = _Q_MINUS_QINV if inverse else _QINV_MINUS_Q
+    plus = 1 if inverse else -1
     steps = _LEFT_STEPS.setdefault(i, {})
-    out = LinComb()
-    for y, c in vec.items():
+    out: RawSum = {}
+    for y, acc in vec.items():
         step = steps.get(y)
         if step is None:
             step = steps[y] = (y.s_times(i), not y.left_ascent(i))
         sy, down = step
-        out.add_term(sy, c)
+        target = out.get(sy)
+        if target is None:
+            out[sy] = dict(acc)
+        else:
+            for e, c in acc.items():
+                target[e] = target.get(e, 0) + c
         if down != inverse:
-            out.add_term(y, c * correction)
+            target = out.get(y)
+            if target is None:
+                target = out[y] = {}
+            for e, c in acc.items():
+                target[e + plus] = target.get(e + plus, 0) + c
+                target[e - plus] = target.get(e - plus, 0) - c
     return out
 
 
-def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product in the Hecke algebra: H_x·b by left steps along x's word."""
+def _fold_words(
+    leaves: dict[tuple[int, ...], RawSum], inverse: bool, depth: int = 0
+) -> RawSum:
+    """Σ over ``word -> leaf`` of H_{w_1}···H_{w_r}·leaf (each factor
+    inverted with ``inverse``), Horner-style: words sharing a prefix
+    share the left steps of that prefix, which act on the largest sums.
+    Every word has at least ``depth`` letters and the words agree on
+    their first ``depth``."""
+    out: RawSum = {}
+    branches: dict[int, dict[tuple[int, ...], RawSum]] = {}
+    for word, leaf in leaves.items():
+        if len(word) == depth:
+            _merge(out, leaf)
+        else:
+            branches.setdefault(word[depth], {})[word] = leaf
+    for i, branch in branches.items():
+        _merge(out, _left_step(i, _fold_words(branch, inverse, depth + 1), inverse))
+    return out
+
+
+def _check_same_n(a: "HeckeElement", b: "HeckeElement", what: str) -> None:
     if a.n != b.n:
-        raise ValueError("size mismatch in Hecke product")
-    out = LinComb()
+        raise ValueError(f"size mismatch in Hecke {what}")
+
+
+def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
+    """Product in the Hecke algebra: Σ_x H_x·(c_x·b), folded along the
+    reduced words of the x."""
+    _check_same_n(a, b, "product")
+    leaves = {}
     for x, c in a.terms.items():
-        vec = b.terms
-        for i in reversed(x.reduced_word()):
-            vec = _gen_times_vec(i, vec)
-        for w, cw in vec.items():
-            out.add_term(w, c * cw)
-    return HeckeElement(a.n, out)
+        leaf = leaves[x.reduced_word()] = {}
+        for y, cy in b.terms.items():
+            acc = leaf[y] = {}
+            for e1, c1 in c.terms:
+                for e2, c2 in cy.terms:
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return HeckeElement(a.n, LinComb.from_sums(_fold_words(leaves, inverse=False)))
 
 
 _KL_CACHE: dict[tuple[int, ...], HeckeElement] = {}
+# one polynomial object per distinct coefficient of the cached elements
+_KL_COEFFS: dict[tuple[tuple[int, int], ...], LaurentPoly] = {}
 
 
 def kl_element(w: Permutation) -> HeckeElement:
@@ -513,13 +575,24 @@ def kl_element(w: Permutation) -> HeckeElement:
         result = HeckeElement.unit(n)
     else:
         i = w.reduced_word()[0]
-        kl_v = kl_element(w.s_times(i))
-        result = HeckeElement(n, _gen_times_vec(i, kl_v.terms) + kl_v.terms * Q)
-        for z, coeff in kl_v.terms.items():
+        kl_v = kl_element(w.s_times(i)).terms
+        # C_{s_i}·C_v = H_{s_i}·C_v + q·C_v
+        vec = _left_step(i, _raw(kl_v))
+        for z, coeff in kl_v.items():
+            acc = vec.setdefault(z, {})
+            for e, c in coeff.terms:
+                acc[e + 1] = acc.get(e + 1, 0) + c
             m = coeff.coeff(1)
             if m and not z.left_ascent(i):
-                # s_i z < z: subtract the degree-one correction
-                result = result - kl_element(z) * m
+                # s_i z < z: subtract the degree-one correction m·C_z
+                for x, cx in kl_element(z).terms.items():
+                    acc = vec.setdefault(x, {})
+                    for e, c in cx.terms:
+                        acc[e] = acc.get(e, 0) - m * c
+        terms = LinComb.from_sums(vec)
+        for x, c in terms.items():
+            terms[x] = _KL_COEFFS.setdefault(c.terms, c)
+        result = HeckeElement(n, terms)
     _KL_CACHE[w.images] = result
     return result
 
@@ -566,17 +639,21 @@ def annihilates(w: Permutation, mu: Sequence[int]) -> bool:
 
 @lru_cache(maxsize=None)
 def _sign_module(parts: tuple[int, ...]):
-    """Basis (sorted) and projection table for the sign module of the
-    composition with these nonzero parts.
+    """Basis (sorted), projection table and word tree for the sign
+    module of the composition with these nonzero parts.
 
     The projection sends each y in S_n, written y = u·d with u in S_mu
-    and d minimal in S_mu·y, to (d, (-q)^{l(u)}).  Left multiplication
-    by S_mu permutes the values inside each block, so d puts every
-    block's values in increasing order on the positions y gives them.
+    and d minimal in S_mu·y, to (d, l(u)), which stands for
+    (-q)^{l(u)}·d.  Left multiplication by S_mu permutes the values
+    inside each block, so d puts every block's values in increasing
+    order on the positions y gives them.
+
+    The tree maps each tail of a basis element's greedy reduced word to
+    the one-letter-longer tails: the greedy word of x minus its first
+    letter i is the greedy word of s_i·x, which need not be minimal.
     """
     n = sum(parts)
     blocks = _blocks(parts)
-    signs = [LaurentPoly({e: (-1) ** e}) for e in range(n * (n - 1) // 2 + 1)]
     project = {}
     for images in permutations(range(1, n + 1)):
         sorted_images = list(images)
@@ -585,9 +662,31 @@ def _sign_module(parts: tuple[int, ...]):
             for p, v in zip(positions, block):
                 sorted_images[p] = v
         y, d = Permutation(images), Permutation(tuple(sorted_images))
-        project[y] = (d, signs[y.length() - d.length()])
+        project[y] = (d, y.length() - d.length())
     basis = tuple(sorted({d for d, _ in project.values()}, key=lambda w: w.images))
-    return basis, project
+    tree: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for d in basis:
+        word = d.reduced_word()
+        for k in range(len(word)):
+            longer = tree.setdefault(word[k + 1 :], [])
+            if word[k:] in longer:
+                break
+            longer.append(word[k:])
+    return basis, project, tree
+
+
+def _project(vec: RawSum, project: dict) -> LinComb:
+    """The image of a raw sum in the sign module: H_y ↦ (-q)^{l(u)}·d."""
+    col: RawSum = {}
+    for y, acc in vec.items():
+        d, length = project[y]
+        sign = -1 if length & 1 else 1
+        target = col.get(d)
+        if target is None:
+            target = col[d] = {}
+        for e, c in acc.items():
+            target[e + length] = target.get(e + length, 0) + sign * c
+    return LinComb.from_sums(col)
 
 
 def sign_action(h: HeckeElement, mu: Sequence[int]) -> QMatrix:
@@ -597,8 +696,9 @@ def sign_action(h: HeckeElement, mu: Sequence[int]) -> QMatrix:
     representative d is 1 ⊗ H_d, and H_{s_i} in H_mu acts on the sign
     line by -q.  So H_y with y = u·d (u in S_mu) projects to
     (-q)^{l(u)}·d, and the column of a basis vector w is the projection
-    of H_w·h.  The products H_w·h are memoised along left-descent
-    chains: with w = s_i·w', H_w·h = H_{s_i}·(H_{w'}·h), one left step.
+    of H_w·h.  The products H_w·h are built depth first along
+    left-descent chains: with w = s_i·w', H_w·h = H_{s_i}·(H_{w'}·h),
+    one left step, and only the products on the current chain are kept.
 
     On the basis this is the right action fixed by: H_{s_i} sends w to
     w·s_i when that is again minimal (with the quadratic correction
@@ -611,22 +711,19 @@ def sign_action(h: HeckeElement, mu: Sequence[int]) -> QMatrix:
     n = sum(mu_t)
     if n != h.n:
         raise ValueError(f"composition {mu_t} does not match n={h.n}")
-    basis, project = _sign_module(tuple(p for p in mu_t if p))
-    # H_x·h keyed by the greedy reduced word of x, whose tail is the
-    # greedy word of s_i·x for its first letter i
-    products: dict[tuple[int, ...], LinComb] = {(): h.terms}
-    columns: list[LinComb] = []
-    for w in basis:
-        word = w.reduced_word()
-        known = next(k for k in range(len(word) + 1) if word[k:] in products)
-        for k in range(known - 1, -1, -1):
-            products[word[k:]] = _gen_times_vec(word[k], products[word[k + 1 :]])
-        col = LinComb()
-        for y, c in products[word].items():
-            d, sign = project[y]
-            col.add_term(d, c * sign)
-        columns.append(col)
-    return QMatrix(basis, basis, columns)
+    basis, project, tree = _sign_module(tuple(p for p in mu_t if p))
+    columns: dict[tuple[int, ...], LinComb | None] = dict.fromkeys(
+        w.reduced_word() for w in basis
+    )
+    # (greedy word of x, H_{x'}·h for x' = s_i·x, i its first letter)
+    stack: list[tuple[tuple[int, ...], RawSum]] = [((), {})]
+    while stack:
+        word, below = stack.pop()
+        vec = _left_step(word[0], below) if word else _raw(h.terms)
+        if word in columns:
+            columns[word] = _project(vec, project)
+        stack.extend((longer, vec) for longer in tree.get(word, ()))
+    return QMatrix(basis, basis, list(columns.values()))
 
 
 # ----------------------------------------------------------------------

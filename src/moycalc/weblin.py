@@ -408,12 +408,7 @@ def apply_window(local: LocalMap, pos: int, span: int, state: State) -> State:
                     for e2, c2 in coeff.terms:
                         e = e1 + e2
                         terms[e] = terms.get(e, 0) + c1 * c2
-        image = LinComb()
-        for out_key, terms in acc.items():
-            poly = LaurentPoly(terms)
-            if poly:
-                image[out_key] = poly
-        out.append(image)
+        out.append(LinComb.from_sums(acc))
     return out
 
 

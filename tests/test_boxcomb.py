@@ -3,7 +3,7 @@ weighted refine/merge moves."""
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -141,6 +141,37 @@ def test_dimension_nine_worked_case():
 def test_column_strict_size_mismatch():
     with pytest.raises(ValueError):
         column_strict_fillings((2, 1), (2, 2))
+
+
+def reference_column_strict_fillings(mu, nu):
+    """Every column choice tried, nothing pruned: the enumerator as it
+    was before it cut dead branches."""
+    values = len(nu)
+    out = set()
+
+    def extend(col, remaining, acc):
+        if col == len(mu):
+            if all(r == 0 for r in remaining):
+                out.add(Filling(tuple(acc)))
+            return
+        for chosen in combinations(range(1, values + 1), mu[col]):
+            if all(remaining[v - 1] > 0 for v in chosen):
+                for v in chosen:
+                    remaining[v - 1] -= 1
+                extend(col + 1, remaining, acc + [chosen])
+                for v in chosen:
+                    remaining[v - 1] += 1
+
+    extend(0, list(nu), [])
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_column_strict_fillings_match_the_unpruned_reference(n):
+    comps = set(positive_compositions(n)) | set(with_zero_parts(n)) | set(all_compositions(n, 3))
+    for mu in comps:
+        for nu in comps:
+            assert column_strict_fillings(mu, nu) == reference_column_strict_fillings(mu, nu)
 
 
 # ----------------------------------------------------------------------

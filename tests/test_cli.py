@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import moycalc.verify as verify
@@ -386,6 +388,20 @@ def test_hecke_kl_printout(capsys) -> None:
         "H[321]*(1) + H[231]*(q) + H[312]*(q) + H[132]*(q^2)"
         " + H[213]*(q^2) + H[123]*(q^3)\n"
     )
+
+
+HECKE_STDOUT = dict(
+    line.split(" ", 1)
+    for line in (Path(__file__).parent / "data" / "hecke_kl_stdout.txt")
+    .read_text(encoding="utf-8")
+    .splitlines()
+)
+
+
+@pytest.mark.parametrize("permutation", sorted(HECKE_STDOUT))
+def test_hecke_printout_is_pinned(capsys, permutation) -> None:
+    """Every w in S_4 and the longest element of S_5."""
+    assert run(capsys, "hecke", permutation) == (0, HECKE_STDOUT[permutation] + "\n", "")
 
 
 def test_hecke_identity(capsys) -> None:

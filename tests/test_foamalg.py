@@ -435,6 +435,18 @@ def test_seam_maps_are_the_two_sheet_structure() -> None:
     assert (1, 1) not in merge.entries
 
 
+@pytest.mark.parametrize("name", BASIC_FOAM_NAMES)
+def test_mutating_a_handed_out_map_leaves_the_catalogue_alone(name) -> None:
+    expected = {key: dict(row) for key, row in basic_map(name).entries.items()}
+    degree = foam_degree(name)
+    handed = basic_map(name)
+    for row in handed.entries.values():
+        row.clear()
+    handed.entries[(9,)] = {(9,): Fraction(5)}
+    assert basic_map(name).entries == expected
+    assert foam_degree(name) == degree
+
+
 def test_circle_maps_are_the_three_sheet_unit_and_trace() -> None:
     assert basic_map("circle-birth").entries == {(): {(0,): Fraction(1)}}
     assert basic_map("circle-death").entries == {(2,): {(): Fraction(-1)}}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moycalc.qlaurent import ONE, LaurentPoly, quantum_int
+from moycalc.qlaurent import ONE, LaurentPoly, LinComb, quantum_int
 from moycalc.symhecke import (
     FlagList,
     HeckeElement,
@@ -24,6 +24,8 @@ from moycalc.symhecke import (
     rs_tableaux,
     sign_action,
     translation_flag,
+    _left_step,
+    _raw,
 )
 from moycalc.weblin import QMatrix
 
@@ -323,6 +325,30 @@ def test_hecke_text_format():
     assert h.text() == "H[213]*(q + q^-1)"
 
 
+def test_hecke_element_rejects_keys_of_another_size():
+    with pytest.raises(ValueError, match="size n=3"):
+        HeckeElement(3, {Permutation((2, 1, 3, 4)): ONE})
+    with pytest.raises(ValueError, match="size n=3"):
+        HeckeElement(3, {(2, 1, 3): ONE})
+    assert HeckeElement(3, {Permutation((2, 1, 3)): ONE}).n == 3
+
+
+def test_hecke_sums_reject_a_size_mismatch():
+    with pytest.raises(ValueError, match="size mismatch in Hecke sum"):
+        HeckeElement.unit(3) + HeckeElement.unit(4)
+    with pytest.raises(ValueError, match="size mismatch in Hecke difference"):
+        HeckeElement.unit(3) - HeckeElement.unit(4)
+    with pytest.raises(ValueError, match="size mismatch in Hecke product"):
+        hecke_mul(HeckeElement.unit(3), HeckeElement.unit(4))
+
+
+def test_hecke_difference_with_a_non_element_is_a_type_error():
+    with pytest.raises(TypeError):
+        HeckeElement.unit(3) - 1
+    with pytest.raises(TypeError):
+        HeckeElement.unit(3) + 1
+
+
 # ----------------------------------------------------------------------
 # Kazhdan-Lusztig basis
 
@@ -348,6 +374,12 @@ def test_kl_defining_properties(n):
         for y, c in b.terms.items():
             if y != w:
                 assert min(e for e, _ in c.terms) >= 1
+
+
+def test_kl_element_of_the_longest_element_of_s6_is_bar_invariant():
+    b = kl_element(Permutation.longest(6))
+    assert len(b.terms) == 720
+    assert b.bar() == b
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -589,6 +621,78 @@ def test_sign_action_matches_the_right_fold_reference_n5(case):
 def test_sign_action_of_a_product_is_the_reversed_product(case):
     a, b, mu = case
     assert sign_action(a * b, mu) == sign_action(b, mu) @ sign_action(a, mu)
+
+
+# ----------------------------------------------------------------------
+# the raw-sum left step against the LinComb left step it replaced
+
+
+def reference_gen_times_vec(i: int, vec: LinComb, inverse: bool = False) -> LinComb:
+    """Left multiplication by H_{s_i}, or by H_{s_i}^{-1}, term by term
+    in LaurentPoly arithmetic: H_{s_i}·H_y = H_{s_i·y}, plus
+    (q^-1 - q)·H_y when s_i·y < y; the inverse adds (q - q^-1)·H_y when
+    s_i·y > y instead."""
+    correction = LaurentPoly({-1: 1, 1: -1})
+    if inverse:
+        correction = -correction
+    out = LinComb()
+    for y, c in vec.items():
+        out.add_term(y.s_times(i), c)
+        if y.left_ascent(i) == inverse:
+            out.add_term(y, c * correction)
+    return out
+
+
+def reference_hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
+    """Σ_x c_x·H_x·b, each H_x·b folded separately along x's word."""
+    out = LinComb()
+    for x, c in a.terms.items():
+        vec = b.terms
+        for i in reversed(x.reduced_word()):
+            vec = reference_gen_times_vec(i, vec)
+        for w, cw in vec.items():
+            out.add_term(w, c * cw)
+    return HeckeElement(a.n, out)
+
+
+def reference_bar(h: HeckeElement) -> HeckeElement:
+    """Σ_x bar(c_x)·(H_{x^-1})^-1, each term folded from the identity."""
+    out = LinComb()
+    for x, c in h.terms.items():
+        vec = LinComb({Permutation.identity(h.n): c.bar()})
+        for i in reversed(x.reduced_word()):
+            vec = reference_gen_times_vec(i, vec, inverse=True)
+        for w, cw in vec.items():
+            out.add_term(w, cw)
+    return HeckeElement(h.n, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(hecke_elements(n), st.integers(1, n - 1), st.booleans())
+    )
+)
+def test_left_step_matches_the_lincomb_reference(case):
+    h, i, inverse = case
+    raw = _raw(h.terms)
+    before = {y: dict(acc) for y, acc in raw.items()}
+    stepped = _left_step(i, raw, inverse)
+    assert raw == before
+    assert LinComb.from_sums(stepped) == reference_gen_times_vec(i, h.terms, inverse)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(hecke_elements(n), hecke_elements(n))))
+def test_hecke_mul_matches_the_lincomb_reference(case):
+    a, b = case
+    assert hecke_mul(a, b) == reference_hecke_mul(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5).flatmap(hecke_elements))
+def test_bar_matches_the_lincomb_reference(h):
+    assert h.bar() == reference_bar(h)
 
 
 def test_annihilator_spot_checks():
