@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the Hecke and box layers one call at a time.
+"""Time the Hecke, box and transport layers one call at a time.
 
 Prints one ``key=value`` record per layer and input: the number of
 repeats and the median and quartiles of their wall times.  The inputs
@@ -9,7 +9,10 @@ are fixed, so two checkouts can be compared on one machine:
 
 ``kl_element`` is timed cold, over all of S_5, in a fresh interpreter
 per repeat (its cache lives for the process); every other layer is
-timed warm, with its Kazhdan-Lusztig input computed beforehand.
+timed warm, with its Kazhdan-Lusztig input computed beforehand.  The
+transport layer is ``compare_theorem13`` (the three routes over every
+basis class) on one fixed k=4 merge web on five strands, run once
+before it is timed.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from typing import Callable, Sequence
 
 from moycalc.boxcomb import column_strict_fillings
 from moycalc.symhecke import Permutation, kl_element, sign_action
+from moycalc.tangleinv import compare_theorem13
+from moycalc.webgraph import Layer, Web
 
 COLD_KL_S5 = """
 import itertools, time
@@ -71,6 +76,10 @@ def cases() -> list[tuple[str, str, Callable[[], float]]]:
     ones = (1,) * 7
     fill = partial(timed, column_strict_fillings, ones, ones)
     out.append(("column_strict_fillings", "1,1,1,1,1,1,1|1,1,1,1,1,1,1", fill))
+    web = Web(4, (1,) * 5, (Layer("merge", 2, 1, 1),))
+    compare_theorem13(web)
+    transport = partial(timed, compare_theorem13, web)
+    out.append(("transport", "k4|1,1,1,1,1|merge(1,1@2)", transport))
     return out
 
 

@@ -15,9 +15,9 @@ Contents:
   as the module basis.
 - ``sign_action``: the induced sign module attached to a composition,
   as explicit matrices.
-- ``FlagList`` / ``translation_flag``: exact bookkeeping for moving
-  Verma-flag class lists onto and out of walls, including the A/B lists
-  and their concatenation calculus.
+- ``FlagList`` / ``TranslationPath`` / ``translation_flag``: exact
+  bookkeeping for moving Verma-flag class lists onto and out of walls,
+  including the A/B lists and their concatenation calculus.
 
 Conventions (pinned once, used everywhere):
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .qlaurent import ONE, LaurentPoly, LinComb
 from .weblin import QMatrix
@@ -54,6 +54,7 @@ __all__ = [
     "annihilates",
     "sign_action",
     "translation_flag",
+    "TranslationPath",
     "list_A",
     "list_B",
     "parts_of",
@@ -278,7 +279,8 @@ def _block_index(mu: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def _in_block_pairs(mu: Sequence[int]) -> tuple[int, ...]:
+@lru_cache(maxsize=None)
+def _in_block_pairs(mu: tuple[int, ...]) -> tuple[int, ...]:
     """The indices i with i and i+1 inside one block of mu."""
     return tuple(i for block in _blocks(mu) for i in block[:-1])
 
@@ -851,7 +853,6 @@ def _single_split(
     return None
 
 
-@lru_cache(maxsize=None)
 def _out_of_wall_reps(
     offset: int, a: int, b: int, n: int
 ) -> tuple[Permutation, ...]:
@@ -869,85 +870,119 @@ def _out_of_wall_reps(
     return tuple(reps)
 
 
-def translation_flag(
-    start: FlagList | Iterable[tuple[int, Permutation]],
-    path: Sequence[Sequence[int]],
-    mu: Sequence[int] | None = None,
-) -> FlagList:
-    """Push a class list along a path of walls.
+@lru_cache(maxsize=None)
+def _wall_step(
+    src: tuple[int, ...], dst: tuple[int, ...]
+) -> Callable[[list, tuple[int, ...] | None], list]:
+    """The translation move from wall ``src`` to wall ``dst``, analysed
+    once per wall pair: a function taking (exponent, class) terms over
+    ``src`` and the mu-restriction pairs (or None) to the terms over
+    ``dst``.  Every input class is checked to be minimal over ``src``."""
+    n = sum(src)
+    src_pairs = _in_block_pairs(src)
 
-    ``path`` lists the compositions visited, starting with the wall the
-    input classes live over.  Consecutive walls must differ by a single
-    adjacent split or merge involving a part of size 1.  A refinement
-    step moves out of the wall (each class fans out over the minimal
-    representatives with exponent offsets L - l(z)); a coarsening step
-    moves onto the wall (each class is replaced by the minimal
-    representative of its coset, with exponent offset -l(y)).
-
-    When ``mu`` is given, onto-wall steps drop the classes whose coset
-    does not qualify for the mu-restricted class set.
-    """
-    if isinstance(start, FlagList):
-        terms = list(start.terms)
-    else:
-        terms = list(start)
-    walls = [parts_of(c) for c in path]
-    if not walls:
-        raise ValueError("path must contain at least the starting wall")
-    mu_pairs = _in_block_pairs(mu) if mu is not None else None
-    n = sum(walls[0])
-    if any(sum(c) != n for c in walls):
-        raise ValueError("all walls in the path must be compositions of n")
-    for src, dst in zip(walls, walls[1:]):
-        src_pairs = _in_block_pairs(src)
+    def check(terms: list) -> None:
         for _, w in terms:
             if not _is_right_minimal(w, src_pairs):
                 raise ValueError(
                     f"class {w.one_line_text()} is not minimal over {src}"
                 )
-        split = _single_split(src, dst)
-        if split is not None:
-            offset, a, b = split
-            c = a + b
-            big = c * (c - 1) // 2
-            small = a * (a - 1) // 2 + b * (b - 1) // 2
-            reps = _out_of_wall_reps(offset, a, b, n)
-            new_terms = []
+
+    split = _single_split(src, dst)
+    if split is not None:
+        offset, a, b = split
+        c = a + b
+        shift = c * (c - 1) // 2 - a * (a - 1) // 2 - b * (b - 1) // 2
+        fan = tuple(
+            (shift - z.length(), z) for z in _out_of_wall_reps(offset, a, b, n)
+        )
+
+        def out_of_wall(terms: list, mu_pairs: tuple[int, ...] | None) -> list:
+            check(terms)
+            return [(e + s, w * z) for e, w in terms for s, z in fan]
+
+        return out_of_wall
+    merge = _single_split(dst, src)
+    if merge is not None:
+        offset, a, b = merge
+        end = offset + a + b
+        nu_block = _block_index(dst, n)
+
+        def onto_wall(terms: list, mu_pairs: tuple[int, ...] | None) -> list:
+            check(terms)
+            inverses = _rep_inverses(dst) if mu_pairs is not None else None
+            out = []
             for e, w in terms:
-                for z in reps:
-                    new_terms.append((e + big - small - z.length(), w * z))
-            terms = new_terms
-            continue
-        merge = _single_split(dst, src)
-        if merge is not None:
-            offset, a, b = merge
-            c = a + b
-            new_terms = []
-            if mu_pairs is not None:
-                nu_block = _block_index(dst, n)
-                inverses = _rep_inverses(dst)
-            for e, w in terms:
-                segment = list(w.images[offset : offset + c])
+                images = w.images
+                segment = images[offset:end]
                 # inversions inside the merged window = l(y)
                 l_y = sum(
                     1
-                    for i in range(c)
-                    for j in range(i + 1, c)
-                    if segment[i] > segment[j]
+                    for i, x in enumerate(segment)
+                    for y in segment[i + 1 :]
+                    if x > y
                 )
-                images = list(w.images)
-                images[offset : offset + c] = sorted(segment)
                 # sorting the merged window keeps z minimal over dst
-                z = Permutation._trusted(tuple(images))
-                if mu_pairs is not None and not _o_qualifies(
+                z = Permutation._trusted(
+                    images[:offset] + tuple(sorted(segment)) + images[end:]
+                )
+                if inverses is not None and not _o_qualifies(
                     inverses[z], mu_pairs, nu_block
                 ):
                     continue
-                new_terms.append((e - l_y, z))
-            terms = new_terms
-            continue
-        raise ValueError(
-            f"ill-matched compositions: {src} and {dst} do not differ "
-            f"by one admissible split or merge"
-        )
-    return FlagList(tuple(terms))
+                out.append((e - l_y, z))
+            return out
+
+        return onto_wall
+    raise ValueError(
+        f"ill-matched compositions: {src} and {dst} do not differ "
+        f"by one admissible split or merge"
+    )
+
+
+class TranslationPath:
+    """A path of walls with each step analysed once.
+
+    ``walls`` lists the compositions visited, starting with the wall the
+    classes live over.  Consecutive walls must differ by a single
+    adjacent split or merge involving a part of size 1.  A refinement
+    step moves out of the wall (each class fans out over the minimal
+    representatives with exponent offsets L - l(z)); a coarsening step
+    moves onto the wall (each class is replaced by the minimal
+    representative of its coset, with exponent offset -l(y)).  Each
+    step is analysed once per pair of walls and cached.
+    """
+
+    def __init__(self, walls: Sequence[Sequence[int]]) -> None:
+        parts = [parts_of(c) for c in walls]
+        if not parts:
+            raise ValueError("path must contain at least the starting wall")
+        n = sum(parts[0])
+        if any(sum(c) != n for c in parts):
+            raise ValueError("all walls in the path must be compositions of n")
+        self.steps = tuple(_wall_step(s, d) for s, d in zip(parts, parts[1:]))
+
+    def push(
+        self, terms: list[tuple[int, Permutation]], mu: Sequence[int] | None = None
+    ) -> list[tuple[int, Permutation]]:
+        """The (exponent, class) terms at the path's end.  When ``mu`` is
+        given, onto-wall steps drop the classes whose coset does not
+        qualify for the mu-restricted class set."""
+        mu_pairs = None if mu is None else _in_block_pairs(tuple(mu))
+        for step in self.steps:
+            terms = step(terms, mu_pairs)
+        return terms
+
+
+def translation_flag(
+    start: FlagList | Iterable[tuple[int, Permutation]],
+    path: Sequence[Sequence[int]],
+    mu: Sequence[int] | None = None,
+) -> FlagList:
+    """Push a class list along a path of walls, optionally restricted
+    to the classes of ``mu`` (see ``TranslationPath``)."""
+    if isinstance(start, FlagList):
+        terms = list(start.terms)
+    else:
+        terms = list(start)
+    return FlagList(tuple(TranslationPath(path).push(terms, mu)))

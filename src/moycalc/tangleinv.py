@@ -36,9 +36,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .boxcomb import (
+    Filling,
     WeightedDiagramSum,
     all_compositions,
     curlyvee,
@@ -50,9 +52,16 @@ from .boxcomb import (
 )
 from .qlaurent import ONE, ZERO, LaurentPoly, LinComb, quantum_int
 from .reporting import Report
-from .symhecke import FlagList, O_set, Permutation, translation_flag
+from .symhecke import O_set, Permutation, TranslationPath
 from .weblin import QMatrix, special_pairs
-from .webgraph import Layer, Web, evaluate, evaluate_closed, slice_chunks
+from .webgraph import (
+    Layer,
+    Web,
+    _LayerError,
+    evaluate,
+    evaluate_closed,
+    slice_chunks,
+)
 
 __all__ = [
     "TangleParseError",
@@ -98,15 +107,6 @@ class TangleParseError(ValueError):
         self.reason = reason
         self.line = line
         self.column = column
-
-
-class _LayerError(ValueError):
-    """An ill-typed layer of a tangle word, by its 1-based index."""
-
-    def __init__(self, index: int, reason: str) -> None:
-        super().__init__(f"layer {index}: {reason}")
-        self.index = index
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -863,6 +863,19 @@ def move_pairs(
 # ----------------------------------------------------------------------
 # formal sums of restricted coset classes
 
+def _check_class_key(
+    k: int, nu: tuple[int, ...], mu: tuple[int, ...], z: Permutation
+) -> None:
+    """Raise unless (mu, z) keys a class over content ``nu`` at rank ``k``."""
+    n = sum(nu)
+    if len(mu) != k or any(p < 0 for p in mu):
+        raise ValueError(f"weight {mu} is not a composition with {k} parts")
+    if sum(mu) != n or z.n != n:
+        raise ValueError(
+            f"key ({mu}, {z.one_line_text()}) does not match content {nu}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class GrothVector:
     """A finitely supported Laurent combination of basis classes.
@@ -880,21 +893,11 @@ class GrothVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nu", tuple(self.nu))
-        n = sum(self.nu)
         coords = self.coords
         adopt = isinstance(coords, LinComb)
         for mu, z in coords:
             adopt = adopt and type(mu) is tuple
-            mu = tuple(mu)
-            if len(mu) != self.k or any(p < 0 for p in mu):
-                raise ValueError(
-                    f"weight {mu} is not a composition with {self.k} parts"
-                )
-            if sum(mu) != n or z.n != n:
-                raise ValueError(
-                    f"key ({mu}, {z.one_line_text()}) does not match "
-                    f"content {self.nu}"
-                )
+            _check_class_key(self.k, self.nu, tuple(mu), z)
         if not adopt:
             coords = LinComb(
                 ((tuple(mu), z), poly) for (mu, z), poly in coords.items()
@@ -966,46 +969,83 @@ class GrothVector:
 _ROUTES = ("curly", "translation", "matrix")
 
 
-def _check_transportable(f: Web) -> None:
-    for i, layer in enumerate(f.layers, start=1):
-        if layer.kind not in ("merge", "split"):
-            raise ValueError(
-                "class transport is defined for merge/split webs only; "
-                f"layer {i} is {layer.kind}"
-            )
+class _TransportPlan:
+    """The per-web work of the three transport routes, done once.
 
+    A plan holds the web's matrix, a memo of ``psi_inverse`` on the
+    top-boundary fillings that the curly and matrix routes reach, and
+    the image keys already checked.  Its three route kernels send one
+    basis class (mu, z) to its image.  The curly and matrix kernels
+    take the class's source filling ``psi(z, mu, f.bottom)``, which the
+    caller computes once for both; the translation kernel pushes z
+    along the web's walls, each wall step analysed once.
+    """
 
-def _curly_apply(f: Web, mu: tuple[int, ...], z: Permutation) -> LinComb:
-    current = WeightedDiagramSum.single(psi(z, mu, f.bottom))
-    for layer in f.layers:
-        moved = WeightedDiagramSum()
-        for g, coeff in current.items():
-            if layer.kind == "merge":
-                step = curlywedge(g, layer.pos)
-            else:
-                step = curlyvee(g, layer.pos, (layer.a, layer.b))
-            for h, c in step.items():
-                moved.add_term(h, c * coeff)
-        current = moved
-    return LinComb(
-        ((mu, psi_inverse(g, mu, f.top)), coeff) for g, coeff in current.items()
-    )
+    def __init__(self, f: Web) -> None:
+        for i, layer in enumerate(f.layers, start=1):
+            if layer.kind not in ("merge", "split"):
+                raise ValueError(
+                    "class transport is defined for merge/split webs only; "
+                    f"layer {i} is {layer.kind}"
+                )
+        self.web = f
+        self._classes: dict[tuple[Filling, tuple[int, ...]], Permutation] = {}
+        self._checked: set[tuple[tuple[int, ...], Permutation]] = set()
 
+    @cached_property
+    def _matrix(self) -> QMatrix:
+        return evaluate(self.web)
 
-def _translation_apply(f: Web, mu: tuple[int, ...], z: Permutation) -> LinComb:
-    flags = translation_flag(FlagList.single(z), f.boundaries, mu=mu)
-    return LinComb(((mu, w), LaurentPoly.q_power(e)) for e, w in flags.terms)
+    @cached_property
+    def _walls(self) -> TranslationPath:
+        return TranslationPath(self.web.boundaries)
 
+    def _top_class(self, g: Filling, mu: tuple[int, ...]) -> Permutation:
+        key = (g, mu)
+        z = self._classes.get(key)
+        if z is None:
+            z = self._classes[key] = psi_inverse(g, mu, self.web.top)
+        return z
 
-def _matrix_apply(
-    f: Web, matrix: QMatrix, k: int, mu: tuple[int, ...], z: Permutation
-) -> LinComb:
-    source = phi(psi(z, mu, f.bottom), k)
-    out = LinComb()
-    for row_key, coeff in matrix.column(source):
-        g = phi_inverse(row_key, k)
-        out.add_term((g.shape, psi_inverse(g, g.shape, f.top)), coeff)
-    return out
+    def curly(self, mu: tuple[int, ...], source: Filling) -> LinComb:
+        """Fold the box-diagram moves of each layer over the source."""
+        current = WeightedDiagramSum.single(source)
+        for layer in self.web.layers:
+            moved = WeightedDiagramSum()
+            for g, coeff in current.items():
+                if layer.kind == "merge":
+                    step = curlywedge(g, layer.pos)
+                else:
+                    step = curlyvee(g, layer.pos, (layer.a, layer.b))
+                for h, c in step.items():
+                    moved.add_term(h, c * coeff)
+            current = moved
+        return LinComb(
+            ((mu, self._top_class(g, mu)), coeff) for g, coeff in current.items()
+        )
+
+    def translation(self, mu: tuple[int, ...], z: Permutation) -> LinComb:
+        """Push the flag class z along the web's walls."""
+        terms = self._walls.push([(0, z)], mu)
+        return LinComb(((mu, w), LaurentPoly.q_power(e)) for e, w in terms)
+
+    def matrix(self, source: Filling) -> LinComb:
+        """Read the source's column of the web's matrix as classes."""
+        k = self.web.k
+        out = LinComb()
+        for row_key, coeff in self._matrix.column(phi(source, k)):
+            g = phi_inverse(row_key, k)
+            out.add_term((g.shape, self._top_class(g, g.shape)), coeff)
+        return out
+
+    def checked(self, image: LinComb) -> LinComb:
+        """``image``, after ``GrothVector``'s key check on each of its
+        keys not seen before on this web."""
+        for key in image:
+            if key not in self._checked:
+                _check_class_key(self.web.k, self.web.top, *key)
+                self._checked.add(key)
+        return image
 
 
 def grothendieck_map(
@@ -1023,9 +1063,14 @@ def grothendieck_map(
     """
     if route not in _ROUTES:
         raise ValueError(f"unknown route {route!r}; have {', '.join(_ROUTES)}")
-    _check_transportable(f)
+    plan = _TransportPlan(f)
     k = f.k
-    matrix = evaluate(f) if route == "matrix" else None
+
+    def image(mu: tuple[int, ...], z: Permutation) -> LinComb:
+        if route == "translation":
+            return plan.translation(mu, z)
+        source = psi(z, mu, f.bottom)
+        return plan.curly(mu, source) if route == "curly" else plan.matrix(source)
 
     def apply(vec: GrothVector) -> GrothVector:
         if (vec.k, vec.nu) != (k, f.bottom):
@@ -1035,13 +1080,7 @@ def grothendieck_map(
             )
         total = LinComb()
         for (mu, z), coeff in vec.coords.items():
-            if route == "curly":
-                image = _curly_apply(f, mu, z)
-            elif route == "translation":
-                image = _translation_apply(f, mu, z)
-            else:
-                image = _matrix_apply(f, matrix, k, mu, z)
-            for key, poly in image.items():
+            for key, poly in image(mu, z).items():
                 total.add_term(key, poly * coeff)
         return GrothVector(k, f.top, total)
 
@@ -1087,13 +1126,16 @@ def compare_theorem13(f: Web) -> bool:
 
     Runs over all weight compositions with exactly ``k`` parts (the
     web's rank) and all their minimal coset representatives for the
-    web's bottom content.
+    web's bottom content.  Every class runs once through the web's
+    transport plan, and each image key is checked once.
     """
-    maps = [grothendieck_map(f, route=route) for route in _ROUTES]
+    plan = _TransportPlan(f)
     for mu in all_compositions(sum(f.bottom), f.k):
         for z in sorted(O_set(mu, f.bottom), key=lambda w: w.images):
-            vector = GrothVector.basis(f.k, f.bottom, mu, z)
-            first, second, third = (apply(vector) for apply in maps)
-            if not (first == second and second == third):
+            source = psi(z, mu, f.bottom)
+            curly = plan.checked(plan.curly(mu, source))
+            translation = plan.checked(plan.translation(mu, z))
+            matrix = plan.checked(plan.matrix(source))
+            if not (curly == translation and translation == matrix):
                 return False
     return True

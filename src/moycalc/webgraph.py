@@ -100,6 +100,15 @@ class WebParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {reason}")
 
 
+class _LayerError(ValueError):
+    """An ill-typed layer of a web or tangle word, by its 1-based index."""
+
+    def __init__(self, index: int, reason: str) -> None:
+        super().__init__(f"layer {index}: {reason}")
+        self.index = index
+        self.reason = reason
+
+
 # ----------------------------------------------------------------------
 # layers and webs
 
@@ -183,7 +192,7 @@ class Web:
                     )
                 )
             except ValueError as exc:
-                raise ValueError(f"layer {i}: {exc}") from None
+                raise _LayerError(i, str(exc)) from None
         object.__setattr__(self, "boundaries", tuple(bounds))
 
     @property
@@ -327,19 +336,20 @@ def parse_web(
         raise WebParseError("empty web source", 1, 1)
 
     text0, line0, col0 = chunks[0]
+    header = None
     if text0.startswith("web"):
-        match = _HEADER_RE.match(text0)
-        if not match:
+        header = _HEADER_RE.match(text0)
+        if not header:
             raise WebParseError(
                 "malformed web header; expected 'web k=<int> bottom=<labels>'",
                 line0,
                 col0,
             )
         try:
-            header_k = int(match.group(1))
+            header_k = int(header.group(1))
         except ValueError:
             raise WebParseError(
-                f"k must be an integer, got {match.group(1)!r}", line0, col0
+                f"k must be an integer, got {header.group(1)!r}", line0, col0
             ) from None
         eff_k = header_k if k is None else k
         if bottom is not None:
@@ -347,44 +357,45 @@ def parse_web(
                 "the web header already declares bottom=; "
                 "do not also pass a bottom argument"
             )
-        if eff_k < 2:
-            raise WebParseError(
-                f"k out of range: need k >= 2, got {eff_k}", line0, col0
-            )
-        bot = _parse_bottom(match.group(2), eff_k, line0, col0)
-        start = 1
+    elif k is None:
+        raise WebParseError(
+            "missing web header (or pass k= explicitly)", line0, col0
+        )
     else:
-        if k is None:
-            raise WebParseError(
-                "missing web header (or pass k= explicitly)", line0, col0
-            )
         eff_k = k
-        if eff_k < 2:
-            raise WebParseError(
-                f"k out of range: need k >= 2, got {eff_k}", line0, col0
-            )
+    # labels spelled "k-1" resolve against the rank, so it is checked first
+    if eff_k < 2:
+        raise WebParseError(
+            f"k out of range: need k >= 2, got {eff_k}", line0, col0
+        )
+    if header is not None:
+        bot = _parse_bottom(header.group(2), eff_k, line0, col0)
+    else:
         bot = tuple(bottom) if bottom is not None else ()
-        start = 0
 
-    allowed = {1, 2, eff_k - 1, eff_k}
-    for label in bot:
-        if label not in allowed:
-            raise WebParseError(
-                f"bottom label {label} not in {{1,2,k-1,k}} for k={eff_k}",
-                line0,
-                col0,
-            )
-
-    labels = bot
     layers: list[Layer] = []
-    for chunk, line_no, col in chunks[start:]:
+    spots: list[tuple[int, int]] = []
+    cap_labels: list[tuple[int, tuple[int, ...]]] = []
+    for chunk, line_no, col in chunks[0 if header is None else 1 :]:
         layer, values = _parse_layer(chunk, eff_k, line_no, col)
-        try:
-            labels = generator_step(layer.kind, eff_k, labels, layer.pos, *values)
-        except ValueError as exc:
-            raise WebParseError(str(exc), line_no, col) from None
+        if layer.kind == "cap" and values:
+            cap_labels.append((len(layers), values))
         layers.append(layer)
-    return Web(eff_k, bot, tuple(layers))
+        spots.append((line_no, col))
+    try:
+        web = Web(eff_k, bot, tuple(layers))
+    except _LayerError as err:
+        raise WebParseError(err.reason, *spots[err.index - 1]) from None
+    except ValueError as err:
+        raise WebParseError(str(err), line0, col0) from None
+    # a cap layer keeps no labels, so the ones its text spells out are
+    # checked against the boundary below it once the web is built
+    for i, values in cap_labels:
+        try:
+            generator_step("cap", eff_k, web.boundaries[i], layers[i].pos, *values)
+        except ValueError as exc:
+            raise WebParseError(str(exc), *spots[i]) from None
+    return web
 
 
 # ----------------------------------------------------------------------

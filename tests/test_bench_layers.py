@@ -26,6 +26,7 @@ def test_every_line_is_one_layer_record(capsys):
         "sign_action",
         "sign_action",
         "column_strict_fillings",
+        "transport",
     ]
     for r in records:
         assert set(r) == {"layer", "input", "repeats", "median_ms", "q1_ms", "q3_ms"}

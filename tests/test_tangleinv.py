@@ -8,10 +8,29 @@ import pytest
 from hypothesis import given, strategies as st
 
 from moycalc import tangleinv
-from moycalc.boxcomb import all_compositions
-from moycalc.qlaurent import LaurentPoly, ONE, ZERO, parse_laurent, quantum_int
+from moycalc.boxcomb import (
+    WeightedDiagramSum,
+    all_compositions,
+    curlyvee,
+    curlywedge,
+    phi,
+    phi_inverse,
+    psi,
+    psi_inverse,
+)
+from moycalc.qlaurent import LaurentPoly, LinComb, ONE, ZERO, parse_laurent, quantum_int
 from moycalc.reporting import all_passed
-from moycalc.symhecke import O_set, Permutation
+from moycalc.symhecke import (
+    O_set,
+    Permutation,
+    _block_index,
+    _in_block_pairs,
+    _is_right_minimal,
+    _o_qualifies,
+    _out_of_wall_reps,
+    _rep_inverses,
+    _single_split,
+)
 from moycalc.tangleinv import (
     CORPUS,
     GrothVector,
@@ -757,3 +776,150 @@ def test_transport_is_linear(key_a, key_b, coeff, route):
     vec_b = GrothVector.basis(3, (1, 1), *key_b)
     assert apply(vec_a + vec_b) == apply(vec_a) + apply(vec_b)
     assert apply(vec_a * coeff) == apply(vec_a) * coeff
+
+
+# ----------------------------------------------------------------------
+# the transport plan against the per-class chain it replaced
+
+
+def _reference_translation_flag(terms, path, mu):
+    """The translation rule as one loop that re-derives every wall step
+    for every call."""
+    walls = [tuple(c) for c in path]
+    mu_pairs = _in_block_pairs(mu)
+    n = sum(walls[0])
+    for src, dst in zip(walls, walls[1:]):
+        src_pairs = _in_block_pairs(src)
+        for _, w in terms:
+            assert _is_right_minimal(w, src_pairs)
+        split = _single_split(src, dst)
+        if split is not None:
+            offset, a, b = split
+            c = a + b
+            big = c * (c - 1) // 2
+            small = a * (a - 1) // 2 + b * (b - 1) // 2
+            reps = _out_of_wall_reps(offset, a, b, n)
+            terms = [
+                (e + big - small - z.length(), w * z) for e, w in terms for z in reps
+            ]
+            continue
+        offset, a, b = _single_split(dst, src)
+        c = a + b
+        nu_block = _block_index(dst, n)
+        inverses = _rep_inverses(dst)
+        new_terms = []
+        for e, w in terms:
+            segment = list(w.images[offset : offset + c])
+            l_y = sum(
+                1
+                for i in range(c)
+                for j in range(i + 1, c)
+                if segment[i] > segment[j]
+            )
+            images = list(w.images)
+            images[offset : offset + c] = sorted(segment)
+            z = Permutation(tuple(images))
+            if _o_qualifies(inverses[z], mu_pairs, nu_block):
+                new_terms.append((e - l_y, z))
+        terms = new_terms
+    return terms
+
+
+def _reference_curly(f, mu, z):
+    current = WeightedDiagramSum.single(psi(z, mu, f.bottom))
+    for layer in f.layers:
+        moved = WeightedDiagramSum()
+        for g, coeff in current.items():
+            if layer.kind == "merge":
+                step = curlywedge(g, layer.pos)
+            else:
+                step = curlyvee(g, layer.pos, (layer.a, layer.b))
+            for h, c in step.items():
+                moved.add_term(h, c * coeff)
+        current = moved
+    return LinComb(
+        ((mu, psi_inverse(g, mu, f.top)), coeff) for g, coeff in current.items()
+    )
+
+
+def _reference_translation(f, mu, z):
+    terms = _reference_translation_flag([(0, z)], f.boundaries, mu)
+    return LinComb(((mu, w), qp(e)) for e, w in terms)
+
+
+def _reference_matrix(f, matrix, mu, z):
+    source = phi(psi(z, mu, f.bottom), f.k)
+    out = LinComb()
+    for row_key, coeff in matrix.column(source):
+        g = phi_inverse(row_key, f.k)
+        out.add_term((g.shape, psi_inverse(g, g.shape, f.top)), coeff)
+    return out
+
+
+# splits (2,1) to (1,1,1), then merges back onto (1,2): a two-step path
+SPLIT_MERGE_WEB = Web(3, (2, 1), (Layer("split", 1, 1, 1), Layer("merge", 2, 1, 1)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_plan_routes_match_the_per_class_chain(k):
+    webs = [web for n in range(1, 5) for web in special_generator_webs(n, k)]
+    if k == 3:
+        webs.append(SPLIT_MERGE_WEB)
+    classes = 0
+    for web in webs:
+        plan = tangleinv._TransportPlan(web)
+        matrix = evaluate(web)
+        for mu in all_compositions(sum(web.bottom), web.k):
+            for z in O_set(mu, web.bottom):
+                source = psi(z, mu, web.bottom)
+                where = (web.text(), mu, z.one_line_text())
+                assert plan.curly(mu, source) == _reference_curly(web, mu, z), where
+                assert plan.translation(mu, z) == _reference_translation(
+                    web, mu, z
+                ), where
+                assert plan.matrix(source) == _reference_matrix(
+                    web, matrix, mu, z
+                ), where
+                classes += 1
+    assert classes >= len(webs)
+
+
+def test_two_layer_web_routes_agree():
+    assert compare_theorem13(SPLIT_MERGE_WEB)
+    image = grothendieck_map(SPLIT_MERGE_WEB, route="translation")(
+        GrothVector.basis(3, (2, 1), (1, 1, 1), e(3))
+    )
+    assert not image.is_zero()
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_compare_catches_one_perturbed_class(route, monkeypatch):
+    web = Web(3, (1, 2), (Layer("merge", 1, 1, 2),))
+    assert compare_theorem13(web)
+    kernel = getattr(tangleinv._TransportPlan, route)
+    perturbed = []
+
+    def one_class_off(plan, *args):
+        image = kernel(plan, *args)
+        if image and not perturbed:
+            perturbed.append(args)
+            return image * qp(1)
+        return image
+
+    monkeypatch.setattr(tangleinv._TransportPlan, route, one_class_off)
+    assert not compare_theorem13(web)
+    assert len(perturbed) == 1
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_compare_checks_the_image_keys(route, monkeypatch):
+    web = Web(3, (1, 2), (Layer("merge", 1, 1, 2),))
+    kernel = getattr(tangleinv._TransportPlan, route)
+
+    def padded(plan, *args):
+        image = kernel(plan, *args)
+        return LinComb(((mu + (0,), z), c) for (mu, z), c in image.items())
+
+    monkeypatch.setattr(tangleinv._TransportPlan, route, padded)
+    with pytest.raises(ValueError, match="not a composition with 3 parts"):
+        compare_theorem13(web)

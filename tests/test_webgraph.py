@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from moycalc import webgraph
 from moycalc.qlaurent import LaurentPoly, ONE, quantum_int
 from moycalc.reporting import Report, all_passed, render_reports
 from moycalc.weblin import (
@@ -245,6 +246,53 @@ def test_parse_semicolons_and_newlines_agree():
     a = parse_web("split(1,1@1); merge(1,1@1)", k=2, bottom=(2,))
     b = parse_web("split(1,1@1)\nmerge(1,1@1)", k=2, bottom=(2,))
     assert a == b
+
+
+def test_parse_types_each_layer_once(monkeypatch):
+    calls = []
+    step = webgraph.generator_step
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(webgraph, "generator_step", counting)
+    web = relation_iii_web(3)
+    calls.clear()
+    assert parse_web(web.text()) == web
+    assert calls == [layer.kind for layer in web.layers]
+
+
+@pytest.mark.parametrize(
+    "source, kwargs, where, reason",
+    [
+        ("web k=5 bottom=1,3\nsplit(1,k-1@2)", {}, (1, 1), "bottom label 3"),
+        ("merge(1,1@1)", {"k": 5, "bottom": (3, 1)}, (1, 1), "bottom label 3"),
+        ("merge(k-1,1)", {"k": 1, "bottom": ()}, (1, 1), "k out of range"),
+        (
+            "web k=3 bottom=2\n  split(1,1@1); merge(1,1@1); cap(@1)",
+            {},
+            (2, 31),
+            "cap position 1 out of range",
+        ),
+        (
+            "web k=3 bottom=1,2\ncup(1,k-1@3)\n cap(k-1,1@1)",
+            {},
+            (3, 2),
+            "cap labels",
+        ),
+        (
+            "cup(1,k-1@1); cap(1,2@1); merge(1,1@1)",
+            {"k": 3},
+            (1, 27),
+            "merge position 1 out of range",
+        ),
+    ],
+)
+def test_parse_errors_keep_line_and_column(source, kwargs, where, reason):
+    with pytest.raises(WebParseError, match=reason) as info:
+        parse_web(source, **kwargs)
+    assert (info.value.line, info.value.column) == where
 
 
 # ----------------------------------------------------------------------
