@@ -12,7 +12,9 @@ per repeat (its cache lives for the process); every other layer is
 timed warm, with its Kazhdan-Lusztig input computed beforehand.  The
 transport layer is ``compare_theorem13`` (the three routes over every
 basis class) on one fixed k=4 merge web on five strands, run once
-before it is timed.
+before it is timed.  The bijection layer sends every class of one
+fixed (mu, nu) at n=6 through psi, phi, phi_inverse and psi_inverse,
+also run once before it is timed.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from functools import partial
 from time import perf_counter
 from typing import Callable, Sequence
 
-from moycalc.boxcomb import column_strict_fillings
-from moycalc.symhecke import Permutation, kl_element, sign_action
+from moycalc.boxcomb import column_strict_fillings, phi, phi_inverse, psi, psi_inverse
+from moycalc.symhecke import O_set, Permutation, kl_element, sign_action
 from moycalc.tangleinv import compare_theorem13
 from moycalc.webgraph import Layer, Web
 
@@ -55,6 +57,15 @@ def cold_kl_s5() -> float:
     return float(done.stdout)
 
 
+def bijections(
+    classes: list[Permutation], mu: tuple[int, ...], nu: tuple[int, ...]
+) -> None:
+    """psi, phi, phi_inverse and psi_inverse on every class, in turn."""
+    k = len(mu)
+    for z in classes:
+        psi_inverse(phi_inverse(phi(psi(z, mu, nu), k), k), mu, nu)
+
+
 def timed(call: Callable[..., object], *args: object) -> float:
     start = perf_counter()
     call(*args)
@@ -76,6 +87,11 @@ def cases() -> list[tuple[str, str, Callable[[], float]]]:
     ones = (1,) * 7
     fill = partial(timed, column_strict_fillings, ones, ones)
     out.append(("column_strict_fillings", "1,1,1,1,1,1,1|1,1,1,1,1,1,1", fill))
+    mu, nu = (2, 2, 1, 1), (1,) * 6
+    classes = sorted(O_set(mu, nu), key=lambda w: w.images)
+    bijections(classes, mu, nu)
+    round_trip = partial(timed, bijections, classes, mu, nu)
+    out.append(("bijection", "2,2,1,1|1,1,1,1,1,1", round_trip))
     web = Web(4, (1,) * 5, (Layer("merge", 2, 1, 1),))
     compare_theorem13(web)
     transport = partial(timed, compare_theorem13, web)

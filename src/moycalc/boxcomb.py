@@ -22,6 +22,12 @@ content: splitting one content part into two adjacent parts fans a
 filling out over all relabelling choices, merging two adjacent parts
 relabels and drops the non-column-strict results; the q-exponents are
 fixed by inversion counts of the box word.
+
+Each operation has one private kernel on *box words*: the tuple of a
+filling's entries in box order, over a shape given beside it.  A
+public function checks its input, runs the kernel and wraps the
+result as a ``Filling``; the class-transport plan in ``tangleinv``
+runs the kernels directly.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .qlaurent import ONE, LaurentPoly, LinComb
-from .symhecke import Permutation
+from .symhecke import Permutation, _in_block_pairs
 
 __all__ = [
     "Filling",
@@ -76,12 +82,42 @@ def positive_compositions(n: int) -> list[tuple[int, ...]]:
 
 
 # ----------------------------------------------------------------------
+# box words
+
+
+def _cut(word: Sequence[int], shape: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The columns of ``shape`` holding ``word`` in box order."""
+    columns = []
+    start = 0
+    for p in shape:
+        columns.append(tuple(word[start : start + p]))
+        start += p
+    return tuple(columns)
+
+
+def _is_strict(word: Sequence[int], shape: tuple[int, ...]) -> bool:
+    """Whether every entry is smaller than the one directly below it."""
+    return all(word[i - 1] < word[i] for i in _in_block_pairs(shape))
+
+
+def _content(word: Sequence[int]) -> tuple[int, ...]:
+    counts = [0] * max(word, default=0)
+    for v in word:
+        counts[v - 1] += 1
+    return tuple(counts)
+
+
+# ----------------------------------------------------------------------
 # fillings
 
 
 @dataclass(frozen=True)
 class Filling:
-    """Columns of entries, top to bottom; empty columns are kept."""
+    """Columns of entries, top to bottom; empty columns are kept.
+
+    The constructor validates its input; fillings built from entries
+    that are already checked go through ``_trusted``.
+    """
 
     columns: tuple[tuple[int, ...], ...]
 
@@ -91,6 +127,13 @@ class Filling:
         )
         if any(type(v) is not int or v < 1 for col in self.columns for v in col):
             raise ValueError("entries must be positive integers")
+
+    @classmethod
+    def _trusted(cls, columns: tuple[tuple[int, ...], ...]) -> "Filling":
+        """A filling from tuple columns of positive ints, unchecked."""
+        filling = object.__new__(cls)
+        object.__setattr__(filling, "columns", columns)
+        return filling
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -106,26 +149,14 @@ class Filling:
 
     def content(self) -> tuple[int, ...]:
         """How often each value 1..max occurs."""
-        values = self.flat()
-        top = max(values, default=0)
-        counts = [0] * top
-        for v in values:
-            counts[v - 1] += 1
-        return tuple(counts)
+        return _content(self.flat())
 
     def is_column_strict(self) -> bool:
-        return all(
-            a < b for col in self.columns for a, b in zip(col, col[1:])
-        )
+        return _is_strict(self.flat(), self.shape)
 
     def with_flat(self, values: Sequence[int]) -> "Filling":
         """Same shape, entries replaced in box order."""
-        out = []
-        index = 0
-        for col in self.columns:
-            out.append(tuple(values[index : index + len(col)]))
-            index += len(col)
-        return Filling(tuple(out))
+        return Filling(_cut(values, self.shape))
 
     def text(self) -> str:
         return ",".join(
@@ -134,6 +165,11 @@ class Filling:
 
     def __str__(self) -> str:
         return self.text()
+
+
+def _filling(word: Sequence[int], shape: Sequence[int]) -> Filling:
+    """The filling of ``shape`` with a box word of positive ints, unchecked."""
+    return Filling._trusted(_cut(word, shape))
 
 
 def standard_filling(mu: Sequence[int]) -> Filling:
@@ -184,12 +220,15 @@ def column_strict_fillings(
         raise ValueError(
             f"shape {mu_t} and content {nu_t} have different sizes"
         )
+    for parts in (mu_t, nu_t):
+        if any(p < 0 for p in parts):
+            raise ValueError(f"negative part in composition {parts}")
     out: set[Filling] = set()
 
     def extend(col: int, remaining: list[int], acc: list[tuple[int, ...]]):
         if col == len(mu_t):
             if all(r == 0 for r in remaining):
-                out.add(Filling(tuple(acc)))
+                out.add(Filling._trusted(tuple(acc)))
             return
         # a column holds a value at most once, so no value may have more
         # copies left than there are columns left
@@ -211,6 +250,18 @@ def column_strict_fillings(
 # the tensor-basis bijection
 
 
+def _phi_word(word: Sequence[int], shape: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """phi on a column-strict box word: factor i lists the columns
+    holding i, in increasing order because boxes run column by column."""
+    key: list[list[int]] = [[] for _ in range(max(word, default=0))]
+    start = 0
+    for j, p in enumerate(shape, start=1):
+        for v in word[start : start + p]:
+            key[v - 1].append(j)
+        start += p
+    return tuple(tuple(cols) for cols in key)
+
+
 def phi(f: Filling, k: int) -> tuple[tuple[int, ...], ...]:
     """The standard basis element of the nu-fold wedge product encoded
     by a column-strict filling: factor i is the strictly increasing
@@ -221,36 +272,41 @@ def phi(f: Filling, k: int) -> tuple[tuple[int, ...], ...]:
         )
     if not f.is_column_strict():
         raise ValueError("filling is not column-strict")
-    nu = f.content()
-    key = []
-    for value in range(1, len(nu) + 1):
-        cols = tuple(
-            j for j, col in enumerate(f.columns, start=1) if value in col
-        )
-        if len(cols) != nu[value - 1]:
-            raise ValueError("value repeats within a column")
-        key.append(cols)
-    return tuple(key)
+    key = _phi_word(f.flat(), f.shape)
+    if any(len(cols) != count for cols, count in zip(key, f.content())):
+        raise ValueError("value repeats within a column")
+    return key
+
+
+def _check_basis_key(key: Sequence[Sequence[int]], k: int) -> None:
+    """Raise unless every factor of ``key`` is a strictly increasing
+    tuple of ints in 1..k."""
+    for subset in key:
+        last = 0
+        for j in subset:
+            if type(j) is not int or not last < j <= k:
+                raise ValueError(f"{key} is not a strictly increasing basis key")
+            last = j
+
+
+def _phi_inverse_word(
+    key: Sequence[Sequence[int]], k: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The box word and shape of the filling that encodes a checked key:
+    column j holds the values whose factor contains j."""
+    columns: list[list[int]] = [[] for _ in range(k)]
+    for value, subset in enumerate(key, start=1):
+        for j in subset:
+            columns[j - 1].append(value)
+    word = tuple(v for column in columns for v in column)
+    return word, tuple(len(column) for column in columns)
 
 
 def phi_inverse(key: Sequence[Sequence[int]], k: int) -> Filling:
     """The column-strict filling encoding a standard basis element."""
-    if any(
-        len(set(subset)) != len(subset)
-        or list(subset) != sorted(subset)
-        or any(not 1 <= j <= k for j in subset)
-        for subset in key
-    ):
-        raise ValueError(f"{key} is not a strictly increasing basis key")
-    columns = []
-    for j in range(1, k + 1):
-        column = tuple(
-            value
-            for value, subset in enumerate(key, start=1)
-            if j in subset
-        )
-        columns.append(column)
-    return Filling(tuple(columns))
+    _check_basis_key(key, k)
+    word, shape = _phi_inverse_word(key, k)
+    return _filling(word, shape)
 
 
 def relabel_by_content(f: Filling, nu: Sequence[int]) -> Filling:
@@ -266,6 +322,23 @@ def relabel_by_content(f: Filling, nu: Sequence[int]) -> Filling:
     for index, p in enumerate(nu_t, start=1):
         block.extend([index] * p)
     return f.with_flat([block[v - 1] for v in f.flat()])
+
+
+def _psi_word(
+    w: Permutation, mu: tuple[int, ...], nu: tuple[int, ...]
+) -> tuple[int, ...]:
+    """psi's box word over mu: box w(p) gets the nu-block of p.  Raises
+    when the word is not column-strict (the coset does not qualify)."""
+    block = [index for index, p in enumerate(nu, start=1) for _ in range(p)]
+    word = [0] * w.n
+    for position, box in enumerate(w.images):
+        word[box - 1] = block[position]
+    if not _is_strict(word, mu):
+        raise ValueError(
+            f"{w.one_line_text()} does not represent a qualifying "
+            f"coset for shape {mu} and content {nu}"
+        )
+    return tuple(word)
 
 
 def psi(
@@ -285,23 +358,42 @@ def psi(
     for parts in (mu_t, nu_t):
         if any(p < 0 for p in parts):
             raise ValueError(f"negative part in composition {parts}")
-    block = [index for index, p in enumerate(nu_t, start=1) for _ in range(p)]
-    entries = [0] * w.n
-    for position, box in enumerate(w.images):
-        entries[box - 1] = block[position]
-    columns = []
+    return _filling(_psi_word(w, mu_t, nu_t), mu_t)
+
+
+def _check_filling(
+    word: Sequence[int],
+    shape: tuple[int, ...],
+    mu: tuple[int, ...],
+    nu: tuple[int, ...],
+) -> None:
+    """Raise unless a box word over ``shape`` is column-strict with
+    shape mu and content nu: the input ``psi_inverse`` accepts."""
+    if shape != mu:
+        raise ValueError(f"filling has shape {shape}, not {mu}")
+    if not _is_strict(word, shape):
+        raise ValueError("filling is not column-strict")
+    content = _content(word)
+    if len(content) > len(nu) or content + (0,) * (
+        len(nu) - len(content)
+    ) != nu:
+        raise ValueError(f"filling has content {content}, not {nu}")
+
+
+def _psi_inverse_word(word: Sequence[int], nu: tuple[int, ...]) -> Permutation:
+    """The shortest class of a checked box word: each content block's
+    values go to its boxes in box order."""
+    next_value = []
     start = 0
-    for p in mu_t:
-        column = entries[start : start + p]
+    for p in nu:
+        next_value.append(start)
         start += p
-        for upper, lower in zip(column, column[1:]):
-            if upper >= lower:
-                raise ValueError(
-                    f"{w.one_line_text()} does not represent a qualifying "
-                    f"coset for shape {mu_t} and content {nu_t}"
-                )
-        columns.append(tuple(column))
-    return Filling(tuple(columns))
+    # the content check makes the assigned values exactly 1..n, once each
+    images = [0] * start
+    for box, v in enumerate(word, start=1):
+        images[next_value[v - 1]] = box
+        next_value[v - 1] += 1
+    return Permutation._trusted(tuple(images))
 
 
 def psi_inverse(
@@ -318,26 +410,9 @@ def psi_inverse(
     """
     mu_t = tuple(int(p) for p in mu)
     nu_t = tuple(int(p) for p in nu)
-    if f.shape != mu_t:
-        raise ValueError(f"filling has shape {f.shape}, not {mu_t}")
-    if not f.is_column_strict():
-        raise ValueError("filling is not column-strict")
-    content = f.content()
-    if len(content) > len(nu_t) or content + (0,) * (
-        len(nu_t) - len(content)
-    ) != nu_t:
-        raise ValueError(f"filling has content {content}, not {nu_t}")
-    next_value = []
-    start = 0
-    for p in nu_t:
-        next_value.append(start)
-        start += p
-    # the content check makes the assigned values exactly 1..n, once each
-    images = [0] * start
-    for box, v in enumerate(f.flat(), start=1):
-        images[next_value[v - 1]] = box
-        next_value[v - 1] += 1
-    return Permutation._trusted(tuple(images))
+    word = f.flat()
+    _check_filling(word, f.shape, mu_t, nu_t)
+    return _psi_inverse_word(word, nu_t)
 
 
 # ----------------------------------------------------------------------
@@ -380,6 +455,54 @@ class WeightedDiagramSum(LinComb):
         return " + ".join(f"({c})*{f.text()}" for f, c in ordered)
 
 
+def _weighted(
+    moves: list[tuple[tuple[int, ...], int]], shape: tuple[int, ...]
+) -> WeightedDiagramSum:
+    """The sum of q^exponent * filling over (box word, exponent) moves."""
+    return WeightedDiagramSum.from_sums(
+        {_filling(word, shape): {exponent: 1} for word, exponent in moves}
+    )
+
+
+def _split_word(
+    word: Sequence[int], pos: int, i: int, j: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """``curlyvee`` on a column-strict box word whose band pos has i+j
+    boxes: one (word, exponent) per choice of j boxes relabelled pos+1.
+
+    The exponent is i*j less the (chosen, unchosen) pairs in box order,
+    that is the (unchosen, chosen) pairs: sum(chosen) - j*(j-1)/2 over
+    the chosen places 0..i+j-1 of the band.
+    """
+    band = [b for b, v in enumerate(word) if v == pos]
+    base = [v + 1 if v > pos else v for v in word]
+    out = []
+    for chosen in combinations(range(i + j), j):
+        values = base.copy()
+        for t in chosen:
+            values[band[t]] = pos + 1
+        out.append((tuple(values), sum(chosen) - j * (j - 1) // 2))
+    return out
+
+
+def _merge_word(
+    word: Sequence[int], shape: tuple[int, ...], pos: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """``curlywedge`` on a column-strict box word over ``shape``: nothing
+    when pos sits directly above pos+1 in a column, else the relabelled
+    word with exponent -d, d the pairs where pos+1 comes before pos."""
+    for i in _in_block_pairs(shape):
+        if word[i - 1] == pos and word[i] == pos + 1:
+            return []
+    seen = d = 0
+    for v in word:
+        if v == pos + 1:
+            seen += 1
+        elif v == pos:
+            d += seen
+    return [(tuple(v - 1 if v > pos else v for v in word), -d)]
+
+
 def curlyvee(
     f: Filling, pos: int, sizes: tuple[int, int]
 ) -> WeightedDiagramSum:
@@ -401,19 +524,7 @@ def curlyvee(
         )
     if not f.is_column_strict():
         raise ValueError("filling is not column-strict")
-    flat = f.flat()
-    band = [b for b, v in enumerate(flat) if v == pos]
-    base = [v + 1 if v > pos else v for v in flat]
-    inv_before = inversions(f)
-    out = WeightedDiagramSum()
-    for chosen in combinations(band, j):
-        values = list(base)
-        for b in chosen:
-            values[b] = pos + 1
-        result = f.with_flat(values)
-        exponent = i * j - (inversions(result) - inv_before)
-        out.add_term(result, LaurentPoly.q_power(exponent))
-    return out
+    return _weighted(_split_word(f.flat(), pos, i, j), f.shape)
 
 
 def curlywedge(f: Filling, pos: int) -> WeightedDiagramSum:
@@ -428,10 +539,4 @@ def curlywedge(f: Filling, pos: int) -> WeightedDiagramSum:
         raise ValueError(f"no adjacent content parts at position {pos}")
     if not f.is_column_strict():
         raise ValueError("filling is not column-strict")
-    flat = f.flat()
-    values = [v - 1 if v > pos else v for v in flat]
-    result = f.with_flat(values)
-    if not result.is_column_strict():
-        return WeightedDiagramSum.zero()
-    exponent = inversions(result) - inversions(f)
-    return WeightedDiagramSum.single(result, LaurentPoly.q_power(exponent))
+    return _weighted(_merge_word(f.flat(), f.shape, pos), f.shape)

@@ -255,7 +255,7 @@ class LinComb(dict):
         >>> LinComb.from_sums({"a": {1: 2, 0: 0}, "b": {3: 0}}) == LinComb({"a": 2 * Q})
         True
         """
-        out = cls()
+        out = cls.__new__(cls)
         for key, acc in sums.items():
             terms = _normal(acc)
             if terms:

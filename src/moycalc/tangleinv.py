@@ -40,15 +40,15 @@ from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .boxcomb import (
-    Filling,
-    WeightedDiagramSum,
+    _check_basis_key,
+    _check_filling,
+    _merge_word,
+    _phi_inverse_word,
+    _phi_word,
+    _psi_inverse_word,
+    _psi_word,
+    _split_word,
     all_compositions,
-    curlyvee,
-    curlywedge,
-    phi,
-    phi_inverse,
-    psi,
-    psi_inverse,
 )
 from .qlaurent import ONE, ZERO, LaurentPoly, LinComb, quantum_int
 from .reporting import Report
@@ -972,13 +972,15 @@ _ROUTES = ("curly", "translation", "matrix")
 class _TransportPlan:
     """The per-web work of the three transport routes, done once.
 
-    A plan holds the web's matrix, a memo of ``psi_inverse`` on the
-    top-boundary fillings that the curly and matrix routes reach, and
-    the image keys already checked.  Its three route kernels send one
-    basis class (mu, z) to its image.  The curly and matrix kernels
-    take the class's source filling ``psi(z, mu, f.bottom)``, which the
-    caller computes once for both; the translation kernel pushes z
-    along the web's walls, each wall step analysed once.
+    A plan carries each basis class (mu, z) as a box word over mu: its
+    source word is ``psi``'s, written and checked column-strict once by
+    ``source``.  The curly kernel folds the layers' box moves over the
+    word, summing raw exponents per top word; the translation kernel
+    pushes z along the web's walls, each wall step analysed once; the
+    matrix kernel reads the word's column of the web's matrix, evaluated
+    once.  Top words and matrix rows become classes through memos that
+    run ``psi_inverse``'s and ``phi_inverse``'s checks once per distinct
+    input, and each image key is checked once.
     """
 
     def __init__(self, f: Web) -> None:
@@ -989,54 +991,74 @@ class _TransportPlan:
                     f"layer {i} is {layer.kind}"
                 )
         self.web = f
-        self._classes: dict[tuple[Filling, tuple[int, ...]], Permutation] = {}
+        self._classes: dict[tuple[tuple[int, ...], tuple[int, ...]], Permutation] = {}
+        self._rows: dict[object, tuple[tuple[int, ...], Permutation]] = {}
         self._checked: set[tuple[tuple[int, ...], Permutation]] = set()
 
     @cached_property
-    def _matrix(self) -> QMatrix:
-        return evaluate(self.web)
+    def _columns(self) -> dict[object, LinComb]:
+        """The web's matrix, evaluated once, by column key."""
+        matrix = evaluate(self.web)
+        return dict(zip(matrix.cols, matrix.columns))
 
     @cached_property
     def _walls(self) -> TranslationPath:
         return TranslationPath(self.web.boundaries)
 
-    def _top_class(self, g: Filling, mu: tuple[int, ...]) -> Permutation:
-        key = (g, mu)
+    def _top_class(self, word: tuple[int, ...], mu: tuple[int, ...]) -> Permutation:
+        key = (word, mu)
         z = self._classes.get(key)
         if z is None:
-            z = self._classes[key] = psi_inverse(g, mu, self.web.top)
+            _check_filling(word, mu, mu, self.web.top)
+            z = self._classes[key] = _psi_inverse_word(word, self.web.top)
         return z
 
-    def curly(self, mu: tuple[int, ...], source: Filling) -> LinComb:
-        """Fold the box-diagram moves of each layer over the source."""
-        current = WeightedDiagramSum.single(source)
+    def _row_class(self, row_key: object) -> tuple[tuple[int, ...], Permutation]:
+        key = self._rows.get(row_key)
+        if key is None:
+            _check_basis_key(row_key, self.web.k)
+            word, shape = _phi_inverse_word(row_key, self.web.k)
+            key = self._rows[row_key] = (shape, self._top_class(word, shape))
+        return key
+
+    def source(self, mu: tuple[int, ...], z: Permutation) -> tuple[int, ...]:
+        """The class's source word ``psi(z, mu, f.bottom)``."""
+        return _psi_word(z, mu, self.web.bottom)
+
+    def curly(self, mu: tuple[int, ...], source: tuple[int, ...]) -> LinComb:
+        """Fold the box moves of each layer over the source word."""
+        sums: dict[tuple[int, ...], dict[int, int]] = {source: {0: 1}}
         for layer in self.web.layers:
-            moved = WeightedDiagramSum()
-            for g, coeff in current.items():
+            moved: dict[tuple[int, ...], dict[int, int]] = {}
+            for word, acc in sums.items():
                 if layer.kind == "merge":
-                    step = curlywedge(g, layer.pos)
+                    steps = _merge_word(word, mu, layer.pos)
                 else:
-                    step = curlyvee(g, layer.pos, (layer.a, layer.b))
-                for h, c in step.items():
-                    moved.add_term(h, c * coeff)
-            current = moved
-        return LinComb(
-            ((mu, self._top_class(g, mu)), coeff) for g, coeff in current.items()
+                    steps = _split_word(word, layer.pos, layer.a, layer.b)
+                for new, shift in steps:
+                    target = moved.setdefault(new, {})
+                    for e, c in acc.items():
+                        target[e + shift] = target.get(e + shift, 0) + c
+            sums = moved
+        return LinComb.from_sums(
+            {(mu, self._top_class(word, mu)): acc for word, acc in sums.items()}
         )
 
     def translation(self, mu: tuple[int, ...], z: Permutation) -> LinComb:
         """Push the flag class z along the web's walls."""
-        terms = self._walls.push([(0, z)], mu)
-        return LinComb(((mu, w), LaurentPoly.q_power(e)) for e, w in terms)
+        sums: dict[tuple[tuple[int, ...], Permutation], dict[int, int]] = {}
+        for e, w in self._walls.push([(0, z)], mu):
+            acc = sums.setdefault((mu, w), {})
+            acc[e] = acc.get(e, 0) + 1
+        return LinComb.from_sums(sums)
 
-    def matrix(self, source: Filling) -> LinComb:
-        """Read the source's column of the web's matrix as classes."""
-        k = self.web.k
-        out = LinComb()
-        for row_key, coeff in self._matrix.column(phi(source, k)):
-            g = phi_inverse(row_key, k)
-            out.add_term((g.shape, self._top_class(g, g.shape)), coeff)
-        return out
+    def matrix(self, mu: tuple[int, ...], source: tuple[int, ...]) -> LinComb:
+        """Read the source word's column of the web's matrix as classes."""
+        column = self._columns[_phi_word(source, mu)]
+        # distinct rows are distinct classes, and the column holds no zero
+        return column._new(
+            (self._row_class(row_key), coeff) for row_key, coeff in column.items()
+        )
 
     def checked(self, image: LinComb) -> LinComb:
         """``image``, after ``GrothVector``'s key check on each of its
@@ -1069,8 +1091,8 @@ def grothendieck_map(
     def image(mu: tuple[int, ...], z: Permutation) -> LinComb:
         if route == "translation":
             return plan.translation(mu, z)
-        source = psi(z, mu, f.bottom)
-        return plan.curly(mu, source) if route == "curly" else plan.matrix(source)
+        source = plan.source(mu, z)
+        return plan.curly(mu, source) if route == "curly" else plan.matrix(mu, source)
 
     def apply(vec: GrothVector) -> GrothVector:
         if (vec.k, vec.nu) != (k, f.bottom):
@@ -1132,10 +1154,10 @@ def compare_theorem13(f: Web) -> bool:
     plan = _TransportPlan(f)
     for mu in all_compositions(sum(f.bottom), f.k):
         for z in sorted(O_set(mu, f.bottom), key=lambda w: w.images):
-            source = psi(z, mu, f.bottom)
+            source = plan.source(mu, z)
             curly = plan.checked(plan.curly(mu, source))
             translation = plan.checked(plan.translation(mu, z))
-            matrix = plan.checked(plan.matrix(source))
+            matrix = plan.checked(plan.matrix(mu, source))
             if not (curly == translation and translation == matrix):
                 return False
     return True

@@ -26,6 +26,7 @@ def test_every_line_is_one_layer_record(capsys):
         "sign_action",
         "sign_action",
         "column_strict_fillings",
+        "bijection",
         "transport",
     ]
     for r in records:

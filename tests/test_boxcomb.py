@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moycalc.boxcomb import (
     Filling,
@@ -143,6 +144,29 @@ def test_column_strict_size_mismatch():
         column_strict_fillings((2, 1), (2, 2))
 
 
+def test_column_strict_fillings_rejects_negative_parts():
+    with pytest.raises(ValueError, match="negative part in composition"):
+        column_strict_fillings((2, -1), (1, 0))
+    with pytest.raises(ValueError, match="negative part in composition"):
+        column_strict_fillings((1, 0), (2, -1))
+
+
+@pytest.mark.parametrize(
+    "mu,nu", [((2, 1, 0), (1, 1, 1)), ((1, 0, 2), (2, 1)), ((3, 3), (2, 2, 2))]
+)
+def test_trusted_fillings_equal_validated_ones(mu, nu):
+    fillings = column_strict_fillings(mu, nu)
+    assert fillings
+    for f in fillings:
+        checked = Filling(list(map(list, f.columns)))
+        assert f == checked and hash(f) == hash(checked)
+        assert type(f.columns) is tuple
+        assert all(type(col) is tuple for col in f.columns)
+    trusted = Filling._trusted(((1, 2), ()))
+    assert trusted == filling((1, 2), ())
+    assert hash(trusted) == hash(filling((1, 2), ()))
+
+
 def reference_column_strict_fillings(mu, nu):
     """Every column choice tried, nothing pruned: the enumerator as it
     was before it cut dead branches."""
@@ -196,6 +220,14 @@ def test_phi_inverse_examples():
         phi_inverse(((2, 1),), 2)
     with pytest.raises(ValueError):
         phi_inverse(((1, 4),), 3)
+    with pytest.raises(ValueError):
+        phi_inverse(((1,), (2, 2)), 3)
+
+
+def test_phi_inverse_rejects_entries_that_are_not_ints():
+    for key in (((True,), (1,)), ("1",), ((1.0,),), ((1, 2.0),)):
+        with pytest.raises(ValueError, match="not a strictly increasing basis key"):
+            phi_inverse(key, 2)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -489,3 +521,170 @@ def test_refine_commutes_with_the_split_intertwiner(nu, pos, sizes, k):
             matrix = split_matrix(k, nu, pos, *sizes, strict=False)
             got = curlyvee(f, pos, sizes)
             assert sum_matches_matrix_column(got, matrix, phi(f, k), k)
+
+
+# ----------------------------------------------------------------------
+# the public wrappers against the Filling-level bodies that the box-word
+# kernels replaced
+
+
+def reference_content(f):
+    values = f.flat()
+    counts = [0] * max(values, default=0)
+    for v in values:
+        counts[v - 1] += 1
+    return tuple(counts)
+
+
+def reference_is_column_strict(f):
+    return all(a < b for col in f.columns for a, b in zip(col, col[1:]))
+
+
+def reference_phi(f, k):
+    if len(f.columns) > k:
+        raise ValueError("too many columns")
+    if not reference_is_column_strict(f):
+        raise ValueError("filling is not column-strict")
+    nu = reference_content(f)
+    key = []
+    for value in range(1, len(nu) + 1):
+        cols = tuple(j for j, col in enumerate(f.columns, start=1) if value in col)
+        if len(cols) != nu[value - 1]:
+            raise ValueError("value repeats within a column")
+        key.append(cols)
+    return tuple(key)
+
+
+def reference_phi_inverse(key, k):
+    if any(
+        len(set(subset)) != len(subset)
+        or list(subset) != sorted(subset)
+        or any(not 1 <= j <= k for j in subset)
+        for subset in key
+    ):
+        raise ValueError("not a strictly increasing basis key")
+    return Filling(
+        tuple(
+            tuple(value for value, subset in enumerate(key, start=1) if j in subset)
+            for j in range(1, k + 1)
+        )
+    )
+
+
+def reference_psi_direct(w, mu, nu):
+    """psi written straight into columns, each checked as it is cut."""
+    if sum(mu) != sum(nu) or sum(mu) != w.n:
+        raise ValueError("composition sizes do not match the permutation")
+    if any(p < 0 for p in mu + nu):
+        raise ValueError("negative part")
+    block = [index for index, p in enumerate(nu, start=1) for _ in range(p)]
+    entries = [0] * w.n
+    for position, box in enumerate(w.images):
+        entries[box - 1] = block[position]
+    columns = []
+    start = 0
+    for p in mu:
+        column = entries[start : start + p]
+        start += p
+        if any(upper >= lower for upper, lower in zip(column, column[1:])):
+            raise ValueError("not a qualifying coset")
+        columns.append(tuple(column))
+    return Filling(tuple(columns))
+
+
+def reference_psi_inverse_direct(f, mu, nu):
+    if f.shape != mu or not reference_is_column_strict(f):
+        raise ValueError("wrong shape or not column-strict")
+    content = reference_content(f)
+    if content + (0,) * (len(nu) - len(content)) != nu:
+        raise ValueError("wrong content")
+    next_value = []
+    start = 0
+    for p in nu:
+        next_value.append(start)
+        start += p
+    images = [0] * start
+    for box, v in enumerate(f.flat(), start=1):
+        images[next_value[v - 1]] = box
+        next_value[v - 1] += 1
+    return Permutation(tuple(images))
+
+
+def reference_curlyvee(f, pos, sizes):
+    """Every relabelling choice weighted by the inversion count of the
+    whole box word, before and after."""
+    i, j = sizes
+    flat = f.flat()
+    band = [b for b, v in enumerate(flat) if v == pos]
+    base = [v + 1 if v > pos else v for v in flat]
+    out = WeightedDiagramSum()
+    for chosen in combinations(band, j):
+        values = list(base)
+        for b in chosen:
+            values[b] = pos + 1
+        result = f.with_flat(values)
+        out.add_term(result, qp(i * j - (inversions(result) - inversions(f))))
+    return out
+
+
+def reference_curlywedge(f, pos):
+    result = f.with_flat([v - 1 if v > pos else v for v in f.flat()])
+    if not reference_is_column_strict(result):
+        return WeightedDiagramSum.zero()
+    return WeightedDiagramSum.single(result, qp(inversions(result) - inversions(f)))
+
+
+def outcome(call, *args):
+    """The call's value, or the fact that it raised ValueError."""
+    try:
+        return call(*args)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def fillings_with_content(draw):
+    """A column-strict filling of at most 6 boxes over 1..4 columns, and
+    a content for it: skipped values and empty columns give zero parts,
+    and the content may end in a zero."""
+    top = draw(st.integers(1, 6))
+    columns = []
+    size = 0
+    for _ in range(draw(st.integers(1, 4))):
+        col = draw(
+            st.lists(st.integers(1, top), unique=True, max_size=min(top, 6 - size))
+        )
+        columns.append(tuple(sorted(col)))
+        size += len(col)
+    f = Filling(tuple(columns))
+    return f, reference_content(f) + (0,) * draw(st.integers(0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fillings_with_content(), data=st.data())
+def test_public_wrappers_match_the_filling_bodies(case, data):
+    f, nu = case
+    mu = f.shape
+    n = f.size
+    z = psi_inverse(f, mu, nu)
+    assert z == reference_psi_inverse_direct(f, mu, nu)
+    g = psi(z, mu, nu)
+    assert g == reference_psi_direct(z, mu, nu) == f and hash(g) == hash(f)
+    w = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+    assert outcome(psi, w, mu, nu) == outcome(reference_psi_direct, w, mu, nu)
+    for k in (len(mu) - 1, len(mu), len(mu) + 1):
+        key = outcome(phi, f, k)
+        assert key == outcome(reference_phi, f, k)
+        if key is not ValueError:
+            back = phi_inverse(key, k)
+            assert back == reference_phi_inverse(key, k)
+            assert back.columns[: len(mu)] == f.columns
+    content = reference_content(f)
+    for pos in range(1, len(content) + 1):
+        part = content[pos - 1]
+        for i in range(part + 1):
+            got = curlyvee(f, pos, (i, part - i))
+            assert got == reference_curlyvee(f, pos, (i, part - i))
+            assert all(type(h.columns) is tuple for h in got)
+    for pos in range(1, len(content)):
+        assert curlywedge(f, pos) == reference_curlywedge(f, pos)

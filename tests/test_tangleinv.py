@@ -778,6 +778,14 @@ def test_transport_is_linear(key_a, key_b, coeff, route):
     assert apply(vec_a * coeff) == apply(vec_a) * coeff
 
 
+@pytest.mark.parametrize("route", ["curly", "matrix"])
+def test_transport_rejects_a_class_that_does_not_qualify(route):
+    apply = grothendieck_map(MERGE_WEB, route=route)
+    vec = GrothVector.basis(3, (1, 1), (2, 0, 0), Permutation((2, 1)))
+    with pytest.raises(ValueError, match="21 does not represent a qualifying coset"):
+        apply(vec)
+
+
 # ----------------------------------------------------------------------
 # the transport plan against the per-class chain it replaced
 
@@ -871,13 +879,14 @@ def test_plan_routes_match_the_per_class_chain(k):
         matrix = evaluate(web)
         for mu in all_compositions(sum(web.bottom), web.k):
             for z in O_set(mu, web.bottom):
-                source = psi(z, mu, web.bottom)
+                source = plan.source(mu, z)
+                assert source == psi(z, mu, web.bottom).flat()
                 where = (web.text(), mu, z.one_line_text())
                 assert plan.curly(mu, source) == _reference_curly(web, mu, z), where
                 assert plan.translation(mu, z) == _reference_translation(
                     web, mu, z
                 ), where
-                assert plan.matrix(source) == _reference_matrix(
+                assert plan.matrix(mu, source) == _reference_matrix(
                     web, matrix, mu, z
                 ), where
                 classes += 1
