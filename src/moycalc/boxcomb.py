@@ -37,7 +37,13 @@ from itertools import combinations
 from typing import Sequence
 
 from .qlaurent import ONE, LaurentPoly, LinComb
-from .symhecke import Permutation, _in_block_pairs
+from .symhecke import (
+    Permutation,
+    _blocks,
+    _in_block_pairs,
+    _inversion_count,
+    parts_of,
+)
 
 __all__ = [
     "Filling",
@@ -70,15 +76,28 @@ def all_compositions(n: int, parts: int) -> list[tuple[int, ...]]:
     ]
 
 
+def _compositions(n: int, allowed: Sequence[int]) -> list[tuple[int, ...]]:
+    """All compositions of n with every part in ``allowed``, listed by
+    first part in the order of ``allowed``; each allowed part is >= 1."""
+    if any(p < 1 for p in allowed):
+        raise ValueError(f"allowed parts {tuple(allowed)} must be at least 1")
+
+    def extend(m: int) -> list[tuple[int, ...]]:
+        if m == 0:
+            return [()]
+        return [
+            (first,) + rest
+            for first in allowed
+            if first <= m
+            for rest in extend(m - first)
+        ]
+
+    return extend(n)
+
+
 def positive_compositions(n: int) -> list[tuple[int, ...]]:
     """All compositions of n into positive parts."""
-    if n == 0:
-        return [()]
-    return [
-        (first,) + rest
-        for first in range(1, n + 1)
-        for rest in positive_compositions(n - first)
-    ]
+    return _compositions(n, range(1, n + 1))
 
 
 # ----------------------------------------------------------------------
@@ -156,6 +175,8 @@ class Filling:
 
     def with_flat(self, values: Sequence[int]) -> "Filling":
         """Same shape, entries replaced in box order."""
+        if len(values) != self.size:
+            raise ValueError(f"{len(values)} entries for a filling of size {self.size}")
         return Filling(_cut(values, self.shape))
 
     def text(self) -> str:
@@ -174,14 +195,7 @@ def _filling(word: Sequence[int], shape: Sequence[int]) -> Filling:
 
 def standard_filling(mu: Sequence[int]) -> Filling:
     """Numbers 1..n placed column by column, top to bottom."""
-    columns = []
-    next_value = 1
-    for p in mu:
-        if p < 0:
-            raise ValueError(f"negative part in composition {tuple(mu)}")
-        columns.append(tuple(range(next_value, next_value + p)))
-        next_value += p
-    return Filling(tuple(columns))
+    return Filling(tuple(tuple(block) for block in _blocks(mu)))
 
 
 def _require_standard_content(f: Filling) -> int:
@@ -214,15 +228,11 @@ def column_strict_fillings(
     mu: Sequence[int], nu: Sequence[int]
 ) -> set[Filling]:
     """All column-strict fillings of shape mu with content nu."""
-    mu_t = tuple(int(p) for p in mu)
-    nu_t = tuple(int(p) for p in nu)
+    mu_t, nu_t = parts_of(mu), parts_of(nu)
     if sum(mu_t) != sum(nu_t):
         raise ValueError(
             f"shape {mu_t} and content {nu_t} have different sizes"
         )
-    for parts in (mu_t, nu_t):
-        if any(p < 0 for p in parts):
-            raise ValueError(f"negative part in composition {parts}")
     out: set[Filling] = set()
 
     def extend(col: int, remaining: list[int], acc: list[tuple[int, ...]]):
@@ -351,13 +361,9 @@ def psi(
     of w^{-1}(b), so position p of w's one-line word fills box w(p).
     Raises when the result is not column-strict, which happens exactly
     when the coset of w does not qualify."""
-    mu_t = tuple(int(p) for p in mu)
-    nu_t = tuple(int(p) for p in nu)
+    mu_t, nu_t = parts_of(mu), parts_of(nu)
     if sum(mu_t) != sum(nu_t) or sum(mu_t) != w.n:
         raise ValueError("composition sizes do not match the permutation")
-    for parts in (mu_t, nu_t):
-        if any(p < 0 for p in parts):
-            raise ValueError(f"negative part in composition {parts}")
     return _filling(_psi_word(w, mu_t, nu_t), mu_t)
 
 
@@ -421,13 +427,7 @@ def psi_inverse(
 
 def inversions(f: Filling) -> int:
     """Box pairs (p, q) with p before q in box order and a larger entry."""
-    flat = f.flat()
-    return sum(
-        1
-        for a in range(len(flat))
-        for b in range(a + 1, len(flat))
-        if flat[a] > flat[b]
-    )
+    return _inversion_count(f.flat())
 
 
 class WeightedDiagramSum(LinComb):

@@ -42,6 +42,7 @@ from math import comb
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
 from .reporting import Report
+from .symhecke import _inversion_count
 
 _Key = TypeVar("_Key")
 
@@ -680,14 +681,7 @@ def verify_foam() -> list[Report]:
 
     theta_failures = []
     for triple in permutations((0, 1, 2)):
-        sign = Fraction(1)
-        inversions = sum(
-            1
-            for i in range(3)
-            for j in range(i + 1, 3)
-            if triple[i] > triple[j]
-        )
-        expected = Fraction(-1) if inversions % 2 else Fraction(1)
+        expected = Fraction(-1) if _inversion_count(triple) % 2 else Fraction(1)
         if theta_eval(*triple) != expected:
             theta_failures.append(f"{triple} != {expected}")
     for d1, d2, d3 in product(range(4), repeat=3):

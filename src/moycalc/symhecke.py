@@ -255,6 +255,14 @@ def parts_of(mu: Sequence[int]) -> tuple[int, ...]:
     return parts
 
 
+def _parts_summing_to(mu: Sequence[int], n: int) -> tuple[int, ...]:
+    """``parts_of(mu)``, which must sum to n."""
+    parts = parts_of(mu)
+    if sum(parts) != n:
+        raise ValueError(f"composition {parts} does not match n={n}")
+    return parts
+
+
 def nonzero_part_count(mu: Sequence[int]) -> int:
     """Number of nonzero parts (the row bound of the annihilator test)."""
     return sum(1 for p in parts_of(mu) if p)
@@ -285,12 +293,6 @@ def _in_block_pairs(mu: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i for block in _blocks(mu) for i in block[:-1])
 
 
-def _is_left_minimal(w: Permutation, pairs: tuple[int, ...]) -> bool:
-    """w minimal in S_mu·w: values i, i+1 in one block appear in order."""
-    inv = _inverse_images(w.images)
-    return all(inv[i - 1] < inv[i] for i in pairs)
-
-
 def _is_right_minimal(w: Permutation, pairs: tuple[int, ...]) -> bool:
     """w minimal in w·S_mu: entries at in-block positions increase."""
     images = w.images
@@ -305,21 +307,13 @@ def min_coset_reps(mu: Sequence[int], side: str) -> set[Permutation]:
     ``side="right"`` gives those of w·S_mu (entries increase on the
     block positions).
     """
-    parts = parts_of(mu)
-    n = sum(parts)
-    pairs = _in_block_pairs(parts)
+    right = _right_minimal_reps(parts_of(mu))
+    if side == "right":
+        return set(right)
     if side == "left":
-        test = lambda w: _is_left_minimal(w, pairs)
-    elif side == "right":
-        test = lambda w: _is_right_minimal(w, pairs)
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return {
-        w
-        for images in permutations(range(1, n + 1))
-        for w in (Permutation._trusted(images),)
-        if test(w)
-    }
+        # w is minimal in S_mu·w exactly when w^-1 is minimal in w^-1·S_mu
+        return {w.inverse() for w in right}
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 @lru_cache(maxsize=None)
@@ -632,7 +626,8 @@ def annihilates(w: Permutation, mu: Sequence[int]) -> bool:
     """Whether the KL element of w must kill the induced sign module:
     true iff the insertion tableau has more rows than mu has nonzero
     parts.  (Only this direction is claimed or used.)"""
-    return len(rs_tableaux(w)[0]) > nonzero_part_count(mu)
+    parts = _parts_summing_to(mu, w.n)
+    return len(rs_tableaux(w)[0]) > nonzero_part_count(parts)
 
 
 # ----------------------------------------------------------------------
@@ -709,10 +704,7 @@ def sign_action(h: HeckeElement, mu: Sequence[int]) -> QMatrix:
     box-diagram bijection intertwines the module with the E-operators
     on V^{⊗n}; the identity-sized composition recovers the regular
     representation (indices inverted)."""
-    mu_t = parts_of(mu)
-    n = sum(mu_t)
-    if n != h.n:
-        raise ValueError(f"composition {mu_t} does not match n={h.n}")
+    mu_t = _parts_summing_to(mu, h.n)
     basis, project, tree = _sign_module(tuple(p for p in mu_t if p))
     columns: dict[tuple[int, ...], LinComb | None] = dict.fromkeys(
         w.reduced_word() for w in basis
@@ -883,6 +875,10 @@ def _wall_step(
 
     def check(terms: list) -> None:
         for _, w in terms:
+            if len(w.images) != n:
+                raise ValueError(
+                    f"class {w.one_line_text()} is not a permutation of size n={n}"
+                )
             if not _is_right_minimal(w, src_pairs):
                 raise ValueError(
                     f"class {w.one_line_text()} is not minimal over {src}"
@@ -915,13 +911,7 @@ def _wall_step(
             for e, w in terms:
                 images = w.images
                 segment = images[offset:end]
-                # inversions inside the merged window = l(y)
-                l_y = sum(
-                    1
-                    for i, x in enumerate(segment)
-                    for y in segment[i + 1 :]
-                    if x > y
-                )
+                l_y = _inversion_count(segment)  # inside the merged window
                 # sorting the merged window keeps z minimal over dst
                 z = Permutation._trusted(
                     images[:offset] + tuple(sorted(segment)) + images[end:]
@@ -957,8 +947,8 @@ class TranslationPath:
         parts = [parts_of(c) for c in walls]
         if not parts:
             raise ValueError("path must contain at least the starting wall")
-        n = sum(parts[0])
-        if any(sum(c) != n for c in parts):
+        self.n = sum(parts[0])
+        if any(sum(c) != self.n for c in parts):
             raise ValueError("all walls in the path must be compositions of n")
         self.steps = tuple(_wall_step(s, d) for s, d in zip(parts, parts[1:]))
 
@@ -967,22 +957,19 @@ class TranslationPath:
     ) -> list[tuple[int, Permutation]]:
         """The (exponent, class) terms at the path's end.  When ``mu`` is
         given, onto-wall steps drop the classes whose coset does not
-        qualify for the mu-restricted class set."""
-        mu_pairs = None if mu is None else _in_block_pairs(tuple(mu))
+        qualify for the mu-restricted class set.  ``mu`` must sum to the
+        path's n, and every class must be a permutation of that size."""
+        mu_pairs = (
+            None if mu is None else _in_block_pairs(_parts_summing_to(mu, self.n))
+        )
         for step in self.steps:
             terms = step(terms, mu_pairs)
         return terms
 
 
 def translation_flag(
-    start: FlagList | Iterable[tuple[int, Permutation]],
-    path: Sequence[Sequence[int]],
-    mu: Sequence[int] | None = None,
+    start: FlagList, path: Sequence[Sequence[int]], mu: Sequence[int] | None = None
 ) -> FlagList:
     """Push a class list along a path of walls, optionally restricted
     to the classes of ``mu`` (see ``TranslationPath``)."""
-    if isinstance(start, FlagList):
-        terms = list(start.terms)
-    else:
-        terms = list(start)
-    return FlagList(tuple(TranslationPath(path).push(terms, mu)))
+    return FlagList(tuple(TranslationPath(path).push(list(start.terms), mu)))

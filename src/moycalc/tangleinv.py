@@ -42,6 +42,7 @@ from typing import Callable, Iterator, Sequence
 from .boxcomb import (
     _check_basis_key,
     _check_filling,
+    _compositions,
     _merge_word,
     _phi_inverse_word,
     _phi_word,
@@ -1112,10 +1113,12 @@ def grothendieck_map(
 def special_generator_webs(n: int, k: int) -> list[Web]:
     """Every one-layer merge or split web of special type on a
     boundary composition of ``n`` with parts that are valid labels."""
+    if k < 2:
+        raise ValueError(f"web rank k must be >= 2, got {k}")
     labels = sorted({1, 2, k - 1, k})
     pairs = sorted(special_pairs(k))
     webs = []
-    for nu in _label_compositions(n, labels):
+    for nu in _compositions(n, labels):
         for pos in range(1, len(nu) + 1):
             for a, b in pairs:
                 if pos < len(nu) and (nu[pos - 1], nu[pos]) == (a, b):
@@ -1126,21 +1129,6 @@ def special_generator_webs(n: int, k: int) -> list[Web]:
                 if nu[pos - 1] == a + b:
                     webs.append(Web(k, nu, (Layer("split", pos, a, b),)))
     return webs
-
-
-def _label_compositions(
-    n: int, labels: Sequence[int]
-) -> list[tuple[int, ...]]:
-    if n == 0:
-        return [()]
-    out = []
-    for first in labels:
-        if first <= n:
-            out.extend(
-                (first,) + rest
-                for rest in _label_compositions(n - first, labels)
-            )
-    return out
 
 
 def compare_theorem13(f: Web) -> bool:

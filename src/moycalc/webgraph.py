@@ -53,6 +53,8 @@ from .weblin import (
     INPUT_SPANS,
     QMatrix,
     TensorBasis,
+    _lift,
+    _resolve_label,
     apply_window,
     cap_matrix,
     cross_matrix_at,
@@ -216,22 +218,11 @@ _LAYER_RE = re.compile(
 )
 
 
-def _resolve_label(token: str, k: int, line: int, col: int) -> int:
-    text = token.strip()
-    if text == "k":
-        return k
-    if text == "k-1":
-        return k - 1
-    if re.fullmatch(r"\d+", text):
-        value = int(text)
-        if value < 1:
-            raise WebParseError(f"label must be at least 1, got {text}", line, col)
-        return value
-    raise WebParseError(
-        f"unrecognized label {text!r} (use integers or the symbols k, k-1)",
-        line,
-        col,
-    )
+def _label_at(token: str, k: int, line: int, col: int) -> int:
+    try:
+        return _resolve_label(token, k)
+    except ValueError as exc:
+        raise WebParseError(str(exc), line, col) from None
 
 
 def _parse_bottom(
@@ -243,7 +234,7 @@ def _parse_bottom(
     tokens = text.split(",")
     if any(not t.strip() for t in tokens):
         raise WebParseError(f"empty label in bottom list {text!r}", line, col)
-    return tuple(_resolve_label(t, k, line, col) for t in tokens)
+    return tuple(_label_at(t, k, line, col) for t in tokens)
 
 
 def _parse_layer(
@@ -276,7 +267,7 @@ def _parse_layer(
         tokens = labels_text.split(",")
         if any(not t.strip() for t in tokens):
             raise WebParseError(f"empty label in {chunk!r}", line, col)
-        values = tuple(_resolve_label(t, k, line, col) for t in tokens)
+        values = tuple(_label_at(t, k, line, col) for t in tokens)
     else:
         values = ()
     if kind in _LABELLED_KINDS:
@@ -563,8 +554,8 @@ def square_web_matrix(k: int) -> QMatrix:
     space, which is zero-dimensional, so this matrix is identically zero
     — computed from the general merge/split engine rather than asserted.
     """
-    up = merge_matrix(k, (1, k), 1, strict=False)
-    down = split_matrix(k, (k + 1,), 1, 1, k, strict=False)
+    up = _lift(k, (1, k), (k + 1,), 1, 2, local_map("merge", k, 1, k))
+    down = _lift(k, (k + 1,), (1, k), 1, 1, local_map("split", k, 1, k))
     return down @ up
 
 

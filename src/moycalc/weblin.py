@@ -320,15 +320,14 @@ def generator_step(
     pos: int,
     a: int | None = None,
     b: int | None = None,
-    strict: bool = True,
 ) -> tuple[int, ...]:
     """The boundary above one generator at ``pos`` on the boundary
     ``labels`` below it; ValueError when the generator does not fit.
 
     This is the one typing rule for generators.  Split and cup take
     their label pair (a, b); merge and cap read theirs off the boundary,
-    and a pair passed to them must match it.  ``strict=False`` lifts the
-    restriction of merges and splits to the special pairs.
+    and a pair passed to them must match it.  Merges and splits take
+    the special pairs only.
     """
     span = INPUT_SPANS.get(kind)
     if span is None:
@@ -375,7 +374,7 @@ def generator_step(
                 f"found ({window[0]},{window[1]})"
             )
         out = window
-    if kind in ("merge", "split") and strict and (a, b) not in special_pairs(k):
+    if kind in ("merge", "split") and (a, b) not in special_pairs(k):
         raise ValueError(f"{kind} label pair ({a},{b}) not admissible for k={k}")
     return labels[: pos - 1] + out + labels[pos - 1 + span :]
 
@@ -434,12 +433,11 @@ def _generator_matrix(
     pos: int,
     a: int | None = None,
     b: int | None = None,
-    strict: bool = True,
 ) -> QMatrix:
     """The whole-boundary matrix of one generator, typed by
     ``generator_step``."""
     labels = tuple(labels)
-    top = generator_step(kind, k, labels, pos, a, b, strict)
+    top = generator_step(kind, k, labels, pos, a, b)
     if a is None:
         a, b = labels[pos - 1 : pos + 1]
     return _lift(k, labels, top, pos, INPUT_SPANS[kind], local_map(kind, k, a, b))
@@ -486,24 +484,14 @@ def local_map(kind: str, k: int, a: int, b: int) -> LocalMap:
     return MappingProxyType(local)
 
 
-def merge_matrix(
-    k: int, labels: Sequence[int], pos: int, *, strict: bool = True
-) -> QMatrix:
+def merge_matrix(k: int, labels: Sequence[int], pos: int) -> QMatrix:
     """Merge the factors at (pos, pos+1): v_S ⊗ v_T ↦ q^{-inv(S,T)} v_{S∪T}."""
-    return _generator_matrix("merge", k, labels, pos, strict=strict)
+    return _generator_matrix("merge", k, labels, pos)
 
 
-def split_matrix(
-    k: int,
-    labels: Sequence[int],
-    pos: int,
-    a: int,
-    b: int,
-    *,
-    strict: bool = True,
-) -> QMatrix:
+def split_matrix(k: int, labels: Sequence[int], pos: int, a: int, b: int) -> QMatrix:
     """Split the factor at pos into (a, b): v_U ↦ Σ q^{inv(T,S)} v_S ⊗ v_T."""
-    return _generator_matrix("split", k, labels, pos, a, b, strict)
+    return _generator_matrix("split", k, labels, pos, a, b)
 
 
 def cup_matrix(k: int, labels: Sequence[int], pos: int, a: int, b: int) -> QMatrix:
@@ -522,15 +510,19 @@ def cap_matrix(k: int, labels: Sequence[int], pos: int) -> QMatrix:
 
 
 def _resolve_label(token: str, k: int) -> int:
-    token = token.strip()
-    if token == "k":
+    """A label written as a positive integer or as ``k`` or ``k-1``."""
+    text = token.strip()
+    if text == "k":
         return k
-    if token == "k-1":
+    if text == "k-1":
         return k - 1
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"unrecognized label {token!r}") from None
+    if text.isdecimal():
+        if int(text) < 1:
+            raise ValueError(f"label must be at least 1, got {text}")
+        return int(text)
+    raise ValueError(
+        f"unrecognized label {text!r} (use integers or the symbols k, k-1)"
+    )
 
 
 def intertwiner_matrix(

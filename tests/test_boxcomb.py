@@ -112,6 +112,19 @@ def test_filling_helpers():
         filling((0, 1))
 
 
+@pytest.mark.parametrize("values", [[], [1], [1, 2, 3]])
+def test_with_flat_rejects_a_length_mismatch(values):
+    with pytest.raises(ValueError, match="entries for a filling of size 2"):
+        filling((1, 2)).with_flat(values)
+
+
+def test_composition_checks_reject_negative_parts():
+    with pytest.raises(ValueError, match=r"negative part in composition \(2, -1\)"):
+        standard_filling((2, -1))
+    with pytest.raises(ValueError, match=r"negative part in composition \(2, -1\)"):
+        psi(Permutation.identity(1), (2, -1), (1,))
+
+
 # ----------------------------------------------------------------------
 # column-strict enumeration
 
@@ -518,7 +531,7 @@ def test_refine_commutes_with_the_split_intertwiner(nu, pos, sizes, k):
     n = sum(nu)
     for mu in all_compositions(n, k):
         for f in column_strict_fillings(mu, nu):
-            matrix = split_matrix(k, nu, pos, *sizes, strict=False)
+            matrix = split_matrix(k, nu, pos, *sizes)
             got = curlyvee(f, pos, sizes)
             assert sum_matches_matrix_column(got, matrix, phi(f, k), k)
 

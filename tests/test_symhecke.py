@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moycalc import boxcomb
 from moycalc.qlaurent import ONE, LaurentPoly, LinComb, quantum_int
 from moycalc.symhecke import (
     FlagList,
     HeckeElement,
     O_set,
     Permutation,
+    TranslationPath,
     annihilates,
     hecke_mul,
     kl_element,
@@ -51,6 +53,23 @@ def positive_compositions(n: int):
         for rest in positive_compositions(n - first):
             out.append((first,) + rest)
     return out
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_the_composition_enumerator_matches_the_reference(n):
+    reference = positive_compositions(n)
+    assert boxcomb._compositions(n, range(1, n + 1)) == reference
+    assert boxcomb.positive_compositions(n) == reference
+    for allowed in ((1,), (1, 2), (2, 3), (1, 2, 3), (1, 3, 4), (2, 5)):
+        assert boxcomb._compositions(n, allowed) == [
+            c for c in reference if set(c) <= set(allowed)
+        ]
+
+
+@pytest.mark.parametrize("allowed", [(0, 1, 2), (-1, 1), (1, 0)])
+def test_the_composition_enumerator_rejects_parts_below_one(allowed):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        boxcomb._compositions(3, allowed)
 
 
 def young_subgroup(nu: tuple[int, ...]):
@@ -199,6 +218,28 @@ def test_min_coset_reps_count(mu):
         count *= j
     assert len(min_coset_reps(mu, "right")) == count // order
     assert len(min_coset_reps(mu, "left")) == count // order
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_min_coset_reps_are_the_shortest_elements_of_their_cosets(n):
+    perms = all_perms(n)
+    for mu in positive_compositions(n) + compositions_with_zero_parts(n):
+        subgroup = young_subgroup(mu)
+        left = {
+            w for w in perms
+            if all(w.length() <= (y * w).length() for y in subgroup)
+        }
+        right = {
+            w for w in perms
+            if all(w.length() <= (w * y).length() for y in subgroup)
+        }
+        assert min_coset_reps(mu, "left") == left, mu
+        assert min_coset_reps(mu, "right") == right, mu
+
+
+def test_min_coset_reps_rejects_an_unknown_side():
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        min_coset_reps((2, 1), "middle")
 
 
 def test_coset_factorization_is_unique_and_length_additive():
@@ -441,6 +482,16 @@ def test_annihilates_examples():
     for w in all_perms(3):
         assert annihilates(w, (2, 0, 1)) == annihilates(w, (2, 1))
     assert nonzero_part_count((2, 0, 1)) == 2
+
+
+@pytest.mark.parametrize("mu", [(1, 1), (2, 2), (5,), (2, 0, 2)])
+def test_annihilates_rejects_a_composition_of_another_size(mu):
+    w = Permutation.identity(3)
+    with pytest.raises(ValueError, match="does not match n=3") as got:
+        annihilates(w, mu)
+    with pytest.raises(ValueError) as want:
+        sign_action(HeckeElement.standard(w), mu)
+    assert str(got.value) == str(want.value)
 
 
 # ----------------------------------------------------------------------
@@ -847,3 +898,22 @@ def test_translation_rejects_bad_paths_and_classes():
         translation_flag(FlagList.single(e), [(2, 1), (2, 2)])
     with pytest.raises(ValueError):
         translation_flag(FlagList.single(e), [])
+
+
+def test_translation_rejects_classes_of_another_size():
+    e2 = Permutation.identity(2)
+    with pytest.raises(ValueError, match="not a permutation of size n=3"):
+        translation_flag(FlagList.single(e2), [(1, 1, 1), (2, 1)])
+    with pytest.raises(ValueError, match="not a permutation of size n=3"):
+        translation_flag(FlagList.single(e2), [(2, 1), (1, 1, 1)])
+    with pytest.raises(ValueError, match="not a permutation of size n=3"):
+        TranslationPath([(3,), (1, 2)]).push([(0, Permutation.identity(4))])
+
+
+@pytest.mark.parametrize("mu", [(1, 1), (5,), (2, 2), (1, 0, 1)])
+def test_translation_rejects_a_restriction_of_another_size(mu):
+    e = Permutation.identity(3)
+    with pytest.raises(ValueError, match="does not match n=3"):
+        translation_flag(FlagList.single(e), [(1, 1, 1), (2, 1)], mu=mu)
+    with pytest.raises(ValueError, match="does not match n=3"):
+        TranslationPath([(2, 1), (1, 1, 1)]).push([(0, e)], mu)

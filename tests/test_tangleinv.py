@@ -713,6 +713,12 @@ def test_routes_agree_on_all_small_special_generators(n, k):
         assert compare_theorem13(web), (web.bottom, web.layers)
 
 
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_special_generator_webs_reject_a_rank_below_two(k):
+    with pytest.raises(ValueError, match=f"web rank k must be >= 2, got {k}"):
+        special_generator_webs(2, k)
+
+
 def test_special_generator_web_inventory():
     webs = special_generator_webs(2, 2)
     assert [(w.bottom, w.layers[0].kind) for w in webs] == [

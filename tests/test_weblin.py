@@ -137,6 +137,17 @@ def test_intertwiner_acts_as_identity_elsewhere():
     assert col == {((1, 3), (1, 2)): qp(-1)}
 
 
+def test_intertwiner_labels_follow_the_web_grammar():
+    merge = intertwiner_matrix("merge(1,2)", 3, (1, 2), 1)
+    assert intertwiner_matrix("merge( 01 , k-1 )", 3, (1, 2), 1) == merge
+    with pytest.raises(ValueError, match="label must be at least 1, got 0"):
+        intertwiner_matrix("merge(0,1)", 3, (0, 1), 1)
+    with pytest.raises(ValueError, match="unrecognized label '-1'"):
+        intertwiner_matrix("split(-1,2)", 3, (1,), 1)
+    with pytest.raises(ValueError, match=r"unrecognized label 'j' \(use integers"):
+        intertwiner_matrix("merge(j,1)", 3, (1, 1), 1)
+
+
 def test_intertwiner_label_mismatch_errors():
     with pytest.raises(ValueError):
         intertwiner_matrix("merge(1,2)", 4, (1, 2), 1)  # pair not special
