@@ -80,7 +80,8 @@ def cases() -> list[tuple[str, str, Callable[[], float]]]:
     for text in ("54321", "654321"):
         element = kl_element(Permutation.from_one_line(text))
         out.append(("bar", text, partial(timed, element.bar)))
-    for text, mu in (("4231", (1, 2, 1)), ("53412", (2, 2, 1))):
+    sign_inputs = (("4231", (1, 2, 1)), ("53412", (2, 2, 1)), ("52413", (1,) * 5))
+    for text, mu in sign_inputs:
         element = kl_element(Permutation.from_one_line(text))
         label = f"{text}|{','.join(map(str, mu))}"
         out.append(("sign_action", label, partial(timed, sign_action, element, mu)))

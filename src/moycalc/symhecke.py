@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .qlaurent import ONE, LaurentPoly, LinComb
 from .weblin import QMatrix
@@ -425,13 +425,14 @@ class HeckeElement:
 
     def bar(self) -> "HeckeElement":
         """The bar involution: q ↦ q^-1 and H_x ↦ (H_{x^{-1}})^{-1}."""
-        unit = Permutation.identity(self.n)
+        group = _group(self.n)
+        # index 0 is the identity
         leaves = {
-            x.reduced_word(): {unit: {-e: v for e, v in c.terms}}
+            x.reduced_word(): {0: {-e: v for e, v in c.terms}}
             for x, c in self.terms.items()
         }
-        vec = _fold_words(leaves, inverse=True)
-        return HeckeElement(self.n, LinComb.from_sums(vec))
+        vec = _fold_words(group, leaves, inverse=True)
+        return HeckeElement(self.n, _lincomb(vec, group))
 
     def text(self) -> str:
         """Canonical form "H[321]*(1) + H[231]*(q) + ...".
@@ -453,17 +454,56 @@ class HeckeElement:
         return self.text()
 
 
-# Raw sums: the Hecke code below computes on plain {Permutation:
-# {exponent: coefficient}} dicts and makes each output coefficient a
-# LaurentPoly once, at its boundary (LinComb.from_sums).
-RawSum = dict[Permutation, dict[int, int]]
+# Raw sums: the Hecke code below computes on plain {index: {exponent:
+# coefficient}} dicts over the indexed copy of S_n (``_group``); keys
+# enter through ``_raw`` and leave through ``_lincomb``, which makes
+# each coefficient a LaurentPoly once.  Sharing rule: a left step puts
+# the sums it only moves into its output uncopied, so a sum, once placed
+# in a raw sum, is mutated only by a caller that owns (built fresh) the
+# input it came from.
+RawSum = dict[int, dict[int, int]]
 
-# per generator index i: y -> (s_i·y, whether s_i·y < y), filled on demand
-_LEFT_STEPS: dict[int, dict[Permutation, tuple[Permutation, bool]]] = {}
+
+class _IndexedGroup(NamedTuple):
+    """S_n with every element numbered once.
+
+    ``perms[y]`` is the permutation with index y, in lexicographic
+    order of one-line notation (so index 0 is the identity); ``index``
+    maps one-line images back to the index; ``left[i][y]`` is (index of
+    s_i·y, whether s_i·y < y)."""
+
+    perms: tuple[Permutation, ...]
+    index: dict[tuple[int, ...], int]
+    left: dict[int, tuple[tuple[int, bool], ...]]
 
 
-def _raw(terms: LinComb) -> RawSum:
-    return {x: dict(c.terms) for x, c in terms.items()}
+@lru_cache(maxsize=None)
+def _group(n: int) -> _IndexedGroup:
+    perms = tuple(
+        Permutation._trusted(images) for images in permutations(range(1, n + 1))
+    )
+    index = {w.images: y for y, w in enumerate(perms)}
+    left: dict[int, list[tuple[int, bool]]] = {i: [] for i in range(1, n)}
+    for w in perms:
+        images = w.images
+        position = _inverse_images(images)
+        for i in range(1, n):
+            # s_i·w swaps the values i and i+1, which sit at these places
+            a, b = position[i - 1] - 1, position[i] - 1
+            swapped = list(images)
+            swapped[a], swapped[b] = i + 1, i
+            left[i].append((index[tuple(swapped)], a > b))
+    return _IndexedGroup(perms, index, {i: tuple(row) for i, row in left.items()})
+
+
+def _raw(terms: LinComb, group: _IndexedGroup) -> RawSum:
+    index = group.index
+    return {index[x.images]: dict(c.terms) for x, c in terms.items()}
+
+
+def _lincomb(vec: RawSum, group: _IndexedGroup) -> LinComb:
+    perms = group.perms
+    return LinComb.from_sums({perms[y]: acc for y, acc in vec.items()})
 
 
 def _merge(out: RawSum, vec: RawSum) -> None:
@@ -477,47 +517,49 @@ def _merge(out: RawSum, vec: RawSum) -> None:
                 target[e] = target.get(e, 0) + c
 
 
-def _left_step(i: int, vec: RawSum, inverse: bool = False) -> RawSum:
+def _left_step(
+    moves: tuple[tuple[int, bool], ...], vec: RawSum, inverse: bool = False
+) -> RawSum:
     """Left-multiply a raw sum by H_{s_i}, or with ``inverse`` by
-    H_{s_i}^{-1} = H_{s_i} + (q - q^-1).
+    H_{s_i}^{-1} = H_{s_i} + (q - q^-1); ``moves`` is ``left[i]`` of
+    the group's table.
 
-    H_{s_i}·H_y = H_{s_i·y}, plus (q^-1 - q)·H_y when s_i·y < y; the
-    inverse swaps the correction to (q - q^-1)·H_y when s_i·y > y.  The
-    correction is two shifted integer adds: +c at e + plus, -c at
-    e - plus.
+    Each pair {a, b = s_i·a} with a < b is handled in one go:
+    H_{s_i} sends c_a·H_a + c_b·H_b to c_b·H_a + (c_a + (q^-1 - q)·c_b)·H_b,
+    and H_{s_i}^{-1} to (c_b + (q - q^-1)·c_a)·H_a + c_a·H_b.  The sum
+    that only moves is shared with ``vec``, not copied (see the sharing
+    rule above); the other is a fresh dict, and its correction is two
+    shifted integer adds: +c at e + plus, -c at e - plus.
     """
     plus = 1 if inverse else -1
-    steps = _LEFT_STEPS.setdefault(i, {})
     out: RawSum = {}
     for y, acc in vec.items():
-        step = steps.get(y)
-        if step is None:
-            step = steps[y] = (y.s_times(i), not y.left_ascent(i))
-        sy, down = step
-        target = out.get(sy)
-        if target is None:
-            out[sy] = dict(acc)
-        else:
-            for e, c in acc.items():
-                target[e] = target.get(e, 0) + c
+        sy, down = moves[y]
         if down != inverse:
-            target = out.get(y)
-            if target is None:
-                target = out[y] = {}
+            # y takes the correction, added to a copy of its partner's sum
+            partner = vec.get(sy)
+            target = out[y] = {} if partner is None else partner.copy()
             for e, c in acc.items():
                 target[e + plus] = target.get(e + plus, 0) + c
                 target[e - plus] = target.get(e - plus, 0) - c
+        elif sy in vec:
+            continue  # the pair is done at its other end
+        out[sy] = acc
     return out
 
 
 def _fold_words(
-    leaves: dict[tuple[int, ...], RawSum], inverse: bool, depth: int = 0
+    group: _IndexedGroup,
+    leaves: dict[tuple[int, ...], RawSum],
+    inverse: bool,
+    depth: int = 0,
 ) -> RawSum:
     """Σ over ``word -> leaf`` of H_{w_1}···H_{w_r}·leaf (each factor
     inverted with ``inverse``), Horner-style: words sharing a prefix
     share the left steps of that prefix, which act on the largest sums.
     Every word has at least ``depth`` letters and the words agree on
-    their first ``depth``."""
+    their first ``depth``.  The leaves are taken over: ``_merge`` adds
+    into their sums, so the caller builds them fresh."""
     out: RawSum = {}
     branches: dict[int, dict[tuple[int, ...], RawSum]] = {}
     for word, leaf in leaves.items():
@@ -526,7 +568,8 @@ def _fold_words(
         else:
             branches.setdefault(word[depth], {})[word] = leaf
     for i, branch in branches.items():
-        _merge(out, _left_step(i, _fold_words(branch, inverse, depth + 1), inverse))
+        folded = _fold_words(group, branch, inverse, depth + 1)
+        _merge(out, _left_step(group.left[i], folded, inverse))
     return out
 
 
@@ -539,15 +582,18 @@ def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product in the Hecke algebra: Σ_x H_x·(c_x·b), folded along the
     reduced words of the x."""
     _check_same_n(a, b, "product")
+    group = _group(a.n)
+    b_raw = _raw(b.terms, group)
     leaves = {}
     for x, c in a.terms.items():
         leaf = leaves[x.reduced_word()] = {}
-        for y, cy in b.terms.items():
+        for y, sum_y in b_raw.items():
             acc = leaf[y] = {}
             for e1, c1 in c.terms:
-                for e2, c2 in cy.terms:
+                for e2, c2 in sum_y.items():
                     acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-    return HeckeElement(a.n, LinComb.from_sums(_fold_words(leaves, inverse=False)))
+    vec = _fold_words(group, leaves, inverse=False)
+    return HeckeElement(a.n, _lincomb(vec, group))
 
 
 _KL_CACHE: dict[tuple[int, ...], HeckeElement] = {}
@@ -570,22 +616,27 @@ def kl_element(w: Permutation) -> HeckeElement:
     if w.is_identity():
         result = HeckeElement.unit(n)
     else:
+        group = _group(n)
+        index = group.index
         i = w.reduced_word()[0]
+        moves = group.left[i]
         kl_v = kl_element(w.s_times(i)).terms
-        # C_{s_i}·C_v = H_{s_i}·C_v + q·C_v
-        vec = _left_step(i, _raw(kl_v))
-        for z, coeff in kl_v.items():
-            acc = vec.setdefault(z, {})
+        raw = _raw(kl_v, group)
+        # C_{s_i}·C_v = H_{s_i}·C_v + q·C_v; the step shares raw's sums
+        # and raw is ours, so the adds below may go into them in place
+        vec = _left_step(moves, raw)
+        for y, (z, coeff) in zip(raw, kl_v.items()):
+            acc = vec.setdefault(y, {})
             for e, c in coeff.terms:
                 acc[e + 1] = acc.get(e + 1, 0) + c
             m = coeff.coeff(1)
-            if m and not z.left_ascent(i):
+            if m and moves[y][1]:
                 # s_i z < z: subtract the degree-one correction m·C_z
                 for x, cx in kl_element(z).terms.items():
-                    acc = vec.setdefault(x, {})
+                    acc = vec.setdefault(index[x.images], {})
                     for e, c in cx.terms:
                         acc[e] = acc.get(e, 0) - m * c
-        terms = LinComb.from_sums(vec)
+        terms = _lincomb(vec, group)
         for x, c in terms.items():
             terms[x] = _KL_COEFFS.setdefault(c.terms, c)
         result = HeckeElement(n, terms)
@@ -639,28 +690,33 @@ def _sign_module(parts: tuple[int, ...]):
     """Basis (sorted), projection table and word tree for the sign
     module of the composition with these nonzero parts.
 
-    The projection sends each y in S_n, written y = u·d with u in S_mu
-    and d minimal in S_mu·y, to (d, l(u)), which stands for
-    (-q)^{l(u)}·d.  Left multiplication by S_mu permutes the values
-    inside each block, so d puts every block's values in increasing
-    order on the positions y gives them.
+    The projection is a list over the indices of ``_group(n)``: it sends
+    y in S_n, written y = u·d with u in S_mu and d minimal in S_mu·y,
+    to (index of d, l(u), (-1)^{l(u)}), which stands for (-q)^{l(u)}·d.
+    Left multiplication by S_mu permutes the values inside each block,
+    so d puts every block's values in increasing order on the positions
+    y gives them.
 
     The tree maps each tail of a basis element's greedy reduced word to
     the one-letter-longer tails: the greedy word of x minus its first
     letter i is the greedy word of s_i·x, which need not be minimal.
     """
     n = sum(parts)
+    group = _group(n)
     blocks = _blocks(parts)
-    project = {}
-    for images in permutations(range(1, n + 1)):
+    project = []
+    for y in group.perms:
+        images = y.images
         sorted_images = list(images)
         for block in blocks:
             positions = [p for p, v in enumerate(images) if v in block]
             for p, v in zip(positions, block):
                 sorted_images[p] = v
-        y, d = Permutation(images), Permutation(tuple(sorted_images))
-        project[y] = (d, y.length() - d.length())
-    basis = tuple(sorted({d for d, _ in project.values()}, key=lambda w: w.images))
+        d = tuple(sorted_images)
+        length = _inversion_count(images) - _inversion_count(d)
+        project.append((group.index[d], length, -1 if length & 1 else 1))
+    # indices follow one-line order, so sorted indices give a sorted basis
+    basis = tuple(group.perms[d] for d in sorted({d for d, _, _ in project}))
     tree: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for d in basis:
         word = d.reduced_word()
@@ -672,18 +728,18 @@ def _sign_module(parts: tuple[int, ...]):
     return basis, project, tree
 
 
-def _project(vec: RawSum, project: dict) -> LinComb:
+def _project(vec: RawSum, project: list, group: _IndexedGroup) -> LinComb:
     """The image of a raw sum in the sign module: H_y ↦ (-q)^{l(u)}·d."""
     col: RawSum = {}
     for y, acc in vec.items():
-        d, length = project[y]
-        sign = -1 if length & 1 else 1
+        d, length, sign = project[y]
         target = col.get(d)
         if target is None:
-            target = col[d] = {}
-        for e, c in acc.items():
-            target[e + length] = target.get(e + length, 0) + sign * c
-    return LinComb.from_sums(col)
+            col[d] = {e + length: sign * c for e, c in acc.items()}
+        else:
+            for e, c in acc.items():
+                target[e + length] = target.get(e + length, 0) + sign * c
+    return _lincomb(col, group)
 
 
 def sign_action(h: HeckeElement, mu: Sequence[int]) -> QMatrix:
@@ -705,17 +761,21 @@ def sign_action(h: HeckeElement, mu: Sequence[int]) -> QMatrix:
     on V^{⊗n}; the identity-sized composition recovers the regular
     representation (indices inverted)."""
     mu_t = _parts_summing_to(mu, h.n)
+    group = _group(h.n)
+    left = group.left
     basis, project, tree = _sign_module(tuple(p for p in mu_t if p))
     columns: dict[tuple[int, ...], LinComb | None] = dict.fromkeys(
         w.reduced_word() for w in basis
     )
-    # (greedy word of x, H_{x'}·h for x' = s_i·x, i its first letter)
+    # (greedy word of x, H_{x'}·h for x' = s_i·x, i its first letter);
+    # siblings share their parent's product and its sums, and only read
+    # them
     stack: list[tuple[tuple[int, ...], RawSum]] = [((), {})]
     while stack:
         word, below = stack.pop()
-        vec = _left_step(word[0], below) if word else _raw(h.terms)
+        vec = _left_step(left[word[0]], below) if word else _raw(h.terms, group)
         if word in columns:
-            columns[word] = _project(vec, project)
+            columns[word] = _project(vec, project, group)
         stack.extend((longer, vec) for longer in tree.get(word, ()))
     return QMatrix(basis, basis, list(columns.values()))
 
@@ -862,6 +922,20 @@ def _out_of_wall_reps(
     return tuple(reps)
 
 
+def _check_classes(terms: list, wall: tuple[int, ...]) -> None:
+    """Every class of the (exponent, class) terms is a permutation of
+    the wall's n, minimal over the wall."""
+    n = sum(wall)
+    pairs = _in_block_pairs(wall)
+    for _, w in terms:
+        if len(w.images) != n:
+            raise ValueError(
+                f"class {w.one_line_text()} is not a permutation of size n={n}"
+            )
+        if not _is_right_minimal(w, pairs):
+            raise ValueError(f"class {w.one_line_text()} is not minimal over {wall}")
+
+
 @lru_cache(maxsize=None)
 def _wall_step(
     src: tuple[int, ...], dst: tuple[int, ...]
@@ -871,19 +945,6 @@ def _wall_step(
     ``src`` and the mu-restriction pairs (or None) to the terms over
     ``dst``.  Every input class is checked to be minimal over ``src``."""
     n = sum(src)
-    src_pairs = _in_block_pairs(src)
-
-    def check(terms: list) -> None:
-        for _, w in terms:
-            if len(w.images) != n:
-                raise ValueError(
-                    f"class {w.one_line_text()} is not a permutation of size n={n}"
-                )
-            if not _is_right_minimal(w, src_pairs):
-                raise ValueError(
-                    f"class {w.one_line_text()} is not minimal over {src}"
-                )
-
     split = _single_split(src, dst)
     if split is not None:
         offset, a, b = split
@@ -894,7 +955,7 @@ def _wall_step(
         )
 
         def out_of_wall(terms: list, mu_pairs: tuple[int, ...] | None) -> list:
-            check(terms)
+            _check_classes(terms, src)
             return [(e + s, w * z) for e, w in terms for s, z in fan]
 
         return out_of_wall
@@ -905,7 +966,7 @@ def _wall_step(
         nu_block = _block_index(dst, n)
 
         def onto_wall(terms: list, mu_pairs: tuple[int, ...] | None) -> list:
-            check(terms)
+            _check_classes(terms, src)
             inverses = _rep_inverses(dst) if mu_pairs is not None else None
             out = []
             for e, w in terms:
@@ -947,7 +1008,8 @@ class TranslationPath:
         parts = [parts_of(c) for c in walls]
         if not parts:
             raise ValueError("path must contain at least the starting wall")
-        self.n = sum(parts[0])
+        self.start = parts[0]
+        self.n = sum(self.start)
         if any(sum(c) != self.n for c in parts):
             raise ValueError("all walls in the path must be compositions of n")
         self.steps = tuple(_wall_step(s, d) for s, d in zip(parts, parts[1:]))
@@ -958,10 +1020,14 @@ class TranslationPath:
         """The (exponent, class) terms at the path's end.  When ``mu`` is
         given, onto-wall steps drop the classes whose coset does not
         qualify for the mu-restricted class set.  ``mu`` must sum to the
-        path's n, and every class must be a permutation of that size."""
+        path's n, and every class must be a permutation of that size,
+        minimal over the starting wall."""
         mu_pairs = (
             None if mu is None else _in_block_pairs(_parts_summing_to(mu, self.n))
         )
+        if not self.steps:
+            # each step checks its input; a path without one checks here
+            _check_classes(terms, self.start)
         for step in self.steps:
             terms = step(terms, mu_pairs)
         return terms

@@ -25,6 +25,7 @@ def test_every_line_is_one_layer_record(capsys):
         "bar",
         "sign_action",
         "sign_action",
+        "sign_action",
         "column_strict_fillings",
         "bijection",
         "transport",

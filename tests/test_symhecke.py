@@ -26,7 +26,9 @@ from moycalc.symhecke import (
     rs_tableaux,
     sign_action,
     translation_flag,
+    _group,
     _left_step,
+    _lincomb,
     _raw,
 )
 from moycalc.weblin import QMatrix
@@ -675,7 +677,24 @@ def test_sign_action_of_a_product_is_the_reversed_product(case):
 
 
 # ----------------------------------------------------------------------
-# the raw-sum left step against the LinComb left step it replaced
+# the indexed group and its raw-sum left step
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_indexed_group_agrees_with_permutation(n):
+    group = _group(n)
+    assert len(group.perms) == len(all_perms(n))
+    assert group.perms[0] == Permutation.identity(n)
+    assert [group.index[w.images] for w in group.perms] == list(range(len(group.perms)))
+    assert sorted(group.left) == list(range(1, n))
+    for i, moves in group.left.items():
+        assert len(moves) == len(group.perms)
+        for y, (sy, down) in enumerate(moves):
+            w = group.perms[y]
+            assert moves[sy][0] == y
+            assert group.perms[sy] == w.s_times(i)
+            assert down == (not w.left_ascent(i))
+            assert group.perms[sy].length() == w.length() + (-1 if down else 1)
 
 
 def reference_gen_times_vec(i: int, vec: LinComb, inverse: bool = False) -> LinComb:
@@ -726,11 +745,12 @@ def reference_bar(h: HeckeElement) -> HeckeElement:
 )
 def test_left_step_matches_the_lincomb_reference(case):
     h, i, inverse = case
-    raw = _raw(h.terms)
+    group = _group(h.n)
+    raw = _raw(h.terms, group)
     before = {y: dict(acc) for y, acc in raw.items()}
-    stepped = _left_step(i, raw, inverse)
+    stepped = _left_step(group.left[i], raw, inverse)
     assert raw == before
-    assert LinComb.from_sums(stepped) == reference_gen_times_vec(i, h.terms, inverse)
+    assert _lincomb(stepped, group) == reference_gen_times_vec(i, h.terms, inverse)
 
 
 @settings(max_examples=100, deadline=None)
@@ -744,6 +764,26 @@ def test_hecke_mul_matches_the_lincomb_reference(case):
 @given(st.integers(2, 5).flatmap(hecke_elements))
 def test_bar_matches_the_lincomb_reference(h):
     assert h.bar() == reference_bar(h)
+
+
+def test_shared_sums_leave_inputs_and_cached_elements_unchanged():
+    """Left steps share sums between their input and output, so no
+    caller may write into a sum it did not build."""
+    h = kl_element(perm("3412")) + qp(2) * HeckeElement.standard(perm("2143"))
+    terms = dict(h.terms)
+    for mu in [(1, 1, 1, 1), (2, 1, 1), (2, 2)]:
+        assert sign_action(h, mu) == sign_action(h, mu)
+    assert dict(h.terms) == terms
+    s4 = all_perms(4)
+    texts = {w: kl_element(w).text() for w in s4}
+    for w in s4:
+        h = kl_element(w)
+        for mu in positive_compositions(4):
+            sign_action(h, mu)
+        h.bar()
+        for v in s4:
+            hecke_mul(h, kl_element(v))
+    assert {w: kl_element(w).text() for w in s4} == texts
 
 
 def test_annihilator_spot_checks():
@@ -898,6 +938,17 @@ def test_translation_rejects_bad_paths_and_classes():
         translation_flag(FlagList.single(e), [(2, 1), (2, 2)])
     with pytest.raises(ValueError):
         translation_flag(FlagList.single(e), [])
+
+
+def test_a_path_without_steps_checks_its_classes():
+    with pytest.raises(ValueError, match="not a permutation of size n=3"):
+        translation_flag(FlagList.single(Permutation.identity(2)), [(3,)])
+    with pytest.raises(ValueError, match="not a permutation of size n=3"):
+        translation_flag(FlagList.single(Permutation.identity(2)), [(3,)], mu=(2, 1))
+    with pytest.raises(ValueError, match=r"not minimal over \(2, 1\)"):
+        translation_flag(FlagList.single(perm("213")), [(2, 1)])
+    kept = FlagList.single(perm("132"), 2)
+    assert translation_flag(kept, [(2, 1)]) == kept
 
 
 def test_translation_rejects_classes_of_another_size():
