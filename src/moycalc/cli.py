@@ -35,7 +35,7 @@ from .boxcomb import column_strict_fillings
 from .reporting import all_passed, render_reports
 from .symhecke import Permutation, kl_element, rs_tableaux
 from .tangleinv import link_poly, parse_tangle
-from .webgraph import evaluate, evaluate_closed, parse_web, slice_chunks
+from .webgraph import WebParseError, evaluate, evaluate_closed, parse_web, slice_chunks
 
 __all__ = [
     "main",
@@ -76,16 +76,6 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _check_header_rank(k: int | None, source: str) -> None:
-    """Hold a rank read from a file header to the bound on --k."""
-    if k is not None and k > MAX_K:
-        _, line, col = next(slice_chunks(source))
-        raise ValueError(
-            f"line {line}, column {col}: k out of range: need k <= {MAX_K}, "
-            f"got {k}"
-        )
-
-
 def _parse_permutation(word: str) -> Permutation:
     pieces = word.split(",") if "," in word else list(word)
     try:
@@ -121,36 +111,36 @@ def _parse_composition(text: str, name: str) -> tuple[int, ...]:
 # computation commands
 
 
-def cmd_eval_web(args: argparse.Namespace) -> int:
+def _file_command(args: argparse.Namespace, parse: Callable, value: Callable) -> int:
+    """Read ``--file``, parse it, hold a header rank to ``MAX_K`` unless
+    ``--k`` is given, and print the value of what was parsed."""
     try:
         source = Path(args.file).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         return _fail(str(err))
     try:
-        web = parse_web(source, k=args.k)
-        _check_header_rank(web.k, source)
-        if web.bottom or web.top:
-            print(evaluate(web))
-        else:
-            print(evaluate_closed(web))
+        parsed = parse(source)
+        if args.k is None and parsed.k is not None and parsed.k > MAX_K:
+            _, line, col = next(slice_chunks(source))
+            raise WebParseError(
+                f"k out of range: need k <= {MAX_K}, got {parsed.k}", line, col
+            )
+        print(value(parsed))
     except ValueError as err:
         return _fail(str(err))
     return 0
+
+
+def cmd_eval_web(args: argparse.Namespace) -> int:
+    return _file_command(
+        args,
+        lambda source: parse_web(source, k=args.k),
+        lambda web: evaluate(web) if web.bottom or web.top else evaluate_closed(web),
+    )
 
 
 def cmd_link_poly(args: argparse.Namespace) -> int:
-    try:
-        source = Path(args.file).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
-        return _fail(str(err))
-    try:
-        word = parse_tangle(source)
-        if args.k is None:
-            _check_header_rank(word.k, source)
-        print(link_poly(word, args.k))
-    except ValueError as err:
-        return _fail(str(err))
-    return 0
+    return _file_command(args, parse_tangle, lambda word: link_poly(word, args.k))
 
 
 # ----------------------------------------------------------------------

@@ -58,7 +58,12 @@ from .weblin import QMatrix, special_pairs
 from .webgraph import (
     Layer,
     Web,
-    _LayerError,
+    WebParseError,
+    _SliceWord,
+    _at_position,
+    _check_position,
+    _located,
+    _read_header,
     evaluate,
     evaluate_closed,
     slice_chunks,
@@ -100,14 +105,8 @@ def _signs_text(signs: Sequence[str]) -> str:
     return "".join(signs)
 
 
-class TangleParseError(ValueError):
-    """A tangle text rejected at a specific line and column."""
-
-    def __init__(self, reason: str, line: int, column: int) -> None:
-        super().__init__(f"line {line}, column {column}: {reason}")
-        self.reason = reason
-        self.line = line
-        self.column = column
+# the slice grammars' one error type, under its tangle name
+TangleParseError = WebParseError
 
 
 @dataclass(frozen=True)
@@ -127,10 +126,7 @@ class TangleLayer:
     def __post_init__(self) -> None:
         if self.kind not in _TANGLE_KINDS:
             raise ValueError(f"unknown tangle layer kind {self.kind!r}")
-        if not isinstance(self.pos, int) or self.pos < 1:
-            raise ValueError(
-                f"layer position must be a positive integer, got {self.pos!r}"
-            )
+        _check_position(self.pos)
         if self.kind == "cup":
             if self.signs is None:
                 raise ValueError("cup requires an orientation pair")
@@ -177,14 +173,13 @@ def _sign_step(signs: tuple[str, ...], layer: TangleLayer) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class TangleWord:
+class TangleWord(_SliceWord):
     """A type-checked tangle word: boundary orientations and layers.
 
     Construction walks the layers and records every intermediate
-    orientation boundary in ``boundaries`` (``boundaries[i]`` is the
-    boundary below layer ``i``; the last entry is the top).  ``k`` is
-    an optional preferred rank carried over from a parsed header; the
-    word itself is rank-independent.
+    orientation boundary in ``boundaries``.  ``k`` is an optional
+    preferred rank carried over from a parsed header; the word itself is
+    rank-independent.
     """
 
     bottom: tuple[str, ...]
@@ -204,17 +199,7 @@ class TangleWord:
                 raise ValueError(
                     f"orientation must be '-' or '+', got {sign!r}"
                 )
-        bounds = [self.bottom]
-        for i, layer in enumerate(self.layers, start=1):
-            try:
-                bounds.append(_sign_step(bounds[-1], layer))
-            except ValueError as exc:
-                raise _LayerError(i, str(exc)) from None
-        object.__setattr__(self, "boundaries", tuple(bounds))
-
-    @property
-    def top(self) -> tuple[str, ...]:
-        return self.boundaries[-1]
+        self._walk(_sign_step)
 
     @property
     def is_closed(self) -> bool:
@@ -223,22 +208,15 @@ class TangleWord:
     def text(self) -> str:
         """Render back to the grammar; ``parse_tangle`` round-trips it
         (the header line is emitted only when ``k`` is set)."""
-        lines = []
-        if self.k is not None:
-            lines.append(
-                f"tangle k={self.k} bottom={_signs_text(self.bottom)}"
-            )
-        lines.extend(layer.text() for layer in self.layers)
-        return "\n".join(lines)
+        return self._text("tangle", _signs_text(self.bottom))
 
 
 # ----------------------------------------------------------------------
 # parsing
 
-_HEADER_RE = re.compile(r"^tangle\s+k\s*=\s*(\S+)\s+bottom\s*=\s*(.*)$")
+_HEADER_SYNTAX = "tangle k=<int> bottom=<signs>"
 _LAYER_RE = re.compile(r"^(cup|cap|X\+|X-)\s*\(\s*([^()]*?)\s*\)$")
-_CUP_ARGS_RE = re.compile(r"^([+-])\s*,?\s*([+-])(?:\s*@\s*(\d+))?$")
-_POS_ARGS_RE = re.compile(r"^(?:@\s*(\d+))?$")
+_CUP_SIGNS_RE = re.compile(r"^([+-])\s*,?\s*([+-])$")
 
 
 def _parse_bottom(text: str, line: int, col: int) -> tuple[str, ...]:
@@ -257,34 +235,28 @@ def _parse_layer(piece: str, line: int, col: int) -> TangleLayer:
     match = _LAYER_RE.match(piece)
     if match is None:
         raise TangleParseError(f"cannot parse layer {piece!r}", line, col)
-    kind, args = match.group(1), match.group(2)
+    kind, args = match.groups()
+    rest, pos = _at_position(args, line, col)
     if kind == "cup":
-        inner = _CUP_ARGS_RE.match(args)
-        if inner is None:
+        signs = _CUP_SIGNS_RE.match(rest)
+        if signs is None:
             raise TangleParseError(
                 f"cup arguments {args!r} are not "
                 "an orientation pair with optional @position",
                 line,
                 col,
             )
-        signs = (inner.group(1), inner.group(2))
-        pos = int(inner.group(3)) if inner.group(3) else 1
         try:
-            return TangleLayer("cup", pos, signs)
+            return TangleLayer("cup", pos, signs.groups())
         except ValueError as exc:
             raise TangleParseError(str(exc), line, col) from None
-    inner = _POS_ARGS_RE.match(args)
-    if inner is None:
+    if rest:
         raise TangleParseError(
             f"{kind} arguments {args!r} are not an optional @position",
             line,
             col,
         )
-    pos = int(inner.group(1)) if inner.group(1) else 1
-    try:
-        return TangleLayer(kind, pos)
-    except ValueError as exc:
-        raise TangleParseError(str(exc), line, col) from None
+    return TangleLayer(kind, pos)
 
 
 def parse_tangle(
@@ -299,43 +271,19 @@ def parse_tangle(
     boundary below it raises ``TangleParseError`` at its line and column,
     like every other fault in the text.
     """
-    header_k: int | None = None
-    header_bottom: tuple[str, ...] | None = None
-    layers: list[TangleLayer] = []
-    spots: list[tuple[int, int]] = []
-    saw_header = False
-    for index, (piece, line, col) in enumerate(slice_chunks(text)):
-        if index == 0:
-            match = _HEADER_RE.match(piece)
-            if match is not None:
-                saw_header = True
-                k_text = match.group(1)
-                if not re.fullmatch(r"\d+", k_text):
-                    raise TangleParseError(
-                        f"bad rank {k_text!r} in header", line, col
-                    )
-                header_k = int(k_text)
-                if header_k < 2:
-                    raise TangleParseError(
-                        f"k out of range: need k >= 2, got {header_k}",
-                        line,
-                        col,
-                    )
-                header_bottom = _parse_bottom(match.group(2), line, col)
-                continue
-        layers.append(_parse_layer(piece, line, col))
-        spots.append((line, col))
-    if saw_header and bottom is not None:
-        raise ValueError(
-            f"the tangle header already declares "
-            f"bottom={_signs_text(header_bottom)!r}; do not also pass bottom"
-        )
-    if header_bottom is None:
-        header_bottom = tuple(bottom) if bottom is not None else ()
-    try:
-        return TangleWord(header_bottom, tuple(layers), header_k)
-    except _LayerError as err:
-        raise TangleParseError(err.reason, *spots[err.index - 1]) from None
+    chunks = list(slice_chunks(text))
+    header_k, bottom_text, line0, col0 = _read_header(chunks, _HEADER_SYNTAX, bottom)
+    if header_k is not None:
+        if header_k < 2:
+            raise TangleParseError(
+                f"k out of range: need k >= 2, got {header_k}", line0, col0
+            )
+        bottom = _parse_bottom(bottom_text, line0, col0)
+    body = chunks[0 if header_k is None else 1 :]
+    layers = [_parse_layer(*chunk) for chunk in body]
+    return _located(
+        lambda: TangleWord(bottom or (), layers, header_k), body, line0, col0
+    )
 
 
 # ----------------------------------------------------------------------

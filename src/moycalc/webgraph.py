@@ -30,6 +30,10 @@ always spell out both small labels — one-label forms such as
 the label pairs (1,1), (1,k-1) and (k-1,1); cups and caps create or
 close a pair (1,k-1) or (k-1,1) whose shared k-edge stays implicit.
 
+The header (its rank in decimal digits), ``@<pos>``, comments and
+separators are the slice grammar that ``tangleinv.parse_tangle`` reads
+through the same helpers; both raise :class:`WebParseError`.
+
 ``evaluate`` pushes a sparse state through each layer's local window
 map, bottom to top, and is functorial for stacking and side-by-side
 placement; ``evaluate_closed`` extracts the scalar of a web with empty
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .qlaurent import ONE, LaurentPoly, quantum_int
 from .reporting import Report
@@ -93,7 +97,11 @@ __all__ = [
 
 
 class WebParseError(ValueError):
-    """A web source error, located by (1-based) line and column."""
+    """A web or tangle source error, located by (1-based) line and column.
+
+    Both slice grammars raise it; ``tangleinv.TangleParseError`` is this
+    class under its tangle name.
+    """
 
     def __init__(self, reason: str, line: int, column: int) -> None:
         self.reason = reason
@@ -109,6 +117,45 @@ class _LayerError(ValueError):
         super().__init__(f"layer {index}: {reason}")
         self.index = index
         self.reason = reason
+
+
+class _SliceWord:
+    """What webs and tangle words share: the walk that types their layers
+    bottom to top, recording ``boundaries`` (``boundaries[i]`` is the
+    boundary below layer ``i``; the last entry is the top)."""
+
+    def _walk(self, step: Callable) -> None:
+        """Type each layer with ``step(boundary below, layer)``; a
+        ValueError it raises becomes a ``_LayerError`` naming the layer."""
+        bounds = [self.bottom]
+        for i, layer in enumerate(self.layers, start=1):
+            try:
+                bounds.append(step(bounds[-1], layer))
+            except ValueError as exc:
+                raise _LayerError(i, str(exc)) from None
+        object.__setattr__(self, "boundaries", tuple(bounds))
+
+    @property
+    def top(self) -> tuple:
+        return self.boundaries[-1]
+
+    def _text(self, keyword: str, bottom: str) -> str:
+        """Render back to the slice grammar: the header (when the rank is
+        set), then one layer per line."""
+        header = [] if self.k is None else [f"{keyword} k={self.k} bottom={bottom}"]
+        return "\n".join([*header, *(layer.text() for layer in self.layers)])
+
+
+def _positive_int(value: object) -> bool:
+    """The check of web and tangle layers: a plain ``int`` of at least 1."""
+    return type(value) is int and value >= 1
+
+
+def _check_position(pos: object) -> None:
+    if not _positive_int(pos):
+        raise ValueError(
+            f"layer position must be a positive integer, got {pos!r}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -136,14 +183,11 @@ class Layer:
     def __post_init__(self) -> None:
         if self.kind not in _LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if not isinstance(self.pos, int) or self.pos < 1:
-            raise ValueError(
-                f"layer position must be a positive integer, got {self.pos!r}"
-            )
+        _check_position(self.pos)
         if self.kind in _LABELLED_KINDS:
             if self.a is None or self.b is None:
                 raise ValueError(f"{self.kind} requires a label pair")
-            if self.a < 1 or self.b < 1:
+            if not (_positive_int(self.a) and _positive_int(self.b)):
                 raise ValueError(
                     f"{self.kind} labels must be positive, "
                     f"got ({self.a},{self.b})"
@@ -158,13 +202,12 @@ class Layer:
 
 
 @dataclass(frozen=True)
-class Web:
+class Web(_SliceWord):
     """A type-checked web: rank, bottom boundary, and layers bottom-up.
 
     Construction walks the layers and records every intermediate
-    boundary in ``boundaries`` (``boundaries[i]`` is the boundary below
-    layer ``i``; the last entry is the top).  A generator that does not
-    fit its boundary raises ValueError naming the 1-based layer.
+    boundary in ``boundaries``.  A generator that does not fit its
+    boundary raises ValueError naming the 1-based layer.
     """
 
     k: int
@@ -185,56 +228,95 @@ class Web:
                 raise ValueError(
                     f"bottom label {label} not in {{1,2,k-1,k}} for k={self.k}"
                 )
-        bounds = [self.bottom]
-        for i, layer in enumerate(self.layers, start=1):
-            try:
-                bounds.append(
-                    generator_step(
-                        layer.kind, self.k, bounds[-1], layer.pos, layer.a, layer.b
-                    )
-                )
-            except ValueError as exc:
-                raise _LayerError(i, str(exc)) from None
-        object.__setattr__(self, "boundaries", tuple(bounds))
-
-    @property
-    def top(self) -> tuple[int, ...]:
-        return self.boundaries[-1]
+        self._walk(
+            lambda labels, layer: generator_step(
+                layer.kind, self.k, labels, layer.pos, layer.a, layer.b
+            )
+        )
 
     def text(self) -> str:
         """Render back to the grammar; ``parse_web`` round-trips it."""
-        header = f"web k={self.k} bottom=" + ",".join(
-            str(a) for a in self.bottom
-        )
-        return "\n".join([header, *(layer.text() for layer in self.layers)])
+        return self._text("web", ",".join(str(a) for a in self.bottom))
 
 
 # ----------------------------------------------------------------------
 # parsing
 
-_HEADER_RE = re.compile(r"^web\s+k\s*=\s*(\S+)\s+bottom\s*=\s*(.*)$")
+_HEADER_SYNTAX = "web k=<int> bottom=<labels>"
 _LAYER_RE = re.compile(
     r"^(merge|split|cup|cap|cross\+|cross-)\s*\(\s*([^()]*?)\s*\)$"
 )
 
 
-def _label_at(token: str, k: int, line: int, col: int) -> int:
+def _read_header(
+    chunks: list[tuple[str, int, int]], syntax: str, bottom: object
+) -> tuple[int | None, str | None, int, int]:
+    """The optional header on the first chunk, of the form ``syntax``
+    (``<keyword> k=<int> bottom=<list>``): its decimal rank, its bottom
+    text and its (line, column).  Without a header, rank and text are None
+    and the position is the first chunk's ((1, 1) for no chunk).  A header
+    and a ``bottom`` argument exclude each other."""
+    keyword = syntax.split()[0]
+    text, line, col = chunks[0] if chunks else ("", 1, 1)
+    if not text.startswith(keyword):
+        return None, None, line, col
+    match = re.fullmatch(
+        rf"{keyword}\s+k\s*=\s*(\S+)\s+bottom\s*=\s*(.*)", text
+    )
+    if not match:
+        raise WebParseError(
+            f"malformed {keyword} header; expected {syntax!r}", line, col
+        )
+    rank, bottom_text = match.groups()
+    if not rank.isdecimal():
+        raise WebParseError(f"bad rank {rank!r} in header", line, col)
+    if bottom is not None:
+        raise WebParseError(
+            "the header already declares bottom=; do not also pass bottom",
+            line,
+            col,
+        )
+    return int(rank), bottom_text, line, col
+
+
+def _at_position(args: str, line: int, col: int) -> tuple[str, int]:
+    """Layer arguments ``<rest>@<pos>``: the stripped rest and the
+    position, 1 when no ``@`` is written."""
+    rest, at_sign, pos = args.partition("@")
+    pos = pos.strip()
+    if at_sign and (not pos.isdecimal() or int(pos) < 1):
+        raise WebParseError(
+            f"position must be a positive integer, got {pos!r}", line, col
+        )
+    return rest.strip(), int(pos) if at_sign else 1
+
+
+def _located(
+    build: Callable[[], object], body: list[tuple[str, int, int]], line: int, col: int
+):
+    """``build()`` on the layers read from the chunks ``body``, with a
+    ``_LayerError`` raised as a parse error at its layer's chunk and any
+    other ValueError at (line, col)."""
     try:
-        return _resolve_label(token, k)
-    except ValueError as exc:
-        raise WebParseError(str(exc), line, col) from None
+        return build()
+    except _LayerError as err:
+        raise WebParseError(err.reason, *body[err.index - 1][1:]) from None
+    except ValueError as err:
+        raise WebParseError(str(err), line, col) from None
 
 
-def _parse_bottom(
-    text: str, k: int, line: int, col: int
-) -> tuple[int, ...]:
+def _labels(text: str, k: int, line: int, col: int) -> tuple[int, ...]:
+    """A comma-separated label list; blank text is the empty list."""
     text = text.strip()
     if not text:
         return ()
     tokens = text.split(",")
     if any(not t.strip() for t in tokens):
-        raise WebParseError(f"empty label in bottom list {text!r}", line, col)
-    return tuple(_label_at(t, k, line, col) for t in tokens)
+        raise WebParseError(f"empty label in {text!r}", line, col)
+    try:
+        return tuple(_resolve_label(t, k) for t in tokens)
+    except ValueError as exc:
+        raise WebParseError(str(exc), line, col) from None
 
 
 def _parse_layer(
@@ -249,27 +331,9 @@ def _parse_layer(
             line,
             col,
         )
-    kind, arg_text = match.group(1), match.group(2)
-    labels_text, at_sign, pos_text = arg_text.partition("@")
-    if at_sign:
-        pos_text = pos_text.strip()
-        if not re.fullmatch(r"\d+", pos_text) or int(pos_text) < 1:
-            raise WebParseError(
-                f"position must be a positive integer, got {pos_text!r}",
-                line,
-                col,
-            )
-        pos = int(pos_text)
-    else:
-        pos = 1
-    labels_text = labels_text.strip()
-    if labels_text:
-        tokens = labels_text.split(",")
-        if any(not t.strip() for t in tokens):
-            raise WebParseError(f"empty label in {chunk!r}", line, col)
-        values = tuple(_label_at(t, k, line, col) for t in tokens)
-    else:
-        values = ()
+    kind = match.group(1)
+    labels_text, pos = _at_position(match.group(2), line, col)
+    values = _labels(labels_text, k, line, col)
     if kind in _LABELLED_KINDS:
         if len(values) != 2:
             raise WebParseError(
@@ -325,67 +389,32 @@ def parse_web(
     chunks = list(slice_chunks(text))
     if not chunks:
         raise WebParseError("empty web source", 1, 1)
-
-    text0, line0, col0 = chunks[0]
-    header = None
-    if text0.startswith("web"):
-        header = _HEADER_RE.match(text0)
-        if not header:
-            raise WebParseError(
-                "malformed web header; expected 'web k=<int> bottom=<labels>'",
-                line0,
-                col0,
-            )
-        try:
-            header_k = int(header.group(1))
-        except ValueError:
-            raise WebParseError(
-                f"k must be an integer, got {header.group(1)!r}", line0, col0
-            ) from None
-        eff_k = header_k if k is None else k
-        if bottom is not None:
-            raise ValueError(
-                "the web header already declares bottom=; "
-                "do not also pass a bottom argument"
-            )
-    elif k is None:
+    header_k, bottom_text, line0, col0 = _read_header(chunks, _HEADER_SYNTAX, bottom)
+    if header_k is None and k is None:
         raise WebParseError(
             "missing web header (or pass k= explicitly)", line0, col0
         )
-    else:
-        eff_k = k
+    eff_k = header_k if k is None else k
     # labels spelled "k-1" resolve against the rank, so it is checked first
     if eff_k < 2:
         raise WebParseError(
             f"k out of range: need k >= 2, got {eff_k}", line0, col0
         )
-    if header is not None:
-        bot = _parse_bottom(header.group(2), eff_k, line0, col0)
-    else:
-        bot = tuple(bottom) if bottom is not None else ()
+    if bottom_text is not None:
+        bottom = _labels(bottom_text, eff_k, line0, col0)
 
-    layers: list[Layer] = []
-    spots: list[tuple[int, int]] = []
-    cap_labels: list[tuple[int, tuple[int, ...]]] = []
-    for chunk, line_no, col in chunks[0 if header is None else 1 :]:
-        layer, values = _parse_layer(chunk, eff_k, line_no, col)
-        if layer.kind == "cap" and values:
-            cap_labels.append((len(layers), values))
-        layers.append(layer)
-        spots.append((line_no, col))
-    try:
-        web = Web(eff_k, bot, tuple(layers))
-    except _LayerError as err:
-        raise WebParseError(err.reason, *spots[err.index - 1]) from None
-    except ValueError as err:
-        raise WebParseError(str(err), line0, col0) from None
+    body = chunks[0 if header_k is None else 1 :]
+    parsed = [_parse_layer(chunk, eff_k, line, col) for chunk, line, col in body]
+    layers = [layer for layer, _ in parsed]
+    web = _located(lambda: Web(eff_k, bottom or (), layers), body, line0, col0)
     # a cap layer keeps no labels, so the ones its text spells out are
     # checked against the boundary below it once the web is built
-    for i, values in cap_labels:
-        try:
-            generator_step("cap", eff_k, web.boundaries[i], layers[i].pos, *values)
-        except ValueError as exc:
-            raise WebParseError(str(exc), *spots[i]) from None
+    for i, (layer, values) in enumerate(parsed):
+        if layer.kind == "cap" and values:
+            try:
+                generator_step("cap", eff_k, web.boundaries[i], layer.pos, *values)
+            except ValueError as exc:
+                raise WebParseError(str(exc), *body[i][1:]) from None
     return web
 
 

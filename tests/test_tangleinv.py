@@ -114,6 +114,12 @@ def test_crossing_swaps_orientations():
     assert word.top == ("+", "-")
 
 
+@pytest.mark.parametrize("pos", [True, 1.0, 0])
+def test_tangle_layer_takes_only_plain_positive_int_positions(pos):
+    with pytest.raises(ValueError, match="layer position must be a positive integer"):
+        TangleLayer("cup", pos, ("-", "+"))
+
+
 def test_word_rejects_bad_bottom_sign():
     with pytest.raises(ValueError, match="orientation must be"):
         TangleWord(("-", "o"))

@@ -68,6 +68,22 @@ def test_layer_rejects_bad_position():
         Layer("merge", 0, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (("cup", True, 1, 2), "layer position must be a positive integer"),
+        (("cup", 1.0, 1, 2), "layer position must be a positive integer"),
+        (("cup", 1, True, 2), "labels must be positive"),
+        (("cup", 1, 1.0, 2.0), "labels must be positive"),
+    ],
+)
+def test_layer_takes_only_plain_positive_ints(args, reason):
+    # a bool position rendered as cup(1,2@True), which parse_web rejects,
+    # and float labels failed later inside local_map
+    with pytest.raises(ValueError, match=reason):
+        Layer(*args)
+
+
 def test_layer_label_arity():
     with pytest.raises(ValueError, match="label pair"):
         Layer("merge", 1)
