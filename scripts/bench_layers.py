@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the Hecke, box and transport layers one call at a time.
+"""Time the arithmetic, web, Hecke, box and transport layers one call at a time.
 
 Prints one ``key=value`` record per layer and input: the number of
 repeats and the median and quartiles of their wall times.  The inputs
@@ -14,7 +14,11 @@ transport layer is ``compare_theorem13`` (the three routes over every
 basis class) on one fixed k=4 merge web on five strands, run once
 before it is timed.  The bijection layer sends every class of one
 fixed (mu, nu) at n=6 through psi, phi, phi_inverse and psi_inverse,
-also run once before it is timed.
+also run once before it is timed.  The web-side rows are warm too: the
+laurent layer builds, multiplies and adds every ordered pair of the
+quantum integers [1]..[12]; the generator layer applies one k=4 merge
+window to every basis vector of six 1-labelled strands; the compose
+layer multiplies a split matrix by a merge matrix on five strands.
 """
 
 from __future__ import annotations
@@ -25,13 +29,22 @@ import statistics
 import subprocess
 import sys
 from functools import partial
+from operator import matmul
 from time import perf_counter
 from typing import Callable, Sequence
 
 from moycalc.boxcomb import column_strict_fillings, phi, phi_inverse, psi, psi_inverse
-from moycalc.symhecke import O_set, Permutation, kl_element, sign_action
+from moycalc.qlaurent import ONE, ZERO, LaurentPoly, quantum_int
+from moycalc.symhecke import O_set, Permutation, hecke_mul, kl_element, sign_action
 from moycalc.tangleinv import compare_theorem13
 from moycalc.webgraph import Layer, Web
+from moycalc.weblin import (
+    TensorBasis,
+    apply_window,
+    local_map,
+    merge_matrix,
+    split_matrix,
+)
 
 COLD_KL_S5 = """
 import itertools, time
@@ -66,6 +79,15 @@ def bijections(
         psi_inverse(phi_inverse(phi(psi(z, mu, nu), k), k), mu, nu)
 
 
+def laurent_pairs(polys: list[LaurentPoly]) -> None:
+    """For each ordered pair (a, b): a rebuilt from its terms, times b,
+    added to a running total."""
+    total = ZERO
+    for a in polys:
+        for b in polys:
+            total = total + LaurentPoly(dict(a.terms)) * b
+
+
 def timed(call: Callable[..., object], *args: object) -> float:
     start = perf_counter()
     call(*args)
@@ -85,6 +107,8 @@ def cases() -> list[tuple[str, str, Callable[[], float]]]:
         element = kl_element(Permutation.from_one_line(text))
         label = f"{text}|{','.join(map(str, mu))}"
         out.append(("sign_action", label, partial(timed, sign_action, element, mu)))
+    left, right = (kl_element(Permutation.from_one_line(t)) for t in ("53412", "45312"))
+    out.append(("hecke_mul", "53412*45312", partial(timed, hecke_mul, left, right)))
     ones = (1,) * 7
     fill = partial(timed, column_strict_fillings, ones, ones)
     out.append(("column_strict_fillings", "1,1,1,1,1,1,1|1,1,1,1,1,1,1", fill))
@@ -97,6 +121,15 @@ def cases() -> list[tuple[str, str, Callable[[], float]]]:
     compare_theorem13(web)
     transport = partial(timed, compare_theorem13, web)
     out.append(("transport", "k4|1,1,1,1,1|merge(1,1@2)", transport))
+    polys = [quantum_int(m) for m in range(1, 13)]
+    out.append(("laurent", "[1]..[12]", partial(timed, laurent_pairs, polys)))
+    state = [{key: ONE} for key in TensorBasis(4, (1,) * 6)]
+    apply = partial(timed, apply_window, local_map("merge", 4, 1, 1), 3, 2, state)
+    out.append(("generator", "k4|1,1,1,1,1,1|merge(1,1@3)", apply))
+    merge = merge_matrix(4, (1,) * 5, 2)
+    split = split_matrix(4, (1, 2, 1, 1), 2, 1, 1)
+    compose = partial(timed, matmul, split, merge)
+    out.append(("compose", "k4|1,1,1,1,1|split(1,1@2)*merge(1,1@2)", compose))
     return out
 
 

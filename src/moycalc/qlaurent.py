@@ -202,6 +202,39 @@ def _trusted(terms: tuple[tuple[int, int], ...]) -> LaurentPoly:
     return poly
 
 
+def _pack(poly: LaurentPoly, width: int, offset: int) -> int:
+    """Kronecker substitution: Σ c_e·q^e as Σ c_e·2^(width·(e + offset)).
+    ValueError when ``_unpack`` could not read it back: some e + offset
+    is negative or some |c_e| is not below 2^(width-1)."""
+    half = 1 << (width - 1)
+    packed = 0
+    for e, c in poly.terms:
+        if e + offset < 0 or not -half < c < half:
+            raise ValueError(f"{poly} does not fit {width}-bit digits at offset {offset}")
+        packed += c << width * (e + offset)
+    return packed
+
+
+def _unpack(packed: int, width: int, offset: int) -> LaurentPoly:
+    """Σ c_e·q^e from Σ c_e·2^(width·(e + offset)), read as balanced
+    base-2^width digits: exact while every |c_e| is below 2^(width-1)
+    and every e + offset is >= 0."""
+    full = 1 << width
+    half, mask = full >> 1, full - 1
+    terms = []
+    e = -offset
+    while packed:
+        digit = packed & mask
+        packed >>= width
+        if digit:
+            if digit >= half:
+                digit -= full
+                packed += 1
+            terms.append((e, digit))
+        e += 1
+    return _trusted(tuple(reversed(terms)))
+
+
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 Q = LaurentPoly.q_power(1)

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .qlaurent import ONE, LaurentPoly, LinComb
+from .qlaurent import ONE, LaurentPoly, LinComb, _pack, _unpack
 from .weblin import QMatrix
 
 __all__ = [
@@ -425,14 +425,9 @@ class HeckeElement:
 
     def bar(self) -> "HeckeElement":
         """The bar involution: q ↦ q^-1 and H_x ↦ (H_{x^{-1}})^{-1}."""
-        group = _group(self.n)
-        # index 0 is the identity
-        leaves = {
-            x.reduced_word(): {0: {-e: v for e, v in c.terms}}
-            for x, c in self.terms.items()
-        }
-        vec = _fold_words(group, leaves, inverse=True)
-        return HeckeElement(self.n, _lincomb(vec, group))
+        unit = HeckeElement.unit(self.n).terms
+        bars = _product(self.n, self.terms.bar(), unit, inverse=True)
+        return HeckeElement(self.n, bars)
 
     def text(self) -> str:
         """Canonical form "H[321]*(1) + H[231]*(q) + ...".
@@ -454,14 +449,16 @@ class HeckeElement:
         return self.text()
 
 
-# Raw sums: the Hecke code below computes on plain {index: {exponent:
-# coefficient}} dicts over the indexed copy of S_n (``_group``); keys
-# enter through ``_raw`` and leave through ``_lincomb``, which makes
-# each coefficient a LaurentPoly once.  Sharing rule: a left step puts
-# the sums it only moves into its output uncopied, so a sum, once placed
-# in a raw sum, is mutated only by a caller that owns (built fresh) the
-# input it came from.
-RawSum = dict[int, dict[int, int]]
+# Raw sums: the Hecke code below computes on plain {index: int} dicts
+# over the indexed copy of S_n (``_group``).  A coefficient Σ c_e·q^e is
+# the integer Σ c_e·2^(B·(e + E)), so q^±1·c is a shift by B bits.  Each
+# call fixes B and E before it runs (``_packing``): B wide enough that
+# balanced base-2^B digits read back every coefficient of its result,
+# and E so that every exponent position is at least 1 where a right
+# shift comes, which makes each one exact.  Keys and coefficients enter
+# through ``_raw`` and leave through ``_lincomb``, which decodes each
+# one once.
+RawSum = dict[int, int]
 
 
 class _IndexedGroup(NamedTuple):
@@ -496,29 +493,47 @@ def _group(n: int) -> _IndexedGroup:
     return _IndexedGroup(perms, index, {i: tuple(row) for i, row in left.items()})
 
 
-def _raw(terms: LinComb, group: _IndexedGroup) -> RawSum:
+def _norm(polys: Iterable[LaurentPoly]) -> int:
+    """Σ|c| over every coefficient of every polynomial."""
+    return sum(abs(c) for poly in polys for _, c in poly.terms)
+
+
+def _low(polys: Iterable[LaurentPoly]) -> int:
+    """The lowest exponent of the polynomials (0 for none)."""
+    return min((poly.terms[-1][0] for poly in polys), default=0)
+
+
+def _packing(norm: int, low: int, depth: int) -> tuple[int, int]:
+    """Digit width B and offset E for raw sums of total ``norm`` (Σ|c|
+    over all their coefficients) and lowest exponent ``low`` that take
+    at most ``depth`` left steps.  A step at most triples the norm,
+    which bounds every coefficient, and lowers the lowest exponent by
+    at most one, so positions stay >= 1 until the last right shift."""
+    return (norm * 3**depth).bit_length() + 1, depth - low
+
+
+def _raw(terms: LinComb, group: _IndexedGroup, width: int, offset: int) -> RawSum:
     index = group.index
-    return {index[x.images]: dict(c.terms) for x, c in terms.items()}
+    return {index[x.images]: _pack(c, width, offset) for x, c in terms.items()}
 
 
-def _lincomb(vec: RawSum, group: _IndexedGroup) -> LinComb:
+def _lincomb(vec: RawSum, group: _IndexedGroup, width: int, offset: int) -> LinComb:
     perms = group.perms
-    return LinComb.from_sums({perms[y]: acc for y, acc in vec.items()})
+    out = LinComb()
+    for y, acc in vec.items():
+        if acc:
+            out[perms[y]] = _unpack(acc, width, offset)
+    return out
 
 
 def _merge(out: RawSum, vec: RawSum) -> None:
-    """out += vec; vec's sums are taken over, so vec must not be used again."""
+    """out += vec."""
     for y, acc in vec.items():
-        target = out.get(y)
-        if target is None:
-            out[y] = acc
-        else:
-            for e, c in acc.items():
-                target[e] = target.get(e, 0) + c
+        out[y] = out.get(y, 0) + acc
 
 
 def _left_step(
-    moves: tuple[tuple[int, bool], ...], vec: RawSum, inverse: bool = False
+    moves: tuple[tuple[int, bool], ...], vec: RawSum, width: int, inverse: bool = False
 ) -> RawSum:
     """Left-multiply a raw sum by H_{s_i}, or with ``inverse`` by
     H_{s_i}^{-1} = H_{s_i} + (q - q^-1); ``moves`` is ``left[i]`` of
@@ -526,22 +541,18 @@ def _left_step(
 
     Each pair {a, b = s_i·a} with a < b is handled in one go:
     H_{s_i} sends c_a·H_a + c_b·H_b to c_b·H_a + (c_a + (q^-1 - q)·c_b)·H_b,
-    and H_{s_i}^{-1} to (c_b + (q - q^-1)·c_a)·H_a + c_a·H_b.  The sum
-    that only moves is shared with ``vec``, not copied (see the sharing
-    rule above); the other is a fresh dict, and its correction is two
-    shifted integer adds: +c at e + plus, -c at e - plus.
+    and H_{s_i}^{-1} to (c_b + (q - q^-1)·c_a)·H_a + c_a·H_b.  The
+    correction is two shifts by ``width`` bits.
     """
-    plus = 1 if inverse else -1
     out: RawSum = {}
     for y, acc in vec.items():
         sy, down = moves[y]
         if down != inverse:
-            # y takes the correction, added to a copy of its partner's sum
-            partner = vec.get(sy)
-            target = out[y] = {} if partner is None else partner.copy()
-            for e, c in acc.items():
-                target[e + plus] = target.get(e + plus, 0) + c
-                target[e - plus] = target.get(e - plus, 0) - c
+            # y takes the correction, added to its partner's sum
+            if inverse:
+                out[y] = vec.get(sy, 0) + (acc << width) - (acc >> width)
+            else:
+                out[y] = vec.get(sy, 0) + (acc >> width) - (acc << width)
         elif sy in vec:
             continue  # the pair is done at its other end
         out[sy] = acc
@@ -551,6 +562,7 @@ def _left_step(
 def _fold_words(
     group: _IndexedGroup,
     leaves: dict[tuple[int, ...], RawSum],
+    width: int,
     inverse: bool,
     depth: int = 0,
 ) -> RawSum:
@@ -558,8 +570,7 @@ def _fold_words(
     inverted with ``inverse``), Horner-style: words sharing a prefix
     share the left steps of that prefix, which act on the largest sums.
     Every word has at least ``depth`` letters and the words agree on
-    their first ``depth``.  The leaves are taken over: ``_merge`` adds
-    into their sums, so the caller builds them fresh."""
+    their first ``depth``."""
     out: RawSum = {}
     branches: dict[int, dict[tuple[int, ...], RawSum]] = {}
     for word, leaf in leaves.items():
@@ -568,8 +579,8 @@ def _fold_words(
         else:
             branches.setdefault(word[depth], {})[word] = leaf
     for i, branch in branches.items():
-        folded = _fold_words(group, branch, inverse, depth + 1)
-        _merge(out, _left_step(group.left[i], folded, inverse))
+        folded = _fold_words(group, branch, width, inverse, depth + 1)
+        _merge(out, _left_step(group.left[i], folded, width, inverse))
     return out
 
 
@@ -578,22 +589,32 @@ def _check_same_n(a: "HeckeElement", b: "HeckeElement", what: str) -> None:
         raise ValueError(f"size mismatch in Hecke {what}")
 
 
+def _product(n: int, a: LinComb, b: LinComb, inverse: bool) -> LinComb:
+    """Σ over the terms c_x·H_x of a of H_{w_1}···H_{w_r}·(c_x·b), with
+    w_1···w_r the reduced word of x and each factor inverted with
+    ``inverse``, folded along the words on one certified packing."""
+    if not a or not b:
+        return LinComb()  # a norm of 0 sizes digits too narrow for the other factor
+    group = _group(n)
+    low_a, polys_b = _low(a.values()), b.values()
+    norm = _norm(a.values()) * _norm(polys_b)
+    depth = max(x.length() for x in a)
+    width, offset = _packing(norm, low_a + _low(polys_b), depth)
+    # c_x packed at offset -low_a times b packed at offset + low_a is
+    # c_x·b packed at offset
+    b_raw = _raw(b, group, width, offset + low_a)
+    leaves = {}
+    for x, c in a.items():
+        scale = _pack(c, width, -low_a)
+        leaves[x.reduced_word()] = {y: scale * acc for y, acc in b_raw.items()}
+    return _lincomb(_fold_words(group, leaves, width, inverse), group, width, offset)
+
+
 def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product in the Hecke algebra: Σ_x H_x·(c_x·b), folded along the
     reduced words of the x."""
     _check_same_n(a, b, "product")
-    group = _group(a.n)
-    b_raw = _raw(b.terms, group)
-    leaves = {}
-    for x, c in a.terms.items():
-        leaf = leaves[x.reduced_word()] = {}
-        for y, sum_y in b_raw.items():
-            acc = leaf[y] = {}
-            for e1, c1 in c.terms:
-                for e2, c2 in sum_y.items():
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-    vec = _fold_words(group, leaves, inverse=False)
-    return HeckeElement(a.n, _lincomb(vec, group))
+    return HeckeElement(a.n, _product(a.n, a.terms, b.terms, inverse=False))
 
 
 _KL_CACHE: dict[tuple[int, ...], HeckeElement] = {}
@@ -617,26 +638,30 @@ def kl_element(w: Permutation) -> HeckeElement:
         result = HeckeElement.unit(n)
     else:
         group = _group(n)
-        index = group.index
         i = w.reduced_word()[0]
         moves = group.left[i]
         kl_v = kl_element(w.s_times(i)).terms
-        raw = _raw(kl_v, group)
-        # C_{s_i}·C_v = H_{s_i}·C_v + q·C_v; the step shares raw's sums
-        # and raw is ours, so the adds below may go into them in place
-        vec = _left_step(moves, raw)
-        for y, (z, coeff) in zip(raw, kl_v.items()):
-            acc = vec.setdefault(y, {})
-            for e, c in coeff.terms:
-                acc[e + 1] = acc.get(e + 1, 0) + c
-            m = coeff.coeff(1)
-            if m and moves[y][1]:
-                # s_i z < z: subtract the degree-one correction m·C_z
-                for x, cx in kl_element(z).terms.items():
-                    acc = vec.setdefault(index[x.images], {})
-                    for e, c in cx.terms:
-                        acc[e] = acc.get(e, 0) - m * c
-        terms = _lincomb(vec, group)
+        # each z with s_i·z < z subtracts m·C_z, m the coefficient of q
+        # in C_v's coefficient of z
+        corrections = [
+            (m, kl_element(z).terms)
+            for z, coeff in kl_v.items()
+            if (m := coeff.coeff(1)) and not z.left_ascent(i)
+        ]
+        # the result's norm is at most 4·|C_v| + Σ|m|·|C_z| <= 3·norm,
+        # and every coefficient lies in Z[q]
+        norm = 2 * _norm(kl_v.values())
+        norm += sum(abs(m) * _norm(kl_z.values()) for m, kl_z in corrections)
+        width, offset = _packing(norm, 0, 1)
+        raw = _raw(kl_v, group, width, offset)
+        # C_{s_i}·C_v = H_{s_i}·C_v + q·C_v
+        vec = _left_step(moves, raw, width)
+        for y, acc in raw.items():
+            vec[y] = vec.get(y, 0) + (acc << width)
+        for m, kl_z in corrections:
+            for y, acc in _raw(kl_z, group, width, offset).items():
+                vec[y] = vec.get(y, 0) - m * acc
+        terms = _lincomb(vec, group, width, offset)
         for x, c in terms.items():
             terms[x] = _KL_COEFFS.setdefault(c.terms, c)
         result = HeckeElement(n, terms)
@@ -692,7 +717,7 @@ def _sign_module(parts: tuple[int, ...]):
 
     The projection is a list over the indices of ``_group(n)``: it sends
     y in S_n, written y = u·d with u in S_mu and d minimal in S_mu·y,
-    to (index of d, l(u), (-1)^{l(u)}), which stands for (-q)^{l(u)}·d.
+    to (index of d, l(u)), which stands for (-q)^{l(u)}·d.
     Left multiplication by S_mu permutes the values inside each block,
     so d puts every block's values in increasing order on the positions
     y gives them.
@@ -714,9 +739,9 @@ def _sign_module(parts: tuple[int, ...]):
                 sorted_images[p] = v
         d = tuple(sorted_images)
         length = _inversion_count(images) - _inversion_count(d)
-        project.append((group.index[d], length, -1 if length & 1 else 1))
+        project.append((group.index[d], length))
     # indices follow one-line order, so sorted indices give a sorted basis
-    basis = tuple(group.perms[d] for d in sorted({d for d, _, _ in project}))
+    basis = tuple(group.perms[d] for d in sorted({d for d, _ in project}))
     tree: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for d in basis:
         word = d.reduced_word()
@@ -728,18 +753,16 @@ def _sign_module(parts: tuple[int, ...]):
     return basis, project, tree
 
 
-def _project(vec: RawSum, project: list, group: _IndexedGroup) -> LinComb:
+def _project(
+    vec: RawSum, project: list, group: _IndexedGroup, width: int, offset: int
+) -> LinComb:
     """The image of a raw sum in the sign module: H_y ↦ (-q)^{l(u)}·d."""
     col: RawSum = {}
     for y, acc in vec.items():
-        d, length, sign = project[y]
-        target = col.get(d)
-        if target is None:
-            col[d] = {e + length: sign * c for e, c in acc.items()}
-        else:
-            for e, c in acc.items():
-                target[e + length] = target.get(e + length, 0) + sign * c
-    return _lincomb(col, group)
+        d, length = project[y]
+        shifted = acc << width * length
+        col[d] = col.get(d, 0) - shifted if length & 1 else col.get(d, 0) + shifted
+    return _lincomb(col, group, width, offset)
 
 
 def sign_action(h: HeckeElement, mu: Sequence[int]) -> QMatrix:
@@ -767,15 +790,21 @@ def sign_action(h: HeckeElement, mu: Sequence[int]) -> QMatrix:
     columns: dict[tuple[int, ...], LinComb | None] = dict.fromkeys(
         w.reduced_word() for w in basis
     )
+    # the longest column takes one left step per letter of its word
+    depth = max(map(len, columns))
+    polys = h.terms.values()
+    width, offset = _packing(_norm(polys), _low(polys), depth)
     # (greedy word of x, H_{x'}·h for x' = s_i·x, i its first letter);
-    # siblings share their parent's product and its sums, and only read
-    # them
+    # siblings share their parent's product, and only read it
     stack: list[tuple[tuple[int, ...], RawSum]] = [((), {})]
     while stack:
         word, below = stack.pop()
-        vec = _left_step(left[word[0]], below) if word else _raw(h.terms, group)
+        if word:
+            vec = _left_step(left[word[0]], below, width)
+        else:
+            vec = _raw(h.terms, group, width, offset)
         if word in columns:
-            columns[word] = _project(vec, project, group)
+            columns[word] = _project(vec, project, group, width, offset)
         stack.extend((longer, vec) for longer in tree.get(word, ()))
     return QMatrix(basis, basis, list(columns.values()))
 

@@ -26,9 +26,13 @@ def test_every_line_is_one_layer_record(capsys):
         "sign_action",
         "sign_action",
         "sign_action",
+        "hecke_mul",
         "column_strict_fillings",
         "bijection",
         "transport",
+        "laurent",
+        "generator",
+        "compose",
     ]
     for r in records:
         assert set(r) == {"layer", "input", "repeats", "median_ms", "q1_ms", "q3_ms"}

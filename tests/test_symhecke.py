@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import permutations
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moycalc import boxcomb
-from moycalc.qlaurent import ONE, LaurentPoly, LinComb, quantum_int
+from moycalc.qlaurent import ONE, LaurentPoly, LinComb, _unpack, quantum_int
 from moycalc.symhecke import (
     FlagList,
     HeckeElement,
@@ -29,6 +30,9 @@ from moycalc.symhecke import (
     _group,
     _left_step,
     _lincomb,
+    _low,
+    _norm,
+    _packing,
     _raw,
 )
 from moycalc.weblin import QMatrix
@@ -618,8 +622,12 @@ def matrix_entries(m: QMatrix):
     }
 
 
+# wide coefficients and exponents make the packed kernel pick wide digits
+# and large offsets
 POLYS = st.dictionaries(
-    st.integers(-3, 3), st.integers(-3, 3), max_size=3
+    st.integers(-30, 30),
+    st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)),
+    max_size=3,
 ).map(LaurentPoly)
 
 
@@ -746,11 +754,15 @@ def reference_bar(h: HeckeElement) -> HeckeElement:
 def test_left_step_matches_the_lincomb_reference(case):
     h, i, inverse = case
     group = _group(h.n)
-    raw = _raw(h.terms, group)
-    before = {y: dict(acc) for y, acc in raw.items()}
-    stepped = _left_step(group.left[i], raw, inverse)
+    polys = h.terms.values()
+    width, offset = _packing(_norm(polys), _low(polys), 1)
+    raw = _raw(h.terms, group, width, offset)
+    before = dict(raw)
+    stepped = _left_step(group.left[i], raw, width, inverse)
     assert raw == before
-    assert _lincomb(stepped, group) == reference_gen_times_vec(i, h.terms, inverse)
+    assert _lincomb(stepped, group, width, offset) == reference_gen_times_vec(
+        i, h.terms, inverse
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -767,8 +779,8 @@ def test_bar_matches_the_lincomb_reference(h):
 
 
 def test_shared_sums_leave_inputs_and_cached_elements_unchanged():
-    """Left steps share sums between their input and output, so no
-    caller may write into a sum it did not build."""
+    """Left steps pass sums from their input to their output uncopied,
+    so no call may change its input or a cached element."""
     h = kl_element(perm("3412")) + qp(2) * HeckeElement.standard(perm("2143"))
     terms = dict(h.terms)
     for mu in [(1, 1, 1, 1), (2, 1, 1), (2, 2)]:
@@ -784,6 +796,83 @@ def test_shared_sums_leave_inputs_and_cached_elements_unchanged():
         for v in s4:
             hecke_mul(h, kl_element(v))
     assert {w: kl_element(w).text() for w in s4} == texts
+
+
+EDGE_CASES = {
+    "zero": (HeckeElement(3, {}), (2, 1)),
+    "n0": (HeckeElement.unit(0), ()),
+    "n1": (HeckeElement(1, {perm("1"): LaurentPoly({-2: 3, 1: -1})}), (1,)),
+    "2^90": (
+        HeckeElement(
+            3,
+            {
+                perm("321"): LaurentPoly({5: 2**90, 0: -1}),
+                perm("213"): LaurentPoly({-4: -(2**90)}),
+            },
+        ),
+        (1, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_edge_elements_match_the_references(name):
+    h, mu = EDGE_CASES[name]
+    _assert_matches_reference(h, mu)
+    assert h.bar() == reference_bar(h)
+    assert h.bar().bar() == h
+    for other in (h, HeckeElement.unit(h.n), HeckeElement(h.n, {})):
+        assert hecke_mul(h, other) == reference_hecke_mul(h, other)
+        assert hecke_mul(other, h) == reference_hecke_mul(other, h)
+
+
+def test_an_undersized_width_is_refused_not_decoded():
+    """A raw sum is only packed when its digits can hold every
+    coefficient and its offset every exponent: packed anyway, 8 in
+    4-bit balanced digits would read back as q - 8."""
+    group = _group(2)
+    terms = LinComb({Permutation.identity(2): LaurentPoly({0: 8, 1: -3})})
+    polys = terms.values()
+    width, offset = _packing(_norm(polys), _low(polys), 0)
+    assert (width, offset) == (5, 0)
+    assert _lincomb(_raw(terms, group, width, offset), group, width, offset) == terms
+    with pytest.raises(ValueError, match="does not fit 4-bit digits"):
+        _raw(terms, group, 4, offset)
+    with pytest.raises(ValueError, match="at offset -1"):
+        _raw(terms, group, width, -1)
+    assert _unpack(8, 4, 0) == LaurentPoly({1: 1, 0: -8})
+
+
+# sha256 of the texts below, one line each: every printed Hecke output
+# stays byte-identical whatever the kernel's internal form
+KL_S6_TEXTS_SHA256 = "eb375d039ca98d682666b317e1f39e6435fb84b15c9e9c6abc1da814af775064"
+SIGN_ACTION_S5_SHA256 = {
+    (2, 2, 1): "d989486ab938b802a8bcb890061f070346da747f0e7604433b75d08aaa68780c",
+    (1, 2, 1, 1): "5ca277205579d762e1a91a27ca183d832460ee23ec096e162fa4f518d8d784fe",
+}
+
+
+def _text_digest(texts) -> str:
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(text.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_kl_elements_of_s6_keep_their_texts():
+    texts = (
+        kl_element(Permutation(images)).text() for images in permutations(range(1, 7))
+    )
+    assert _text_digest(texts) == KL_S6_TEXTS_SHA256
+
+
+@pytest.mark.parametrize("mu", sorted(SIGN_ACTION_S5_SHA256))
+def test_sign_actions_on_s5_keep_their_texts(mu):
+    texts = (
+        str(sign_action(kl_element(Permutation(images)), mu))
+        for images in permutations(range(1, 6))
+    )
+    assert _text_digest(texts) == SIGN_ACTION_S5_SHA256[mu]
 
 
 def test_annihilator_spot_checks():
