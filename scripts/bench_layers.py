@@ -18,7 +18,9 @@ also run once before it is timed.  The web-side rows are warm too: the
 laurent layer builds, multiplies and adds every ordered pair of the
 quantum integers [1]..[12]; the generator layer applies one k=4 merge
 window to every basis vector of six 1-labelled strands; the compose
-layer multiplies a split matrix by a merge matrix on five strands.
+layer multiplies a split matrix by a merge matrix on five strands; the
+tensor layer puts E_1 on three k=4 strands beside the k=4 positive
+crossing.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from moycalc.webgraph import Layer, Web
 from moycalc.weblin import (
     TensorBasis,
     apply_window,
+    crossing_matrix,
+    hecke_E,
     local_map,
     merge_matrix,
     split_matrix,
@@ -130,6 +134,8 @@ def cases() -> list[tuple[str, str, Callable[[], float]]]:
     split = split_matrix(4, (1, 2, 1, 1), 2, 1, 1)
     compose = partial(timed, matmul, split, merge)
     out.append(("compose", "k4|1,1,1,1,1|split(1,1@2)*merge(1,1@2)", compose))
+    hecke, cross = hecke_E(1, 3, 4), crossing_matrix("+", 4)
+    out.append(("tensor", "k4|E1(1,1,1)x(cross+)", partial(timed, hecke.tensor, cross)))
     return out
 
 

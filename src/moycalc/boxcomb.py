@@ -325,7 +325,7 @@ def relabel_by_content(f: Filling, nu: Sequence[int]) -> Filling:
     Defined on any filling whose entries are 1..n each once; the result
     has content nu but need not be column-strict."""
     n = _require_standard_content(f)
-    nu_t = tuple(int(p) for p in nu)
+    nu_t = parts_of(nu)
     if sum(nu_t) != n:
         raise ValueError(f"content {nu_t} does not sum to {n}")
     block = []
@@ -414,8 +414,7 @@ def psi_inverse(
     sends the next unused value of the block of each box's entry to
     that box.
     """
-    mu_t = tuple(int(p) for p in mu)
-    nu_t = tuple(int(p) for p in nu)
+    mu_t, nu_t = parts_of(mu), parts_of(nu)
     word = f.flat()
     _check_filling(word, f.shape, mu_t, nu_t)
     return _psi_inverse_word(word, nu_t)
@@ -459,8 +458,9 @@ def _weighted(
     moves: list[tuple[tuple[int, ...], int]], shape: tuple[int, ...]
 ) -> WeightedDiagramSum:
     """The sum of q^exponent * filling over (box word, exponent) moves."""
-    return WeightedDiagramSum.from_sums(
-        {_filling(word, shape): {exponent: 1} for word, exponent in moves}
+    return WeightedDiagramSum.of_products(
+        (_filling(word, shape), LaurentPoly.q_power(exponent), ONE)
+        for word, exponent in moves
     )
 
 

@@ -192,7 +192,9 @@ _set_terms = LaurentPoly.terms.__set__
 def _normal(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
     """The normal form of exponent -> coefficient sums: zeros dropped,
     exponents descending."""
-    return tuple(sorted(((e, c) for e, c in acc.items() if c), reverse=True))
+    if 0 in acc.values():
+        return tuple(sorted([term for term in acc.items() if term[1]], reverse=True))
+    return tuple(sorted(acc.items(), reverse=True))
 
 
 def _trusted(terms: tuple[tuple[int, int], ...]) -> LaurentPoly:
@@ -259,6 +261,8 @@ class LinComb(dict):
     Zero coefficients are dropped on construction and by ``add_term``, so
     equality is dict equality and an empty combination is zero.  Sums,
     negation, scalar multiples and ``bar`` return the caller's type.
+    Every sparse linear map (window maps, matrix products, the transport
+    routes) builds its images with ``of_products``.
 
     >>> v = LinComb({"a": Q, "b": ONE})
     >>> v - LinComb({"b": ONE}) == LinComb({"a": Q})
@@ -281,13 +285,27 @@ class LinComb(dict):
         return terms if isinstance(terms, cls) else cls(terms)
 
     @classmethod
-    def from_sums(cls, sums: Mapping[Hashable, Mapping[int, int]]) -> "LinComb":
-        """The combination of raw sums key -> {exponent: coefficient},
-        each made a polynomial once; zero sums are dropped.
+    def of_products(
+        cls, products: Iterable[tuple[Hashable, LaurentPoly, LaurentPoly]]
+    ) -> "LinComb":
+        """Σ a·b·key over (key, a, b) triples: the one accumulator of
+        sparse linear maps.  Each key's products are summed as raw
+        exponent sums and made a polynomial once, in the order of the
+        key's first product; keys whose sum cancels are dropped.
 
-        >>> LinComb.from_sums({"a": {1: 2, 0: 0}, "b": {3: 0}}) == LinComb({"a": 2 * Q})
+        >>> v = LinComb.of_products([("a", Q, 2 * ONE), ("b", Q, ONE), ("b", -Q, ONE)])
+        >>> v == LinComb({"a": 2 * Q})
         True
         """
+        sums: dict[Hashable, dict[int, int]] = {}
+        for key, a, b in products:
+            acc = sums.get(key)
+            if acc is None:
+                acc = sums[key] = {}
+            for e1, c1 in a.terms:
+                for e2, c2 in b.terms:
+                    e = e1 + e2
+                    acc[e] = acc.get(e, 0) + c1 * c2
         out = cls.__new__(cls)
         for key, acc in sums.items():
             terms = _normal(acc)
@@ -295,9 +313,10 @@ class LinComb(dict):
                 out[key] = _trusted(terms)
         return out
 
-    def _new(self, pairs: Iterable[tuple[Hashable, LaurentPoly]]) -> "LinComb":
+    @classmethod
+    def _new(cls, pairs: Iterable[tuple[Hashable, LaurentPoly]]) -> "LinComb":
         # trusted: the pairs have distinct keys and nonzero coefficients
-        out = self.__class__.__new__(self.__class__)
+        out = cls.__new__(cls)
         dict.update(out, pairs)
         return out
 

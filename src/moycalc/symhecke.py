@@ -249,9 +249,13 @@ def _reduced_word(images: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def parts_of(mu: Sequence[int]) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in mu)
-    if any(p < 0 for p in parts):
-        raise ValueError(f"negative part in composition {parts}")
+    """The parts of a composition, each a plain nonnegative int."""
+    parts = tuple(mu)
+    for p in parts:
+        if type(p) is not int:
+            raise ValueError(f"composition parts must be ints, got {parts}")
+        if p < 0:
+            raise ValueError(f"negative part in composition {parts}")
     return parts
 
 

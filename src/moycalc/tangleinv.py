@@ -924,7 +924,7 @@ class _TransportPlan:
     A plan carries each basis class (mu, z) as a box word over mu: its
     source word is ``psi``'s, written and checked column-strict once by
     ``source``.  The curly kernel folds the layers' box moves over the
-    word, summing raw exponents per top word; the translation kernel
+    word, one ``LinComb.of_products`` per layer; the translation kernel
     pushes z along the web's walls, each wall step analysed once; the
     matrix kernel reads the word's column of the web's matrix, evaluated
     once.  Top words and matrix rows become classes through memos that
@@ -976,30 +976,28 @@ class _TransportPlan:
 
     def curly(self, mu: tuple[int, ...], source: tuple[int, ...]) -> LinComb:
         """Fold the box moves of each layer over the source word."""
-        sums: dict[tuple[int, ...], dict[int, int]] = {source: {0: 1}}
+        words = {source: ONE}
         for layer in self.web.layers:
-            moved: dict[tuple[int, ...], dict[int, int]] = {}
-            for word, acc in sums.items():
-                if layer.kind == "merge":
-                    steps = _merge_word(word, mu, layer.pos)
-                else:
-                    steps = _split_word(word, layer.pos, layer.a, layer.b)
-                for new, shift in steps:
-                    target = moved.setdefault(new, {})
-                    for e, c in acc.items():
-                        target[e + shift] = target.get(e + shift, 0) + c
-            sums = moved
-        return LinComb.from_sums(
-            {(mu, self._top_class(word, mu)): acc for word, acc in sums.items()}
+            words = LinComb.of_products(
+                (new, coeff, LaurentPoly.q_power(shift))
+                for word, coeff in words.items()
+                for new, shift in (
+                    _merge_word(word, mu, layer.pos)
+                    if layer.kind == "merge"
+                    else _split_word(word, layer.pos, layer.a, layer.b)
+                )
+            )
+        # distinct top words are distinct classes
+        return LinComb._new(
+            ((mu, self._top_class(word, mu)), coeff) for word, coeff in words.items()
         )
 
     def translation(self, mu: tuple[int, ...], z: Permutation) -> LinComb:
         """Push the flag class z along the web's walls."""
-        sums: dict[tuple[tuple[int, ...], Permutation], dict[int, int]] = {}
-        for e, w in self._walls.push([(0, z)], mu):
-            acc = sums.setdefault((mu, w), {})
-            acc[e] = acc.get(e, 0) + 1
-        return LinComb.from_sums(sums)
+        return LinComb.of_products(
+            ((mu, w), LaurentPoly.q_power(e), ONE)
+            for e, w in self._walls.push([(0, z)], mu)
+        )
 
     def matrix(self, mu: tuple[int, ...], source: tuple[int, ...]) -> LinComb:
         """Read the source word's column of the web's matrix as classes."""
@@ -1049,10 +1047,11 @@ def grothendieck_map(
                 f"vector over k={vec.k}, nu={vec.nu} does not match "
                 f"the web's source k={k}, nu={f.bottom}"
             )
-        total = LinComb()
-        for (mu, z), coeff in vec.coords.items():
-            for key, poly in image(mu, z).items():
-                total.add_term(key, poly * coeff)
+        total = LinComb.of_products(
+            (key, poly, coeff)
+            for (mu, z), coeff in vec.coords.items()
+            for key, poly in image(mu, z).items()
+        )
         return GrothVector(k, f.top, total)
 
     return apply

@@ -61,7 +61,6 @@ __all__ = [
     "cross_matrix_at",
     "hecke_E",
     "crossing_matrix",
-    "crossing_search",
     "reversal_matrix",
     "special_pairs",
     "CROSSING_SIGN",
@@ -224,8 +223,8 @@ class QMatrix:
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if not isinstance(other, QMatrix):
             return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        if (tuple(self.rows), tuple(self.cols)) != (tuple(other.rows), tuple(other.cols)):
+            raise ValueError("sum index mismatch")
         return QMatrix(
             self.rows,
             self.cols,
@@ -255,23 +254,24 @@ class QMatrix:
             return NotImplemented
         if tuple(self.cols) != tuple(other.rows):
             raise ValueError("composition index mismatch")
-        position = self._col_position
-        out = []
-        for column in other.columns:
-            image = LinComb()
-            for mid, b in column.items():
-                for row_key, a in self.columns[position[mid]].items():
-                    image.add_term(row_key, a * b)
-            out.append(image)
-        return QMatrix(self.rows, other.cols, tuple(out))
+        position, columns = self._col_position, self.columns
+        images = tuple(
+            LinComb.of_products(
+                (row_key, a, b)
+                for mid, b in column.items()
+                for row_key, a in columns[position[mid]].items()
+            )
+            for column in other.columns
+        )
+        return QMatrix(self.rows, other.cols, images)
 
     def tensor(self, other: "QMatrix") -> "QMatrix":
         """Monoidal (side-by-side) product; keys concatenate."""
         rows = tuple(r1 + r2 for r1 in self.rows for r2 in other.rows)
         cols = tuple(c1 + c2 for c1 in self.cols for c2 in other.cols)
         columns = tuple(
-            LinComb(
-                (r1 + r2, a * b)
+            LinComb.of_products(
+                (r1 + r2, a, b)
                 for r1, a in left.items()
                 for r2, b in right.items()
             )
@@ -332,6 +332,8 @@ def generator_step(
     span = INPUT_SPANS.get(kind)
     if span is None:
         raise ValueError(f"unknown generator kind {kind!r}")
+    if kind in ("split", "cup") and (a is None or b is None):
+        raise ValueError(f"{kind} needs its label pair (a, b), got ({a}, {b})")
     if not 1 <= pos <= len(labels) + 1 - span:
         name = "crossing" if kind.startswith("cross") else kind
         raise ValueError(f"{name} position {pos} out of range for boundary {labels}")
@@ -388,27 +390,21 @@ def apply_window(local: LocalMap, pos: int, span: int, state: State) -> State:
 
     Each column is a {basis key: poly} mapping; the map acts on the
     factors [pos, pos+span) of each key and as the identity on the rest
-    (span 0 inserts its window before factor ``pos``).  The image
-    columns are ``LinComb``s, without zero entries.
+    (span 0 inserts its window before factor ``pos``).  Each image
+    column is one ``LinComb.of_products`` over the column's entries and
+    their window images, so it holds no zero entry.
     """
     lo, hi = pos - 1, pos - 1 + span
     get = local.get
-    out: State = []
-    for column in state:
-        acc: dict[Key, dict[int, int]] = {}
-        for key, poly in column.items():
-            head, tail = key[:lo], key[hi:]
-            for out_win, coeff in get(key[lo:hi], ()):
-                out_key = head + out_win + tail
-                terms = acc.get(out_key)
-                if terms is None:
-                    terms = acc[out_key] = {}
-                for e1, c1 in poly.terms:
-                    for e2, c2 in coeff.terms:
-                        e = e1 + e2
-                        terms[e] = terms.get(e, 0) + c1 * c2
-        out.append(LinComb.from_sums(acc))
-    return out
+    return [
+        LinComb.of_products(
+            (head + out_win + tail, poly, coeff)
+            for key, poly in column.items()
+            for head, window, tail in ((key[:lo], key[lo:hi], key[hi:]),)
+            for out_win, coeff in get(window, ())
+        )
+        for column in state
+    ]
 
 
 def _lift(
@@ -564,8 +560,9 @@ def hecke_E(s: int, n: int, k: int) -> QMatrix:
     return up @ down
 
 
-# Frozen crossing normalization, fixed once by crossing_search (see the
-# regression test): X⁺ = -q^{-k}(E - q·id), X⁻ = -q^{k}(E - q^{-1}·id).
+# Frozen crossing normalization, fixed once by the exhaustive search in
+# tests/test_weblin.py (test_crossing_search_regression):
+# X⁺ = -q^{-k}(E - q·id), X⁻ = -q^{k}(E - q^{-1}·id).
 CROSSING_SIGN = -1
 CROSSING_EIGEN_EXPONENT = 1  # exponent b for the positive crossing
 
@@ -592,77 +589,6 @@ def _block_local(block: QMatrix) -> dict[Key, tuple[tuple[Key, LaurentPoly], ...
 def cross_matrix_at(sign: str, k: int, labels: Sequence[int], pos: int) -> QMatrix:
     """The crossing embedded at factors (pos, pos+1) of a larger boundary."""
     return _generator_matrix("cross" + sign, k, labels, pos)
-
-
-def _kink_closures(cand_plus: QMatrix, cand_minus: QMatrix, k: int) -> list[QMatrix]:
-    """Close each candidate crossing off with a cup/cap on either side."""
-    closures = []
-    for block in (cand_plus, cand_minus):
-        local = _block_local(block)
-        # right kink: bend in a (1, k-1) pair above-right, cross, close
-        m1 = cup_matrix(k, (1,), 2, 1, k - 1)
-        m2 = _lift(k, (1, 1, k - 1), (1, 1, k - 1), 1, 2, local)
-        m3 = cap_matrix(k, (1, 1, k - 1), 2)
-        closures.append(m3 @ m2 @ m1)
-        # left kink: bend in a (k-1, 1) pair below-left, cross, close
-        m1 = cup_matrix(k, (1,), 1, k - 1, 1)
-        m2 = _lift(k, (k - 1, 1, 1), (k - 1, 1, 1), 2, 2, local)
-        m3 = cap_matrix(k, (k - 1, 1, 1), 1)
-        closures.append(m3 @ m2 @ m1)
-    return closures
-
-
-def crossing_search(k: int) -> list[tuple[int, int, int]]:
-    """Exhaustively determine the crossing normalization for rank k.
-
-    Searches sign ε ∈ {+1, -1} and exponents a, b ∈ [-2k, 2k] for the
-    tuples (ε, a, b) such that X⁺ = ε q^a (E - q^b id) and its partner
-    X⁻ = ε q^{-a} (E - q^{-b} id) jointly satisfy: the two-sided inverse
-    law (Reidemeister 2), the braid relation (Reidemeister 3), all four
-    kink closures equal to the identity (Reidemeister 1), and the skein
-    identity q^k X⁺ - q^{-k} X⁻ = ±(q - q^{-1})·id.  Returns the list of
-    surviving tuples (expected: exactly one).
-    """
-    E = hecke_E(1, 2, k)
-    ident = QMatrix.identity(E.rows)
-    skein_target = QMatrix.identity(E.rows) * (
-        LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
-    )
-    found: list[tuple[int, int, int]] = []
-    for eps in (1, -1):
-        for a in range(-2 * k, 2 * k + 1):
-            for b in range(-2 * k, 2 * k + 1):
-                plus = (E - LaurentPoly.q_power(b) * ident) * (
-                    LaurentPoly.q_power(a) * eps
-                )
-                minus = (E - LaurentPoly.q_power(-b) * ident) * (
-                    LaurentPoly.q_power(-a) * eps
-                )
-                skein = (
-                    plus * LaurentPoly.q_power(k)
-                    - minus * LaurentPoly.q_power(-k)
-                )
-                if skein != skein_target and skein != -skein_target:
-                    continue
-                if plus @ minus != ident or minus @ plus != ident:
-                    continue
-                if any(
-                    closure != QMatrix.identity(closure.rows)
-                    for closure in _kink_closures(plus, minus, k)
-                ):
-                    continue
-                if not _braid_holds(plus, k) or not _braid_holds(minus, k):
-                    continue
-                found.append((eps, a, b))
-    return found
-
-
-def _braid_holds(block: QMatrix, k: int) -> bool:
-    local = _block_local(block)
-    labels = (1, 1, 1)
-    x1 = _lift(k, labels, labels, 1, 2, local)
-    x2 = _lift(k, labels, labels, 2, 2, local)
-    return x1 @ x2 @ x1 == x2 @ x1 @ x2
 
 
 def reversal_matrix(k: int, labels: Sequence[int]) -> QMatrix:

@@ -33,6 +33,7 @@ def test_every_line_is_one_layer_record(capsys):
         "laurent",
         "generator",
         "compose",
+        "tensor",
     ]
     for r in records:
         assert set(r) == {"layer", "input", "repeats", "median_ms", "q1_ms", "q3_ms"}

@@ -125,6 +125,23 @@ def test_composition_checks_reject_negative_parts():
         psi(Permutation.identity(1), (2, -1), (1,))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: column_strict_fillings((1.5, 1.5), (1, 1)),
+        lambda: O_set((2.9, 0), (2,)),
+        lambda: psi_inverse(Filling(((1,), (2,))), (1.2, 1.7), (1, 1)),
+        lambda: psi_inverse(Filling(((1,), (2,))), (1, 1), (True, True)),
+        lambda: relabel_by_content(standard_filling((2,)), (3, -1)),
+        lambda: relabel_by_content(standard_filling((2,)), (2.0,)),
+    ],
+)
+def test_composition_parts_must_be_plain_ints(call):
+    # parts were read with int(p), so 1.5 or True passed as 1
+    with pytest.raises(ValueError, match="composition"):
+        call()
+
+
 # ----------------------------------------------------------------------
 # column-strict enumeration
 

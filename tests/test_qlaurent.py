@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from moycalc.boxcomb import Filling, WeightedDiagramSum
 from moycalc.qlaurent import (
     LaurentPoly,
     LinComb,
@@ -191,3 +192,23 @@ def test_lincomb_arithmetic_keeps_the_subclass():
     assert (v + v) == {"a": 2 * Q}
     assert v.bar().coeff("a") == LaurentPoly.q_power(-1)
     assert v.coeff("missing") == ZERO
+
+
+FILLINGS = (Filling(((1,), (2,))), Filling(((1, 2),)), Filling(((2,), (1,))))
+
+
+@given(st.lists(st.tuples(st.sampled_from(FILLINGS), polys, polys), max_size=8))
+def test_of_products_is_the_sum_of_the_products(triples):
+    expected = LinComb()
+    for key, a, b in triples:
+        expected.add_term(key, a * b)
+    cancelled = triples + [(key, -a, b) for key, a, b in triples]
+    for cls in (LinComb, WeightedDiagramSum):
+        result = cls.of_products(triples)
+        assert type(result) is cls and result == expected
+        assert all(_is_normal(coeff) and coeff for coeff in result.values())
+        # keys keep the order of their first product
+        first = dict.fromkeys(key for key, _, _ in triples)
+        assert list(result) == [key for key in first if key in expected]
+        zero = cls.of_products(cancelled)
+        assert type(zero) is cls and zero.is_zero()

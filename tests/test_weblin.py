@@ -2,24 +2,31 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moycalc.qlaurent import LaurentPoly, ONE, Q, ZERO, quantum_int
+from moycalc.qlaurent import LaurentPoly, LinComb, ONE, Q, ZERO, quantum_int
 from moycalc.weblin import (
+    INPUT_SPANS,
     QMatrix,
     TensorBasis,
+    apply_window,
     cap_matrix,
     cross_matrix_at,
     crossing_matrix,
-    crossing_search,
     cup_matrix,
+    generator_step,
     hecke_E,
     intertwiner_matrix,
+    local_map,
     merge_matrix,
     reversal_matrix,
+    special_pairs,
     split_matrix,
 )
+from moycalc.weblin import _block_local, _lift
 
 
 def qp(m: int) -> LaurentPoly:
@@ -146,6 +153,18 @@ def test_intertwiner_labels_follow_the_web_grammar():
         intertwiner_matrix("split(-1,2)", 3, (1,), 1)
     with pytest.raises(ValueError, match=r"unrecognized label 'j' \(use integers"):
         intertwiner_matrix("merge(j,1)", 3, (1, 1), 1)
+
+
+@pytest.mark.parametrize("kind, labels", [("split", (2,)), ("cup", ())])
+def test_split_and_cup_need_their_label_pair(kind, labels):
+    # a missing label used to end in a TypeError from `None + int`
+    for pair in ((None, None), (1, None), (None, 1)):
+        with pytest.raises(ValueError, match=f"{kind} needs its label pair"):
+            generator_step(kind, 3, labels, 1, *pair)
+    with pytest.raises(ValueError, match="split needs its label pair"):
+        split_matrix(3, (2,), 1, 1, None)
+    with pytest.raises(ValueError, match="cup needs its label pair"):
+        cup_matrix(3, (), 1, None, 2)
 
 
 def test_intertwiner_label_mismatch_errors():
@@ -299,6 +318,77 @@ def test_crossing_braid(k):
     assert x1p @ x2p @ x1p == x2p @ x1p @ x2p
 
 
+def _kink_closures(cand_plus: QMatrix, cand_minus: QMatrix, k: int) -> list[QMatrix]:
+    """Close each candidate crossing off with a cup/cap on either side."""
+    closures = []
+    for block in (cand_plus, cand_minus):
+        local = _block_local(block)
+        # right kink: bend in a (1, k-1) pair above-right, cross, close
+        m1 = cup_matrix(k, (1,), 2, 1, k - 1)
+        m2 = _lift(k, (1, 1, k - 1), (1, 1, k - 1), 1, 2, local)
+        m3 = cap_matrix(k, (1, 1, k - 1), 2)
+        closures.append(m3 @ m2 @ m1)
+        # left kink: bend in a (k-1, 1) pair below-left, cross, close
+        m1 = cup_matrix(k, (1,), 1, k - 1, 1)
+        m2 = _lift(k, (k - 1, 1, 1), (k - 1, 1, 1), 2, 2, local)
+        m3 = cap_matrix(k, (k - 1, 1, 1), 1)
+        closures.append(m3 @ m2 @ m1)
+    return closures
+
+
+def crossing_search(k: int) -> list[tuple[int, int, int]]:
+    """Exhaustively determine the crossing normalization for rank k.
+
+    Searches sign ε ∈ {+1, -1} and exponents a, b ∈ [-2k, 2k] for the
+    tuples (ε, a, b) such that X⁺ = ε q^a (E - q^b id) and its partner
+    X⁻ = ε q^{-a} (E - q^{-b} id) jointly satisfy: the two-sided inverse
+    law (Reidemeister 2), the braid relation (Reidemeister 3), all four
+    kink closures equal to the identity (Reidemeister 1), and the skein
+    identity q^k X⁺ - q^{-k} X⁻ = ±(q - q^{-1})·id.  Returns the list of
+    surviving tuples (expected: exactly one).
+    """
+    E = hecke_E(1, 2, k)
+    ident = QMatrix.identity(E.rows)
+    skein_target = QMatrix.identity(E.rows) * (
+        LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
+    )
+    found: list[tuple[int, int, int]] = []
+    for eps in (1, -1):
+        for a in range(-2 * k, 2 * k + 1):
+            for b in range(-2 * k, 2 * k + 1):
+                plus = (E - LaurentPoly.q_power(b) * ident) * (
+                    LaurentPoly.q_power(a) * eps
+                )
+                minus = (E - LaurentPoly.q_power(-b) * ident) * (
+                    LaurentPoly.q_power(-a) * eps
+                )
+                skein = (
+                    plus * LaurentPoly.q_power(k)
+                    - minus * LaurentPoly.q_power(-k)
+                )
+                if skein != skein_target and skein != -skein_target:
+                    continue
+                if plus @ minus != ident or minus @ plus != ident:
+                    continue
+                if any(
+                    closure != QMatrix.identity(closure.rows)
+                    for closure in _kink_closures(plus, minus, k)
+                ):
+                    continue
+                if not _braid_holds(plus, k) or not _braid_holds(minus, k):
+                    continue
+                found.append((eps, a, b))
+    return found
+
+
+def _braid_holds(block: QMatrix, k: int) -> bool:
+    local = _block_local(block)
+    labels = (1, 1, 1)
+    x1 = _lift(k, labels, labels, 1, 2, local)
+    x2 = _lift(k, labels, labels, 2, 2, local)
+    return x1 @ x2 @ x1 == x2 @ x1 @ x2
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_crossing_search_regression(k):
     # the frozen normalization is the unique survivor of the protocol
@@ -362,3 +452,117 @@ def test_matrix_bar_is_multiplicative():
     E = hecke_E(1, 2, 3)
     X = crossing_matrix("+", 3)
     assert (E @ X).bar() == E.bar() @ X.bar()
+
+
+def test_sum_pairs_columns_by_key_not_by_position():
+    # the same map, its columns listed in two orders
+    a = QMatrix((1, 2), ("a", "b"), [{1: ONE}, {2: Q}])
+    b = QMatrix((1, 2), ("b", "a"), [{2: Q}, {1: ONE}])
+    assert (a + a).entry(1, "a") == 2 * ONE
+    for other in (b, QMatrix((2, 1), ("a", "b"), [{1: ONE}, {2: Q}])):
+        with pytest.raises(ValueError, match="sum index mismatch"):
+            a + other
+        with pytest.raises(ValueError, match="sum index mismatch"):
+            a - other
+
+
+def _dense_product(a: QMatrix, b: QMatrix) -> list[list[LaurentPoly]]:
+    inner = range(len(a.cols))
+    return [
+        [sum((row[j] * b.entries[j][col] for j in inner), ZERO) for col in range(len(b.cols))]
+        for row in a.entries
+    ]
+
+
+def _tuple_keyed(m: QMatrix) -> QMatrix:
+    """The same matrix with each key k written (k,), so that keys concatenate."""
+    return QMatrix(
+        tuple((r,) for r in m.rows),
+        tuple((c,) for c in m.cols),
+        [{(r,): p for r, p in column.items()} for column in m.columns],
+    )
+
+
+@settings(max_examples=40)
+@given(_qmatrix(2, 3), _qmatrix(3, 2), _qmatrix(2, 2))
+def test_matmul_and_tensor_match_dense_products(a, b, c):
+    assert [list(row) for row in (a @ b).entries] == _dense_product(a, b)
+    left, right = _tuple_keyed(a), _tuple_keyed(c)
+    t = left.tensor(right)
+    assert t.shape == (4, 6)
+    for (i1, row1), (i2, row2) in product(enumerate(a.entries), enumerate(c.entries)):
+        for (j1, x), (j2, y) in product(enumerate(row1), enumerate(row2)):
+            assert t.entry((i1, i2), (j1, j2)) == x * y
+    assert all(all(column.values()) for column in (a @ b).columns + t.columns)
+
+
+# ----------------------------------------------------------------------
+# apply_window against the nested accumulation loop it replaced
+
+
+def _reference_apply_window(local, pos, span, state):
+    """The nested loop ``apply_window`` ran before ``LinComb.of_products``:
+    per column, raw exponent sums per output key, made polynomials at
+    the end in first-seen key order."""
+    lo, hi = pos - 1, pos - 1 + span
+    out = []
+    for column in state:
+        acc = {}
+        for key, poly in column.items():
+            head, tail = key[:lo], key[hi:]
+            for out_win, coeff in local.get(key[lo:hi], ()):
+                terms = acc.setdefault(head + out_win + tail, {})
+                for e1, c1 in poly.terms:
+                    for e2, c2 in coeff.terms:
+                        terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
+        out.append(LinComb((key, LaurentPoly(terms)) for key, terms in acc.items()))
+    return out
+
+
+def _windows(kind: str, k: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(boundary window, a, b) for every placement of a generator kind."""
+    if kind == "merge":
+        return [((a, b), a, b) for a, b in sorted(special_pairs(k))]
+    if kind == "split":
+        return [((a + b,), a, b) for a, b in sorted(special_pairs(k))]
+    ends = [(1, k - 1), (k - 1, 1)]
+    if kind == "cup":
+        return [((), a, b) for a, b in ends]
+    if kind == "cap":
+        return [((a, b), a, b) for a, b in ends]
+    return [((1, 1), 1, 1)]
+
+
+@st.composite
+def window_cases(draw):
+    k = draw(st.integers(min_value=2, max_value=4))
+    kind = draw(st.sampled_from(sorted(INPUT_SPANS)))
+    window, a, b = draw(st.sampled_from(_windows(kind, k)))
+    side = st.lists(st.integers(min_value=1, max_value=k), max_size=2)
+    left, right = draw(side), draw(side)
+    labels = tuple(left) + window + tuple(right)
+    pos = len(left) + 1
+    generator_step(kind, k, labels, pos, a, b)
+    basis = TensorBasis(k, labels).elements
+    column = st.dictionaries(st.sampled_from(basis), small_polys, max_size=6)
+    state = draw(st.lists(column, min_size=1, max_size=3))
+    return local_map(kind, k, a, b), pos, INPUT_SPANS[kind], state
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_cases())
+def test_apply_window_matches_the_reference_loop(case):
+    local, pos, span, state = case
+    got = apply_window(local, pos, span, state)
+    want = _reference_apply_window(local, pos, span, state)
+    assert got == want
+    # same keys in the same order: printed outputs read dict order
+    assert [list(column) for column in got] == [list(column) for column in want]
+    assert all(type(column) is LinComb and all(column.values()) for column in got)
+
+
+def test_apply_window_drops_cancelled_entries():
+    # at k=2 both orders of {1, 2} merge to v_{12}, with q^0 and q^-1
+    local = local_map("merge", 2, 1, 1)
+    state = [{((1,), (2,)): Q, ((2,), (1,)): -Q * Q, ((1,), (1,)): ONE}]
+    assert apply_window(local, 1, 2, state) == [LinComb()]
