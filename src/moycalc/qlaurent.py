@@ -192,9 +192,7 @@ _set_terms = LaurentPoly.terms.__set__
 def _normal(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
     """The normal form of exponent -> coefficient sums: zeros dropped,
     exponents descending."""
-    if 0 in acc.values():
-        return tuple(sorted([term for term in acc.items() if term[1]], reverse=True))
-    return tuple(sorted(acc.items(), reverse=True))
+    return tuple(sorted([term for term in acc.items() if term[1]], reverse=True))
 
 
 def _trusted(terms: tuple[tuple[int, int], ...]) -> LaurentPoly:

@@ -395,16 +395,21 @@ def apply_window(local: LocalMap, pos: int, span: int, state: State) -> State:
     their window images, so it holds no zero entry.
     """
     lo, hi = pos - 1, pos - 1 + span
-    get = local.get
     return [
-        LinComb.of_products(
-            (head + out_win + tail, poly, coeff)
-            for key, poly in column.items()
-            for head, window, tail in ((key[:lo], key[lo:hi], key[hi:]),)
-            for out_win, coeff in get(window, ())
-        )
-        for column in state
+        LinComb.of_products(_window_images(local, lo, hi, column)) for column in state
     ]
+
+
+def _window_images(
+    local: LocalMap, lo: int, hi: int, column: Mapping[Key, LaurentPoly]
+) -> Iterator[tuple[Key, LaurentPoly, LaurentPoly]]:
+    """(image key, entry, window coefficient) for each entry of ``column``
+    and each image of its window [lo, hi)."""
+    get = local.get
+    for key, poly in column.items():
+        head, tail = key[:lo], key[hi:]
+        for out_win, coeff in get(key[lo:hi], ()):
+            yield head + out_win + tail, poly, coeff
 
 
 def _lift(
