@@ -2,36 +2,45 @@
 """Time the arithmetic, web, Hecke, box and transport layers one call at a time.
 
 Prints one ``key=value`` record per layer and input: the number of
-repeats and the median and quartiles of their wall times.  The inputs
-are fixed, so two checkouts can be compared on one machine:
+repeats and the median and quartiles of their times.  The inputs are
+fixed, so two checkouts can be compared on one machine:
 
     python3 scripts/bench_layers.py --repeats 7
 
+Times are in reference milliseconds, as in ``perfbench/run.py``: a
+shared machine's speed jumps by a factor near two several times a
+second, so each row runs under a ``perfbench/speed.py`` log that times a
+fixed probe every 10 ms, and each call's wall time is weighted by the
+speed of the stretch it ran in.  The raw wall-clock quartiles, probes
+left out, are printed beside the scaled ones (``raw_*_ms``).
+
 ``kl_element`` is timed cold, over all of S_5, in a fresh interpreter
-per repeat (its cache lives for the process); every other layer is
-timed warm, with its Kazhdan-Lusztig input computed beforehand.  The
-transport layer is ``compare_theorem13`` (the three routes over every
-basis class) on one fixed k=4 merge web on five strands, run once
-before it is timed.  The bijection layer sends every class of one
-fixed (mu, nu) at n=6 through psi, phi, phi_inverse and psi_inverse,
-also run once before it is timed.  The web-side rows are warm too: the
-laurent layer builds, multiplies and adds every ordered pair of the
-quantum integers [1]..[12]; the generator layer applies one k=4 merge
-window to every basis vector of six 1-labelled strands; the compose
-layer multiplies a split matrix by a merge matrix on five strands; the
-tensor layer puts E_1 on three k=4 strands beside the k=4 positive
-crossing.
+per repeat (its cache lives for the process) that keeps its own speed
+log; every other layer is timed warm, with its Kazhdan-Lusztig input
+computed beforehand.  The transport layer is ``compare_theorem13`` (the
+three routes over every basis class) on one fixed k=4 merge web on five
+strands, run once before it is timed.  The bijection layer sends every
+class of one fixed (mu, nu) at n=6 through psi, phi, phi_inverse and
+psi_inverse, also run once before it is timed.  The web-side rows are
+warm too: the laurent layer builds, multiplies and adds every ordered
+pair of the quantum integers [1]..[12]; the generator layer applies one
+k=4 merge window to every basis vector of six 1-labelled strands; the
+compose layer multiplies a split matrix by a merge matrix on five
+strands; the tensor layer puts E_1 on three k=4 strands beside the k=4
+positive crossing.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import statistics
 import subprocess
 import sys
 from functools import partial
 from operator import matmul
+from pathlib import Path
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -50,28 +59,43 @@ from moycalc.weblin import (
     split_matrix,
 )
 
+SCRIPTS = Path(__file__).resolve().parent
+sys.path.insert(0, str(SCRIPTS.parent / "perfbench"))
+import speed  # noqa: E402  (perfbench/speed.py, the benchmark's speed log)
+
 COLD_KL_S5 = """
-import itertools, time
+import itertools, json
+from bench_layers import timed
 from moycalc.symhecke import Permutation, kl_element
 group = [Permutation(p) for p in itertools.permutations(range(1, 6))]
-start = time.perf_counter()
-for w in group:
-    kl_element(w)
-print(time.perf_counter() - start)
+print(json.dumps(timed(lambda: [kl_element(w) for w in group])))
 """
 
 
-def cold_kl_s5() -> float:
-    """Seconds for kl_element over S_5 in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+def timed(call: Callable[..., object], *args: object) -> tuple[float, float]:
+    """(raw, scaled) seconds of one call, under a speed log of its own;
+    the raw wall time leaves out the probes that fell inside the call."""
+    log = speed.SpeedLog()
+    log.start()
+    start = perf_counter()
+    call(*args)
+    end = perf_counter()
+    log.stop()
+    inside = sum(span for at, span in zip(log.starts, log.spans) if start <= at < end)
+    return end - start - inside, log.scaled(start, end)
+
+
+def cold_kl_s5() -> tuple[float, float]:
+    """(raw, scaled) seconds for kl_element over S_5 in a fresh interpreter."""
+    path = os.pathsep.join([str(SCRIPTS), *(p for p in sys.path if p)])
     done = subprocess.run(
         [sys.executable, "-c", COLD_KL_S5],
-        env=env,
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         check=True,
     )
-    return float(done.stdout)
+    return tuple(json.loads(done.stdout))
 
 
 def bijections(
@@ -92,15 +116,9 @@ def laurent_pairs(polys: list[LaurentPoly]) -> None:
             total = total + LaurentPoly(dict(a.terms)) * b
 
 
-def timed(call: Callable[..., object], *args: object) -> float:
-    start = perf_counter()
-    call(*args)
-    return perf_counter() - start
-
-
-def cases() -> list[tuple[str, str, Callable[[], float]]]:
-    """(layer, input, one repeat returning its seconds)."""
-    out: list[tuple[str, str, Callable[[], float]]] = [
+def cases() -> list[tuple[str, str, Callable[[], tuple[float, float]]]]:
+    """(layer, input, one repeat returning its raw and scaled seconds)."""
+    out: list[tuple[str, str, Callable[[], tuple[float, float]]]] = [
         ("kl_element", "S5-cold", cold_kl_s5)
     ]
     for text in ("54321", "654321"):
@@ -139,15 +157,23 @@ def cases() -> list[tuple[str, str, Callable[[], float]]]:
     return out
 
 
-def record(layer: str, text: str, seconds: list[float]) -> str:
+def quartiles_ms(seconds: Sequence[float]) -> list[float]:
+    """q1, median and q3 of the times, in milliseconds."""
     ms = sorted(s * 1000 for s in seconds)
     if len(ms) == 1:
-        q1 = median = q3 = ms[0]
-    else:
-        q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
+        return ms * 3
+    return statistics.quantiles(ms, n=4, method="inclusive")
+
+
+def record(layer: str, text: str, times: list[tuple[float, float]]) -> str:
+    """One row: each scaled figure, then the raw one beside it."""
+    raw, scaled = zip(*times)
+    q1, median, q3 = quartiles_ms(scaled)
+    raw_q1, raw_median, raw_q3 = quartiles_ms(raw)
     return (
-        f"layer={layer} input={text} repeats={len(ms)} "
-        f"median_ms={median:.3f} q1_ms={q1:.3f} q3_ms={q3:.3f}"
+        f"layer={layer} input={text} repeats={len(times)} "
+        f"median_ms={median:.3f} raw_median_ms={raw_median:.3f} "
+        f"q1_ms={q1:.3f} raw_q1_ms={raw_q1:.3f} q3_ms={q3:.3f} raw_q3_ms={raw_q3:.3f}"
     )
 
 

@@ -218,20 +218,22 @@ def _pack(poly: LaurentPoly, width: int, offset: int) -> int:
 def _unpack(packed: int, width: int, offset: int) -> LaurentPoly:
     """Σ c_e·q^e from Σ c_e·2^(width·(e + offset)), read as balanced
     base-2^width digits: exact while every |c_e| is below 2^(width-1)
-    and every e + offset is >= 0."""
+    and every e + offset is >= 0.  Each run of zero digits is skipped in
+    one shift, found from the lowest set bit."""
     full = 1 << width
     half, mask = full >> 1, full - 1
     terms = []
     e = -offset
     while packed:
+        zeros = ((packed & -packed).bit_length() - 1) // width
+        packed >>= width * zeros
         digit = packed & mask
         packed >>= width
-        if digit:
-            if digit >= half:
-                digit -= full
-                packed += 1
-            terms.append((e, digit))
-        e += 1
+        if digit >= half:
+            digit -= full
+            packed += 1
+        terms.append((e + zeros, digit))
+        e += zeros + 1
     return _trusted(tuple(reversed(terms)))
 
 

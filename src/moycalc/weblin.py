@@ -154,11 +154,11 @@ class QMatrix:
         object.__setattr__(self, "columns", columns)
         if len(columns) != len(self.cols):
             raise ValueError("need one column per column key")
-        known = self._row_position
+        known = self._row_position.keys()
         for column in columns:
-            for row_key in column:
-                if row_key not in known:
-                    raise ValueError(f"row key {row_key!r} is not in the row index")
+            if not column.keys() <= known:
+                stray = next(key for key in column if key not in known)
+                raise ValueError(f"row key {stray!r} is not in the row index")
 
     @cached_property
     def _row_position(self) -> Mapping:

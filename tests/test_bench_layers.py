@@ -1,4 +1,5 @@
-"""The layer micro-benchmark script prints one parseable record per layer."""
+"""The layer micro-benchmark script prints one parseable record per layer,
+with each scaled time beside its raw one."""
 
 from __future__ import annotations
 
@@ -35,7 +36,10 @@ def test_every_line_is_one_layer_record(capsys):
         "compose",
         "tensor",
     ]
+    quartiles = ("q1_ms", "median_ms", "q3_ms")
     for r in records:
-        assert set(r) == {"layer", "input", "repeats", "median_ms", "q1_ms", "q3_ms"}
+        assert set(r) == {"layer", "input", "repeats", *quartiles, *(f"raw_{q}" for q in quartiles)}
         assert r["repeats"] == "1"
-        assert 0 <= float(r["q1_ms"]) <= float(r["median_ms"]) <= float(r["q3_ms"])
+        for prefix in ("", "raw_"):
+            q1, median, q3 = (float(r[prefix + q]) for q in quartiles)
+            assert 0 < q1 <= median <= q3

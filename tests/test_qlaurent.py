@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from moycalc.boxcomb import Filling, WeightedDiagramSum
 from moycalc.qlaurent import (
@@ -12,6 +12,8 @@ from moycalc.qlaurent import (
     ONE,
     Q,
     ZERO,
+    _pack,
+    _unpack,
     parse_laurent,
     quantum_int,
 )
@@ -212,3 +214,32 @@ def test_of_products_is_the_sum_of_the_products(triples):
         assert list(result) == [key for key in first if key in expected]
         zero = cls.of_products(cancelled)
         assert type(zero) is cls and zero.is_zero()
+
+
+@st.composite
+def packable(draw):
+    """(poly, width, offset) that ``_pack`` accepts: every |c| below
+    2^(width-1), the two extremes drawn often, and every e + offset >= 0,
+    with exponents spread so that runs of zero digits are common."""
+    width = draw(st.integers(min_value=2, max_value=40))
+    offset = draw(st.integers(min_value=0, max_value=64))
+    top = (1 << (width - 1)) - 1
+    coeffs = st.one_of(st.sampled_from([top, -top, -1]), st.integers(-top, top))
+    exps = st.integers(min_value=-offset, max_value=40)
+    return LaurentPoly(draw(st.dictionaries(exps, coeffs, max_size=6))), width, offset
+
+
+@given(packable())
+@example((ZERO, 8, 0))  # the packed value 0
+@example((ZERO, 3, 64))
+# a negative lowest digit borrows from the next one, which sits after a
+# run of six zero digits
+@example((LaurentPoly({-3: -1, 4: 1}), 4, 3))
+@example((LaurentPoly({-64: -7, -60: 7, 0: -7, 40: 7}), 4, 64))
+@example((LaurentPoly({-64: -1, 40: -1}), 2, 64))
+def test_pack_then_unpack_is_the_identity(case):
+    poly, width, offset = case
+    packed = _pack(poly, width, offset)
+    assert (packed == 0) == poly.is_zero()
+    result = _unpack(packed, width, offset)
+    assert result == poly and _is_normal(result)

@@ -466,6 +466,19 @@ def test_sum_pairs_columns_by_key_not_by_position():
             a - other
 
 
+@pytest.mark.parametrize("column", [LinComb, dict])
+@pytest.mark.parametrize("rows", [("a", "b"), TensorBasis(2, (1,))])
+def test_a_stray_row_key_is_named_first_in_column_order(column, rows):
+    # the first column is clean; the second holds a row key and then three
+    # stray ones, not in sorted order, so more keys than there are rows
+    fine = rows[0]
+    strays = {("y",): Q, ("x",): ONE, ("z",): Q}
+    columns = [column({fine: ONE}), column({fine: ONE, **strays})]
+    with pytest.raises(ValueError, match=r"row key \('y',\) is not in the row index"):
+        QMatrix(rows, ("c", "d"), columns)
+    assert QMatrix(rows, ("c", "d"), [columns[0], column({rows[1]: Q})]).entry(rows[1], "d") == Q
+
+
 def _dense_product(a: QMatrix, b: QMatrix) -> list[list[LaurentPoly]]:
     inner = range(len(a.cols))
     return [
