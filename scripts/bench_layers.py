@@ -21,13 +21,15 @@ computed beforehand.  The transport layer is ``compare_theorem13`` (the
 three routes over every basis class) on one fixed k=4 merge web on five
 strands, run once before it is timed.  The bijection layer sends every
 class of one fixed (mu, nu) at n=6 through psi, phi, phi_inverse and
-psi_inverse, also run once before it is timed.  The web-side rows are
-warm too: the laurent layer builds, multiplies and adds every ordered
-pair of the quantum integers [1]..[12]; the generator layer applies one
-k=4 merge window to every basis vector of six 1-labelled strands; the
-compose layer multiplies a split matrix by a merge matrix on five
-strands; the tensor layer puts E_1 on three k=4 strands beside the k=4
-positive crossing.
+psi_inverse, also run once before it is timed.  The classes layer lists
+the classes of every weight with four parts over the content
+(1,1,1,1,1,1) in one ``O_lists`` pass, warm: the bijection row has built
+that content's masks.  The web-side rows are warm too: the laurent layer
+builds, multiplies and adds every ordered pair of the quantum integers
+[1]..[12]; the generator layer applies one k=4 merge window to every
+basis vector of six 1-labelled strands; the compose layer multiplies a
+split matrix by a merge matrix on five strands; the tensor layer puts
+E_1 on three k=4 strands beside the k=4 positive crossing.
 """
 
 from __future__ import annotations
@@ -44,9 +46,23 @@ from pathlib import Path
 from time import perf_counter
 from typing import Callable, Sequence
 
-from moycalc.boxcomb import column_strict_fillings, phi, phi_inverse, psi, psi_inverse
+from moycalc.boxcomb import (
+    all_compositions,
+    column_strict_fillings,
+    phi,
+    phi_inverse,
+    psi,
+    psi_inverse,
+)
 from moycalc.qlaurent import ONE, ZERO, LaurentPoly, quantum_int
-from moycalc.symhecke import O_set, Permutation, hecke_mul, kl_element, sign_action
+from moycalc.symhecke import (
+    O_lists,
+    O_set,
+    Permutation,
+    hecke_mul,
+    kl_element,
+    sign_action,
+)
 from moycalc.tangleinv import compare_theorem13
 from moycalc.webgraph import Layer, Web
 from moycalc.weblin import (
@@ -139,6 +155,8 @@ def cases() -> list[tuple[str, str, Callable[[], tuple[float, float]]]]:
     bijections(classes, mu, nu)
     round_trip = partial(timed, bijections, classes, mu, nu)
     out.append(("bijection", "2,2,1,1|1,1,1,1,1,1", round_trip))
+    listing = partial(timed, O_lists, all_compositions(6, 4), (1,) * 6)
+    out.append(("classes", "k4|1,1,1,1,1,1", listing))
     web = Web(4, (1,) * 5, (Layer("merge", 2, 1, 1),))
     compare_theorem13(web)
     transport = partial(timed, compare_theorem13, web)

@@ -10,9 +10,10 @@ Contents:
   H_s^2 = H_e + (q^-1 - q) H_s, so that C_s := H_s + q satisfies
   C_s^2 = (q + q^-1) C_s.  Standard basis products, the bar involution,
   and the Kazhdan-Lusztig basis.
-- ``min_coset_reps`` / ``O_set``: shortest coset representatives for
-  Young subgroups on either side, and the double-quotient classes used
-  as the module basis.
+- ``min_coset_reps`` / ``O_set`` / ``O_lists``: shortest coset
+  representatives for Young subgroups on either side, and the
+  double-quotient classes used as the module basis (one weight's, or
+  every weight's in one call).
 - ``sign_action``: the induced sign module attached to a composition,
   as explicit matrices.
 - ``FlagList`` / ``TranslationPath`` / ``translation_flag``: exact
@@ -48,6 +49,7 @@ __all__ = [
     "FlagList",
     "min_coset_reps",
     "O_set",
+    "O_lists",
     "hecke_mul",
     "kl_element",
     "rs_tableaux",
@@ -282,15 +284,6 @@ def _blocks(mu: Sequence[int]) -> list[range]:
     return blocks
 
 
-def _block_index(mu: Sequence[int], n: int) -> list[int]:
-    """index i (1-based) -> which block of mu contains i (0-based)."""
-    out = [0] * (n + 1)
-    for b, block in enumerate(_blocks(mu)):
-        for i in block:
-            out[i] = b
-    return out
-
-
 @lru_cache(maxsize=None)
 def _in_block_pairs(mu: tuple[int, ...]) -> tuple[int, ...]:
     """The indices i with i and i+1 inside one block of mu."""
@@ -333,25 +326,48 @@ def _right_minimal_reps(nu: tuple[int, ...]) -> tuple[Permutation, ...]:
 
 
 @lru_cache(maxsize=None)
-def _rep_inverses(nu: tuple[int, ...]) -> dict[Permutation, tuple[int, ...]]:
-    """The inverse images of each right-minimal representative of nu."""
-    return {z: _inverse_images(z.images) for z in _right_minimal_reps(nu)}
+def _pair_mask(mu: tuple[int, ...]) -> int:
+    """Bit i set for each pair of values i, i+1 inside one block of mu."""
+    return sum(1 << i for i in _in_block_pairs(mu))
 
 
-def _o_qualifies(
-    inv: tuple[int, ...], mu_pairs: tuple[int, ...], nu_block: list[int]
-) -> bool:
-    """Whether the whole coset z·S_nu lies among the mu-minimal elements,
-    given the inverse images ``inv`` of z.
+@lru_cache(maxsize=None)
+def _rep_masks(nu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The failing-pair mask of each right-minimal representative z of
+    nu, keyed by its images in the order of ``_right_minimal_reps``.
 
-    Every element of the coset is left-mu-minimal iff for each pair of
+    Every element of z·S_nu is left-mu-minimal iff for each pair of
     values i, i+1 inside one mu-block, the position of i falls in a
-    strictly earlier nu-block than the position of i+1.
+    strictly earlier nu-block than the position of i+1.  Bit i of the
+    mask is set when that fails for the values i, i+1, so z qualifies
+    for mu exactly when ``mask & _pair_mask(mu) == 0``.
     """
-    for i in mu_pairs:
-        if nu_block[inv[i - 1]] >= nu_block[inv[i]]:
-            return False
-    return True
+    # position p -> the nu-block holding it, at index p - 1
+    block = [b for b, p in enumerate(nu) for _ in range(p)]
+    masks = {}
+    for z in _right_minimal_reps(nu):
+        blocks = [block[p - 1] for p in _inverse_images(z.images)]
+        masks[z.images] = sum(
+            1 << i for i in range(1, len(blocks)) if blocks[i - 1] >= blocks[i]
+        )
+    return masks
+
+
+def O_lists(
+    mus: Iterable[Sequence[int]], nu: Sequence[int]
+) -> list[tuple[tuple[int, ...], list[Permutation]]]:
+    """Each weight's ``O_set`` as a list in ``images`` order: (mu, classes)
+    for each mu of ``mus``, which must all sum to nu's n, filtered from
+    one table of nu's representatives and their masks."""
+    nu_t = parts_of(nu)
+    # permutations() runs in lexicographic order, so each list is sorted
+    reps = list(zip(_right_minimal_reps(nu_t), _rep_masks(nu_t).values()))
+    out = []
+    for mu in mus:
+        mu_t = _parts_summing_to(mu, sum(nu_t))
+        pair_mask = _pair_mask(mu_t)
+        out.append((mu_t, [z for z, mask in reps if not mask & pair_mask]))
+    return out
 
 
 def O_set(mu: Sequence[int], nu: Sequence[int]) -> set[Permutation]:
@@ -360,13 +376,7 @@ def O_set(mu: Sequence[int], nu: Sequence[int]) -> set[Permutation]:
     mu_t, nu_t = parts_of(mu), parts_of(nu)
     if sum(mu_t) != sum(nu_t):
         raise ValueError(f"compositions {mu_t} and {nu_t} have different sums")
-    mu_pairs = _in_block_pairs(mu_t)
-    nu_block = _block_index(nu_t, sum(nu_t))
-    return {
-        z
-        for z, inv in _rep_inverses(nu_t).items()
-        if _o_qualifies(inv, mu_pairs, nu_block)
-    }
+    return set(O_lists([mu_t], nu_t)[0][1])
 
 
 # ----------------------------------------------------------------------
@@ -972,10 +982,10 @@ def _check_classes(terms: list, wall: tuple[int, ...]) -> None:
 @lru_cache(maxsize=None)
 def _wall_step(
     src: tuple[int, ...], dst: tuple[int, ...]
-) -> Callable[[list, tuple[int, ...] | None], list]:
+) -> Callable[[list, int | None], list]:
     """The translation move from wall ``src`` to wall ``dst``, analysed
     once per wall pair: a function taking (exponent, class) terms over
-    ``src`` and the mu-restriction pairs (or None) to the terms over
+    ``src`` and the mu-restriction pair mask (or None) to the terms over
     ``dst``.  Every input class is checked to be minimal over ``src``."""
     n = sum(src)
     split = _single_split(src, dst)
@@ -987,7 +997,7 @@ def _wall_step(
             (shift - z.length(), z) for z in _out_of_wall_reps(offset, a, b, n)
         )
 
-        def out_of_wall(terms: list, mu_pairs: tuple[int, ...] | None) -> list:
+        def out_of_wall(terms: list, mu_mask: int | None) -> list:
             _check_classes(terms, src)
             return [(e + s, w * z) for e, w in terms for s, z in fan]
 
@@ -996,25 +1006,20 @@ def _wall_step(
     if merge is not None:
         offset, a, b = merge
         end = offset + a + b
-        nu_block = _block_index(dst, n)
 
-        def onto_wall(terms: list, mu_pairs: tuple[int, ...] | None) -> list:
+        def onto_wall(terms: list, mu_mask: int | None) -> list:
             _check_classes(terms, src)
-            inverses = _rep_inverses(dst) if mu_pairs is not None else None
+            masks = _rep_masks(dst) if mu_mask is not None else None
             out = []
             for e, w in terms:
                 images = w.images
                 segment = images[offset:end]
-                l_y = _inversion_count(segment)  # inside the merged window
                 # sorting the merged window keeps z minimal over dst
-                z = Permutation._trusted(
-                    images[:offset] + tuple(sorted(segment)) + images[end:]
-                )
-                if inverses is not None and not _o_qualifies(
-                    inverses[z], mu_pairs, nu_block
-                ):
+                z = images[:offset] + tuple(sorted(segment)) + images[end:]
+                if masks is not None and masks[z] & mu_mask:
                     continue
-                out.append((e - l_y, z))
+                # l(y) counts the inversions inside the merged window
+                out.append((e - _inversion_count(segment), Permutation._trusted(z)))
             return out
 
         return onto_wall
@@ -1055,14 +1060,12 @@ class TranslationPath:
         qualify for the mu-restricted class set.  ``mu`` must sum to the
         path's n, and every class must be a permutation of that size,
         minimal over the starting wall."""
-        mu_pairs = (
-            None if mu is None else _in_block_pairs(_parts_summing_to(mu, self.n))
-        )
+        mu_mask = None if mu is None else _pair_mask(_parts_summing_to(mu, self.n))
         if not self.steps:
             # each step checks its input; a path without one checks here
             _check_classes(terms, self.start)
         for step in self.steps:
-            terms = step(terms, mu_pairs)
+            terms = step(terms, mu_mask)
         return terms
 
 

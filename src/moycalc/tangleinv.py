@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .boxcomb import (
     _check_basis_key,
@@ -53,7 +53,7 @@ from .boxcomb import (
 )
 from .qlaurent import ONE, ZERO, LaurentPoly, LinComb, quantum_int
 from .reporting import Report
-from .symhecke import O_set, Permutation, TranslationPath
+from .symhecke import O_lists, Permutation, TranslationPath
 from .weblin import QMatrix, special_pairs
 from .webgraph import (
     Layer,
@@ -918,17 +918,31 @@ class GrothVector:
 _ROUTES = ("curly", "translation", "matrix")
 
 
+# (weight, class images, exponent) -> nonzero integer coefficient: a
+# class combination with each Laurent coefficient spread over its monomials
+Tally = dict[tuple[tuple[int, ...], tuple[int, ...], int], int]
+
+
+def _tally(pairs: Iterable[tuple[Hashable, int]]) -> dict:
+    """Sum (key, coefficient) pairs into a plain dict without zeros."""
+    out: dict = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
 class _TransportPlan:
     """The per-web work of the three transport routes, done once.
 
     A plan carries each basis class (mu, z) as a box word over mu: its
     source word is ``psi``'s, written and checked column-strict once by
-    ``source``.  The curly kernel folds the layers' box moves over the
-    word, one ``LinComb.of_products`` per layer; the translation kernel
-    pushes z along the web's walls, each wall step analysed once; the
-    matrix kernel reads the word's column of the web's matrix, evaluated
-    once.  Top words and matrix rows become classes through memos that
-    run ``psi_inverse``'s and ``phi_inverse``'s checks once per distinct
+    ``source``.  Each route returns a ``Tally``, so images compare with
+    one dict ``==``: the curly kernel folds the layers' box moves over
+    (word, exponent) pairs; the translation kernel pushes z along the
+    web's walls, each wall step analysed once; the matrix kernel reads
+    the word's column of the web's matrix, evaluated once.  Top words
+    and matrix rows become classes through memos that run
+    ``psi_inverse``'s and ``phi_inverse``'s checks once per distinct
     input, and each image key is checked once.
     """
 
@@ -940,9 +954,9 @@ class _TransportPlan:
                     f"layer {i} is {layer.kind}"
                 )
         self.web = f
-        self._classes: dict[tuple[tuple[int, ...], tuple[int, ...]], Permutation] = {}
-        self._rows: dict[object, tuple[tuple[int, ...], Permutation]] = {}
-        self._checked: set[tuple[tuple[int, ...], Permutation]] = set()
+        self._classes: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
+        self._rows: dict[object, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._checked: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
 
     @cached_property
     def _columns(self) -> dict[object, LinComb]:
@@ -954,15 +968,15 @@ class _TransportPlan:
     def _walls(self) -> TranslationPath:
         return TranslationPath(self.web.boundaries)
 
-    def _top_class(self, word: tuple[int, ...], mu: tuple[int, ...]) -> Permutation:
+    def _top_class(self, word: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
         key = (word, mu)
-        z = self._classes.get(key)
-        if z is None:
+        images = self._classes.get(key)
+        if images is None:
             _check_filling(word, mu, mu, self.web.top)
-            z = self._classes[key] = _psi_inverse_word(word, self.web.top)
-        return z
+            images = self._classes[key] = _psi_inverse_word(word, self.web.top).images
+        return images
 
-    def _row_class(self, row_key: object) -> tuple[tuple[int, ...], Permutation]:
+    def _row_class(self, row_key: object) -> tuple[tuple[int, ...], tuple[int, ...]]:
         key = self._rows.get(row_key)
         if key is None:
             _check_basis_key(row_key, self.web.k)
@@ -974,13 +988,13 @@ class _TransportPlan:
         """The class's source word ``psi(z, mu, f.bottom)``."""
         return _psi_word(z, mu, self.web.bottom)
 
-    def curly(self, mu: tuple[int, ...], source: tuple[int, ...]) -> LinComb:
+    def curly(self, mu: tuple[int, ...], source: tuple[int, ...]) -> Tally:
         """Fold the box moves of each layer over the source word."""
-        words = {source: ONE}
+        words = {(source, 0): 1}
         for layer in self.web.layers:
-            words = LinComb.of_products(
-                (new, coeff, LaurentPoly.q_power(shift))
-                for word, coeff in words.items()
+            words = _tally(
+                ((new, e + shift), c)
+                for (word, e), c in words.items()
                 for new, shift in (
                     _merge_word(word, mu, layer.pos)
                     if layer.kind == "merge"
@@ -988,32 +1002,33 @@ class _TransportPlan:
                 )
             )
         # distinct top words are distinct classes
-        return LinComb._new(
-            ((mu, self._top_class(word, mu)), coeff) for word, coeff in words.items()
-        )
+        return {
+            (mu, self._top_class(word, mu), e): c for (word, e), c in words.items()
+        }
 
-    def translation(self, mu: tuple[int, ...], z: Permutation) -> LinComb:
+    def translation(self, mu: tuple[int, ...], z: Permutation) -> Tally:
         """Push the flag class z along the web's walls."""
-        return LinComb.of_products(
-            ((mu, w), LaurentPoly.q_power(e), ONE)
-            for e, w in self._walls.push([(0, z)], mu)
-        )
+        return _tally(((mu, w.images, e), 1) for e, w in self._walls.push([(0, z)], mu))
 
-    def matrix(self, mu: tuple[int, ...], source: tuple[int, ...]) -> LinComb:
+    def matrix(self, mu: tuple[int, ...], source: tuple[int, ...]) -> Tally:
         """Read the source word's column of the web's matrix as classes."""
         column = self._columns[_phi_word(source, mu)]
         # distinct rows are distinct classes, and the column holds no zero
-        return column._new(
-            (self._row_class(row_key), coeff) for row_key, coeff in column.items()
-        )
+        return {
+            (*self._row_class(row_key), e): c
+            for row_key, poly in column.items()
+            for e, c in poly.terms
+        }
 
-    def checked(self, image: LinComb) -> LinComb:
+    def checked(self, image: Tally) -> Tally:
         """``image``, after ``GrothVector``'s key check on each of its
-        keys not seen before on this web."""
-        for key in image:
-            if key not in self._checked:
-                _check_class_key(self.web.k, self.web.top, *key)
-                self._checked.add(key)
+        classes not seen before on this web."""
+        for mu, images, _ in image:
+            if (mu, images) not in self._checked:
+                _check_class_key(
+                    self.web.k, self.web.top, mu, Permutation._trusted(images)
+                )
+                self._checked.add((mu, images))
         return image
 
 
@@ -1035,7 +1050,7 @@ def grothendieck_map(
     plan = _TransportPlan(f)
     k = f.k
 
-    def image(mu: tuple[int, ...], z: Permutation) -> LinComb:
+    def image(mu: tuple[int, ...], z: Permutation) -> Tally:
         if route == "translation":
             return plan.translation(mu, z)
         source = plan.source(mu, z)
@@ -1048,9 +1063,9 @@ def grothendieck_map(
                 f"the web's source k={k}, nu={f.bottom}"
             )
         total = LinComb.of_products(
-            (key, poly, coeff)
+            ((weight, Permutation._trusted(images)), LaurentPoly.q_power(e), coeff * c)
             for (mu, z), coeff in vec.coords.items()
-            for key, poly in image(mu, z).items()
+            for (weight, images, e), c in image(mu, z).items()
         )
         return GrothVector(k, f.top, total)
 
@@ -1083,12 +1098,13 @@ def compare_theorem13(f: Web) -> bool:
 
     Runs over all weight compositions with exactly ``k`` parts (the
     web's rank) and all their minimal coset representatives for the
-    web's bottom content.  Every class runs once through the web's
-    transport plan, and each image key is checked once.
+    web's bottom content, listed for every weight in one pass.  Every
+    class runs once through the web's transport plan, each image key is
+    checked once, and the three tallies are compared as plain dicts.
     """
     plan = _TransportPlan(f)
-    for mu in all_compositions(sum(f.bottom), f.k):
-        for z in sorted(O_set(mu, f.bottom), key=lambda w: w.images):
+    for mu, classes in O_lists(all_compositions(sum(f.bottom), f.k), f.bottom):
+        for z in sorted(classes, key=lambda w: w.images):
             source = plan.source(mu, z)
             curly = plan.checked(plan.curly(mu, source))
             translation = plan.checked(plan.translation(mu, z))

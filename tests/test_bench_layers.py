@@ -30,6 +30,7 @@ def test_every_line_is_one_layer_record(capsys):
         "hecke_mul",
         "column_strict_fillings",
         "bijection",
+        "classes",
         "transport",
         "laurent",
         "generator",

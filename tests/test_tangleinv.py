@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from moycalc import tangleinv
 from moycalc.boxcomb import (
@@ -15,20 +18,19 @@ from moycalc.boxcomb import (
     curlywedge,
     phi,
     phi_inverse,
+    positive_compositions,
     psi,
     psi_inverse,
 )
 from moycalc.qlaurent import LaurentPoly, LinComb, ONE, ZERO, parse_laurent, quantum_int
 from moycalc.reporting import all_passed
 from moycalc.symhecke import (
+    O_lists,
     O_set,
     Permutation,
-    _block_index,
     _in_block_pairs,
     _is_right_minimal,
-    _o_qualifies,
     _out_of_wall_reps,
-    _rep_inverses,
     _single_split,
 )
 from moycalc.tangleinv import (
@@ -52,7 +54,7 @@ from moycalc.tangleinv import (
     tangle_matrix,
     to_web,
 )
-from moycalc.weblin import QMatrix, TensorBasis
+from moycalc.weblin import QMatrix, TensorBasis, generator_step, special_pairs
 from moycalc.webgraph import Layer, Web, evaluate
 
 
@@ -799,14 +801,76 @@ def test_transport_rejects_a_class_that_does_not_qualify(route):
 
 
 # ----------------------------------------------------------------------
+# the class lists against a brute-force reference over S_n
+
+
+def _value_blocks(parts):
+    """The consecutive value (or position) blocks of a composition."""
+    blocks, start = [], 1
+    for p in parts:
+        blocks.append(range(start, start + p))
+        start += p
+    return blocks
+
+
+@lru_cache(maxsize=None)
+def _left_minimal(n, mu):
+    """The one-line images w of S_n that are minimal in S_mu·w: inside
+    each mu-block, the value i comes before the value i+1."""
+    out = set()
+    for images in permutations(range(1, n + 1)):
+        where = {v: p for p, v in enumerate(images)}
+        if all(where[i] < where[i + 1] for b in _value_blocks(mu) for i in b[:-1]):
+            out.add(images)
+    return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def _cosets(nu):
+    """The right cosets w·S_nu of S_n, as lists of one-line images."""
+    n = sum(nu)
+    cosets = defaultdict(list)
+    for images in permutations(range(1, n + 1)):
+        key = tuple(frozenset(images[p - 1] for p in b) for b in _value_blocks(nu))
+        cosets[key].append(images)
+    return list(cosets.values())
+
+
+@lru_cache(maxsize=None)
+def _reference_O(mu, nu):
+    """The images of the minimal representatives of the cosets z·S_nu
+    whose every element is left-mu-minimal, by brute force over S_n.
+    The lexicographically least element sorts each position block, so it
+    is the coset's minimal representative."""
+    minimal = _left_minimal(sum(nu), mu)
+    return frozenset(
+        min(coset) for coset in _cosets(nu) if all(w in minimal for w in coset)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_weights_class_lists_match_O_set_and_the_brute_force(n):
+    for nu in positive_compositions(n):
+        for k in range(1, 5):
+            mus = all_compositions(n, k)
+            lists = O_lists(mus, nu)
+            assert [mu for mu, _ in lists] == mus
+            for mu, classes in lists:
+                images = [z.images for z in classes]
+                assert images == sorted(images), (mu, nu)
+                assert set(classes) == O_set(mu, nu), (mu, nu)
+                assert set(images) == _reference_O(mu, nu), (mu, nu)
+
+
+# ----------------------------------------------------------------------
 # the transport plan against the per-class chain it replaced
 
 
 def _reference_translation_flag(terms, path, mu):
     """The translation rule as one loop that re-derives every wall step
-    for every call."""
+    for every call, dropping onto-wall classes by the brute-force
+    ``_reference_O``."""
     walls = [tuple(c) for c in path]
-    mu_pairs = _in_block_pairs(mu)
     n = sum(walls[0])
     for src, dst in zip(walls, walls[1:]):
         src_pairs = _in_block_pairs(src)
@@ -825,8 +889,7 @@ def _reference_translation_flag(terms, path, mu):
             continue
         offset, a, b = _single_split(dst, src)
         c = a + b
-        nu_block = _block_index(dst, n)
-        inverses = _rep_inverses(dst)
+        qualifying = _reference_O(tuple(mu), dst)
         new_terms = []
         for e, w in terms:
             segment = list(w.images[offset : offset + c])
@@ -839,7 +902,7 @@ def _reference_translation_flag(terms, path, mu):
             images = list(w.images)
             images[offset : offset + c] = sorted(segment)
             z = Permutation(tuple(images))
-            if _o_qualifies(inverses[z], mu_pairs, nu_block):
+            if z.images in qualifying:
                 new_terms.append((e - l_y, z))
         terms = new_terms
     return terms
@@ -876,6 +939,24 @@ def _reference_matrix(f, matrix, mu, z):
     return out
 
 
+def _tally(image):
+    """A class combination as the plan's routes return it."""
+    return {
+        (mu, z.images, e): c for (mu, z), poly in image.items() for e, c in poly.terms
+    }
+
+
+def _check_plan_against_the_chain(plan, web, matrix, mu, z):
+    source = plan.source(mu, z)
+    assert source == psi(z, mu, web.bottom).flat()
+    where = (web.text(), mu, z.one_line_text())
+    assert plan.curly(mu, source) == _tally(_reference_curly(web, mu, z)), where
+    assert plan.translation(mu, z) == _tally(_reference_translation(web, mu, z)), where
+    assert plan.matrix(mu, source) == _tally(
+        _reference_matrix(web, matrix, mu, z)
+    ), where
+
+
 # splits (2,1) to (1,1,1), then merges back onto (1,2): a two-step path
 SPLIT_MERGE_WEB = Web(3, (2, 1), (Layer("split", 1, 1, 1), Layer("merge", 2, 1, 1)))
 
@@ -891,18 +972,55 @@ def test_plan_routes_match_the_per_class_chain(k):
         matrix = evaluate(web)
         for mu in all_compositions(sum(web.bottom), web.k):
             for z in O_set(mu, web.bottom):
-                source = plan.source(mu, z)
-                assert source == psi(z, mu, web.bottom).flat()
-                where = (web.text(), mu, z.one_line_text())
-                assert plan.curly(mu, source) == _reference_curly(web, mu, z), where
-                assert plan.translation(mu, z) == _reference_translation(
-                    web, mu, z
-                ), where
-                assert plan.matrix(mu, source) == _reference_matrix(
-                    web, matrix, mu, z
-                ), where
+                _check_plan_against_the_chain(plan, web, matrix, mu, z)
                 classes += 1
     assert classes >= len(webs)
+
+
+def _transport_moves(k, labels):
+    """Every merge or split layer of special type that fits on ``labels``,
+    with the boundary above it."""
+    moves = []
+    for pos in range(1, len(labels) + 1):
+        for kind in ("merge", "split"):
+            for a, b in sorted(special_pairs(k)):
+                try:
+                    above = generator_step(kind, k, labels, pos, a, b)
+                except ValueError:
+                    continue
+                moves.append((Layer(kind, pos, a, b), above))
+    return moves
+
+
+@st.composite
+def composite_webs(draw):
+    """A merge/split web of 2 to 4 layers on at most five boxes, k = 2..4."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=2, max_value=5))
+    labels = {1, 2, k - 1, k}
+    bottom = draw(
+        st.sampled_from([nu for nu in positive_compositions(n) if set(nu) <= labels])
+    )
+    layers, top = [], bottom
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        moves = _transport_moves(k, top)
+        if not moves:
+            break
+        layer, top = draw(st.sampled_from(moves))
+        layers.append(layer)
+    assume(len(layers) >= 2)
+    return Web(k, bottom, tuple(layers))
+
+
+@settings(max_examples=40, deadline=None)
+@given(web=composite_webs())
+def test_random_composite_webs_agree_class_by_class(web):
+    assert compare_theorem13(web)
+    plan = tangleinv._TransportPlan(web)
+    matrix = evaluate(web)
+    for mu in all_compositions(sum(web.bottom), web.k):
+        for z in O_set(mu, web.bottom):
+            _check_plan_against_the_chain(plan, web, matrix, mu, z)
 
 
 def test_two_layer_web_routes_agree():
@@ -924,7 +1042,7 @@ def test_compare_catches_one_perturbed_class(route, monkeypatch):
         image = kernel(plan, *args)
         if image and not perturbed:
             perturbed.append(args)
-            return image * qp(1)
+            return {(mu, images, e + 1): c for (mu, images, e), c in image.items()}
         return image
 
     monkeypatch.setattr(tangleinv._TransportPlan, route, one_class_off)
@@ -939,7 +1057,7 @@ def test_compare_checks_the_image_keys(route, monkeypatch):
 
     def padded(plan, *args):
         image = kernel(plan, *args)
-        return LinComb(((mu + (0,), z), c) for (mu, z), c in image.items())
+        return {(mu + (0,), images, e): c for (mu, images, e), c in image.items()}
 
     monkeypatch.setattr(tangleinv._TransportPlan, route, padded)
     with pytest.raises(ValueError, match="not a composition with 3 parts"):
