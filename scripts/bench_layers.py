@@ -27,9 +27,11 @@ the classes of every weight with four parts over the content
 that content's masks.  The web-side rows are warm too: the laurent layer
 builds, multiplies and adds every ordered pair of the quantum integers
 [1]..[12]; the generator layer applies one k=4 merge window to every
-basis vector of six 1-labelled strands; the compose layer multiplies a
-split matrix by a merge matrix on five strands; the tensor layer puts
-E_1 on three k=4 strands beside the k=4 positive crossing.
+basis vector of six 1-labelled strands; the evaluate layer evaluates
+the one-layer web of that merge, whose first layer is read off its
+window map; the compose layer multiplies a split matrix by a merge
+matrix on five strands; the tensor layer puts E_1 on three k=4 strands
+beside the k=4 positive crossing.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from moycalc.symhecke import (
     sign_action,
 )
 from moycalc.tangleinv import compare_theorem13
-from moycalc.webgraph import Layer, Web
+from moycalc.webgraph import Layer, Web, evaluate
 from moycalc.weblin import (
     TensorBasis,
     apply_window,
@@ -166,6 +168,8 @@ def cases() -> list[tuple[str, str, Callable[[], tuple[float, float]]]]:
     state = [{key: ONE} for key in TensorBasis(4, (1,) * 6)]
     apply = partial(timed, apply_window, local_map("merge", 4, 1, 1), 3, 2, state)
     out.append(("generator", "k4|1,1,1,1,1,1|merge(1,1@3)", apply))
+    one_layer = Web(4, (1,) * 6, (Layer("merge", 3, 1, 1),))
+    out.append(("evaluate", "k4|1,1,1,1,1,1|merge(1,1@3)", partial(timed, evaluate, one_layer)))
     merge = merge_matrix(4, (1,) * 5, 2)
     split = split_matrix(4, (1, 2, 1, 1), 2, 1, 1)
     compose = partial(timed, matmul, split, merge)

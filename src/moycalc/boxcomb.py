@@ -42,6 +42,7 @@ from .symhecke import (
     _blocks,
     _in_block_pairs,
     _inversion_count,
+    _value_blocks,
     parts_of,
 )
 
@@ -328,18 +329,16 @@ def relabel_by_content(f: Filling, nu: Sequence[int]) -> Filling:
     nu_t = parts_of(nu)
     if sum(nu_t) != n:
         raise ValueError(f"content {nu_t} does not sum to {n}")
-    block = []
-    for index, p in enumerate(nu_t, start=1):
-        block.extend([index] * p)
+    block = _value_blocks(nu_t)
     return f.with_flat([block[v - 1] for v in f.flat()])
 
 
 def _psi_word(
-    w: Permutation, mu: tuple[int, ...], nu: tuple[int, ...]
+    w: Permutation, mu: tuple[int, ...], nu: tuple[int, ...], block: list[int]
 ) -> tuple[int, ...]:
-    """psi's box word over mu: box w(p) gets the nu-block of p.  Raises
-    when the word is not column-strict (the coset does not qualify)."""
-    block = [index for index, p in enumerate(nu, start=1) for _ in range(p)]
+    """psi's box word over mu: box w(p) gets block[p - 1], the nu-block
+    of p (``_value_blocks(nu)``).  Raises when the word is not
+    column-strict (the coset does not qualify)."""
     word = [0] * w.n
     for position, box in enumerate(w.images):
         word[box - 1] = block[position]
@@ -364,7 +363,7 @@ def psi(
     mu_t, nu_t = parts_of(mu), parts_of(nu)
     if sum(mu_t) != sum(nu_t) or sum(mu_t) != w.n:
         raise ValueError("composition sizes do not match the permutation")
-    return _filling(_psi_word(w, mu_t, nu_t), mu_t)
+    return _filling(_psi_word(w, mu_t, nu_t, _value_blocks(nu_t)), mu_t)
 
 
 def _check_filling(

@@ -81,6 +81,8 @@ def _parse_permutation(word: str) -> Permutation:
     try:
         images = tuple(int(piece) for piece in pieces)
     except ValueError:
+        images = ()
+    if not images:
         raise ValueError(
             f"permutation must be a one-line word like 2413, got {word!r}"
         )

@@ -261,8 +261,9 @@ class LinComb(dict):
     Zero coefficients are dropped on construction and by ``add_term``, so
     equality is dict equality and an empty combination is zero.  Sums,
     negation, scalar multiples and ``bar`` return the caller's type.
-    Every sparse linear map (window maps, matrix products, the transport
-    routes) builds its images with ``of_products``.
+    Every sparse linear map that sums products (window maps past a
+    web's first layer, matrix products, ``grothendieck_map``) builds its
+    images with ``of_products``.
 
     >>> v = LinComb({"a": Q, "b": ONE})
     >>> v - LinComb({"b": ONE}) == LinComb({"a": Q})

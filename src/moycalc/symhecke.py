@@ -284,6 +284,11 @@ def _blocks(mu: Sequence[int]) -> list[range]:
     return blocks
 
 
+def _value_blocks(nu: Sequence[int]) -> list[int]:
+    """The 1-based nu-block of each position 1..n, at index position - 1."""
+    return [index for index, p in enumerate(nu, start=1) for _ in range(p)]
+
+
 @lru_cache(maxsize=None)
 def _in_block_pairs(mu: tuple[int, ...]) -> tuple[int, ...]:
     """The indices i with i and i+1 inside one block of mu."""
@@ -315,14 +320,18 @@ def min_coset_reps(mu: Sequence[int], side: str) -> set[Permutation]:
 
 @lru_cache(maxsize=None)
 def _right_minimal_reps(nu: tuple[int, ...]) -> tuple[Permutation, ...]:
-    n = sum(nu)
-    pairs = _in_block_pairs(nu)
-    return tuple(
-        w
-        for images in permutations(range(1, n + 1))
-        for w in (Permutation._trusted(images),)
-        if _is_right_minimal(w, pairs)
-    )
+    """The minimal representatives of the cosets w·S_nu in lexicographic
+    order: the shuffles that give each nu-block of positions an
+    increasing run of values, one block after another."""
+    words = [((), tuple(range(1, sum(nu) + 1)))]
+    for p in nu:
+        # combinations() runs in lexicographic order, so the words do
+        words = [
+            (word + chosen, tuple(v for v in rest if v not in chosen))
+            for word, rest in words
+            for chosen in combinations(rest, p)
+        ]
+    return tuple(Permutation._trusted(word) for word, _ in words)
 
 
 @lru_cache(maxsize=None)
@@ -342,8 +351,7 @@ def _rep_masks(nu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     mask is set when that fails for the values i, i+1, so z qualifies
     for mu exactly when ``mask & _pair_mask(mu) == 0``.
     """
-    # position p -> the nu-block holding it, at index p - 1
-    block = [b for b, p in enumerate(nu) for _ in range(p)]
+    block = _value_blocks(nu)
     masks = {}
     for z in _right_minimal_reps(nu):
         blocks = [block[p - 1] for p in _inverse_images(z.images)]
@@ -360,7 +368,7 @@ def O_lists(
     for each mu of ``mus``, which must all sum to nu's n, filtered from
     one table of nu's representatives and their masks."""
     nu_t = parts_of(nu)
-    # permutations() runs in lexicographic order, so each list is sorted
+    # the representatives run in lexicographic order, so each list is sorted
     reps = list(zip(_right_minimal_reps(nu_t), _rep_masks(nu_t).values()))
     out = []
     for mu in mus:
@@ -1060,13 +1068,21 @@ class TranslationPath:
         qualify for the mu-restricted class set.  ``mu`` must sum to the
         path's n, and every class must be a permutation of that size,
         minimal over the starting wall."""
+        return self.pusher(mu)(terms)
+
+    def pusher(self, mu: Sequence[int] | None = None) -> Callable[[list], list]:
+        """``push`` with ``mu`` checked once, for many classes of one weight."""
         mu_mask = None if mu is None else _pair_mask(_parts_summing_to(mu, self.n))
-        if not self.steps:
-            # each step checks its input; a path without one checks here
-            _check_classes(terms, self.start)
-        for step in self.steps:
-            terms = step(terms, mu_mask)
-        return terms
+
+        def push(terms: list) -> list:
+            if not self.steps:
+                # each step checks its input; a path without one checks here
+                _check_classes(terms, self.start)
+            for step in self.steps:
+                terms = step(terms, mu_mask)
+            return terms
+
+        return push
 
 
 def translation_flag(

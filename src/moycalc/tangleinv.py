@@ -53,7 +53,7 @@ from .boxcomb import (
 )
 from .qlaurent import ONE, ZERO, LaurentPoly, LinComb, quantum_int
 from .reporting import Report
-from .symhecke import O_lists, Permutation, TranslationPath
+from .symhecke import O_lists, Permutation, TranslationPath, _value_blocks
 from .weblin import QMatrix, special_pairs
 from .webgraph import (
     Layer,
@@ -918,32 +918,41 @@ class GrothVector:
 _ROUTES = ("curly", "translation", "matrix")
 
 
-# (weight, class images, exponent) -> nonzero integer coefficient: a
-# class combination with each Laurent coefficient spread over its monomials
-Tally = dict[tuple[tuple[int, ...], tuple[int, ...], int], int]
+# (class index, weight, class images, exponent) -> nonzero integer: one weight's
+# list of class images, each Laurent coefficient spread over its monomials
+Tally = dict[tuple[int, tuple[int, ...], tuple[int, ...], int], int]
 
 
 def _tally(pairs: Iterable[tuple[Hashable, int]]) -> dict:
-    """Sum (key, coefficient) pairs into a plain dict without zeros."""
+    """Sum (key, count) pairs into a plain dict.  The box moves and the
+    wall steps only count, so every count is positive and no sum is zero."""
     out: dict = {}
     for key, c in pairs:
         out[key] = out.get(key, 0) + c
-    return {key: c for key, c in out.items() if c}
+    return out
+
+
+def _box_moves(word: tuple[int, ...], mu: tuple[int, ...], layer: Layer) -> list:
+    """A merge or split layer's box move on a word over mu."""
+    if layer.kind == "merge":
+        return _merge_word(word, mu, layer.pos)
+    return _split_word(word, layer.pos, layer.a, layer.b)
 
 
 class _TransportPlan:
     """The per-web work of the three transport routes, done once.
 
     A plan carries each basis class (mu, z) as a box word over mu: its
-    source word is ``psi``'s, written and checked column-strict once by
-    ``source``.  Each route returns a ``Tally``, so images compare with
-    one dict ``==``: the curly kernel folds the layers' box moves over
-    (word, exponent) pairs; the translation kernel pushes z along the
-    web's walls, each wall step analysed once; the matrix kernel reads
-    the word's column of the web's matrix, evaluated once.  Top words
-    and matrix rows become classes through memos that run
+    source word is ``psi``'s, written and checked column-strict by
+    ``sources``.  Each route takes one weight's list of classes and
+    returns a ``Tally`` keyed by their index, so images compare with one
+    dict ``==``: the curly kernel folds the layers' box moves over
+    (index, word, exponent) triples; the translation kernel pushes each
+    z along the web's walls, each wall step analysed once; the matrix
+    kernel reads each word's column of the web's matrix, evaluated once.
+    Top words and matrix rows become classes through memos that run
     ``psi_inverse``'s and ``phi_inverse``'s checks once per distinct
-    input, and each image key is checked once.
+    input, and ``check`` checks each image key once.
     """
 
     def __init__(self, f: Web) -> None:
@@ -954,6 +963,7 @@ class _TransportPlan:
                     f"layer {i} is {layer.kind}"
                 )
         self.web = f
+        self._block = _value_blocks(f.bottom)
         self._classes: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
         self._rows: dict[object, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._checked: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
@@ -969,67 +979,73 @@ class _TransportPlan:
         return TranslationPath(self.web.boundaries)
 
     def _top_class(self, word: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
-        key = (word, mu)
-        images = self._classes.get(key)
-        if images is None:
-            _check_filling(word, mu, mu, self.web.top)
-            images = self._classes[key] = _psi_inverse_word(word, self.web.top).images
+        _check_filling(word, mu, mu, self.web.top)
+        images = self._classes[word, mu] = _psi_inverse_word(word, self.web.top).images
         return images
 
     def _row_class(self, row_key: object) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        key = self._rows.get(row_key)
-        if key is None:
-            _check_basis_key(row_key, self.web.k)
-            word, shape = _phi_inverse_word(row_key, self.web.k)
-            key = self._rows[row_key] = (shape, self._top_class(word, shape))
+        _check_basis_key(row_key, self.web.k)
+        word, shape = _phi_inverse_word(row_key, self.web.k)
+        images = self._classes.get((word, shape)) or self._top_class(word, shape)
+        key = self._rows[row_key] = (shape, images)
         return key
 
-    def source(self, mu: tuple[int, ...], z: Permutation) -> tuple[int, ...]:
-        """The class's source word ``psi(z, mu, f.bottom)``."""
-        return _psi_word(z, mu, self.web.bottom)
+    def sources(self, mu: tuple[int, ...], classes: list[Permutation]) -> list[tuple[int, ...]]:
+        """The classes' source words ``psi(z, mu, f.bottom)``."""
+        bottom, block = self.web.bottom, self._block
+        return [_psi_word(z, mu, bottom, block) for z in classes]
 
-    def curly(self, mu: tuple[int, ...], source: tuple[int, ...]) -> Tally:
-        """Fold the box moves of each layer over the source word."""
-        words = {(source, 0): 1}
-        for layer in self.web.layers:
+    def curly(self, mu: tuple[int, ...], sources: list[tuple[int, ...]]) -> Tally:
+        """Fold the box moves of each layer over the source words."""
+        layers = self.web.layers
+        get, top = self._classes.get, self._top_class
+        if len(layers) == 1:
+            # one source's moves are distinct words, so there is nothing to sum
+            return {
+                (i, mu, get((word, mu)) or top(word, mu), e): 1
+                for i, source in enumerate(sources)
+                for word, e in _box_moves(source, mu, layers[0])
+            }
+        words = {(i, source, 0): 1 for i, source in enumerate(sources)}
+        for layer in layers:
             words = _tally(
-                ((new, e + shift), c)
-                for (word, e), c in words.items()
-                for new, shift in (
-                    _merge_word(word, mu, layer.pos)
-                    if layer.kind == "merge"
-                    else _split_word(word, layer.pos, layer.a, layer.b)
-                )
+                ((i, new, e + shift), c)
+                for (i, word, e), c in words.items()
+                for new, shift in _box_moves(word, mu, layer)
             )
         # distinct top words are distinct classes
         return {
-            (mu, self._top_class(word, mu), e): c for (word, e), c in words.items()
+            (i, mu, get((word, mu)) or top(word, mu), e): c
+            for (i, word, e), c in words.items()
         }
 
-    def translation(self, mu: tuple[int, ...], z: Permutation) -> Tally:
-        """Push the flag class z along the web's walls."""
-        return _tally(((mu, w.images, e), 1) for e, w in self._walls.push([(0, z)], mu))
+    def translation(self, mu: tuple[int, ...], classes: list[Permutation]) -> Tally:
+        """Push each flag class z along the web's walls."""
+        push = self._walls.pusher(mu)
+        return _tally(
+            ((i, mu, w.images, e), 1)
+            for i, z in enumerate(classes)
+            for e, w in push([(0, z)])
+        )
 
-    def matrix(self, mu: tuple[int, ...], source: tuple[int, ...]) -> Tally:
-        """Read the source word's column of the web's matrix as classes."""
-        column = self._columns[_phi_word(source, mu)]
-        # distinct rows are distinct classes, and the column holds no zero
+    def matrix(self, mu: tuple[int, ...], sources: list[tuple[int, ...]]) -> Tally:
+        """Read each source word's column of the web's matrix as classes."""
+        columns, get, row = self._columns, self._rows.get, self._row_class
+        # distinct rows are distinct classes, and a column holds no zero
         return {
-            (*self._row_class(row_key), e): c
-            for row_key, poly in column.items()
+            (i, *(get(row_key) or row(row_key)), e): c
+            for i, source in enumerate(sources)
+            for row_key, poly in columns[_phi_word(source, mu)].items()
             for e, c in poly.terms
         }
 
-    def checked(self, image: Tally) -> Tally:
-        """``image``, after ``GrothVector``'s key check on each of its
-        classes not seen before on this web."""
-        for mu, images, _ in image:
-            if (mu, images) not in self._checked:
-                _check_class_key(
-                    self.web.k, self.web.top, mu, Permutation._trusted(images)
-                )
-                self._checked.add((mu, images))
-        return image
+    def check(self, image: Tally) -> None:
+        """Run ``GrothVector``'s key check on each class of ``image`` not
+        seen before on this web."""
+        new = {(mu, images) for _, mu, images, _ in image} - self._checked
+        for mu, images in new:
+            _check_class_key(self.web.k, self.web.top, mu, Permutation._trusted(images))
+        self._checked |= new
 
 
 def grothendieck_map(
@@ -1050,11 +1066,11 @@ def grothendieck_map(
     plan = _TransportPlan(f)
     k = f.k
 
-    def image(mu: tuple[int, ...], z: Permutation) -> Tally:
+    def image(mu: tuple[int, ...], classes: list[Permutation]) -> Tally:
         if route == "translation":
-            return plan.translation(mu, z)
-        source = plan.source(mu, z)
-        return plan.curly(mu, source) if route == "curly" else plan.matrix(mu, source)
+            return plan.translation(mu, classes)
+        sources = plan.sources(mu, classes)
+        return plan.curly(mu, sources) if route == "curly" else plan.matrix(mu, sources)
 
     def apply(vec: GrothVector) -> GrothVector:
         if (vec.k, vec.nu) != (k, f.bottom):
@@ -1065,7 +1081,7 @@ def grothendieck_map(
         total = LinComb.of_products(
             ((weight, Permutation._trusted(images)), LaurentPoly.q_power(e), coeff * c)
             for (mu, z), coeff in vec.coords.items()
-            for (weight, images, e), c in image(mu, z).items()
+            for (_, weight, images, e), c in image(mu, [z]).items()
         )
         return GrothVector(k, f.top, total)
 
@@ -1098,17 +1114,23 @@ def compare_theorem13(f: Web) -> bool:
 
     Runs over all weight compositions with exactly ``k`` parts (the
     web's rank) and all their minimal coset representatives for the
-    web's bottom content, listed for every weight in one pass.  Every
-    class runs once through the web's transport plan, each image key is
-    checked once, and the three tallies are compared as plain dicts.
+    web's bottom content, listed for every weight in one pass.  Each
+    weight's classes run together through the web's transport plan, the
+    three tallies are compared as plain dicts, and each image key is
+    checked once: in one tally when they agree (they share their keys),
+    in all three before a disagreement is reported.
     """
     plan = _TransportPlan(f)
     for mu, classes in O_lists(all_compositions(sum(f.bottom), f.k), f.bottom):
-        for z in sorted(classes, key=lambda w: w.images):
-            source = plan.source(mu, z)
-            curly = plan.checked(plan.curly(mu, source))
-            translation = plan.checked(plan.translation(mu, z))
-            matrix = plan.checked(plan.matrix(mu, source))
-            if not (curly == translation and translation == matrix):
-                return False
+        sources = plan.sources(mu, classes)
+        images = (
+            plan.curly(mu, sources),
+            plan.translation(mu, classes),
+            plan.matrix(mu, sources),
+        )
+        agree = images[0] == images[1] == images[2]
+        for image in images[:1] if agree else images:
+            plan.check(image)
+        if not agree:
+            return False
     return True

@@ -51,13 +51,14 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from .qlaurent import ONE, LaurentPoly, quantum_int
+from .qlaurent import LaurentPoly, quantum_int
 from .reporting import Report
 from .weblin import (
     INPUT_SPANS,
     QMatrix,
     TensorBasis,
     _lift,
+    _lift_columns,
     _resolve_label,
     apply_window,
     cap_matrix,
@@ -440,18 +441,24 @@ def evaluate(web: Web) -> QMatrix:
 
     The identity columns of the bottom basis are pushed as a sparse
     state through each layer's local window map; a closed web pushes a
-    single column.  The pushed columns are the matrix's columns.
+    single column.  The first layer's images are read off its map, and
+    every later layer's are summed by ``apply_window``.  The pushed
+    columns are the matrix's columns.
     """
     rank = web.k
     bottom = TensorBasis(rank, web.bottom)
-    state = [{key: ONE} for key in bottom]
+    if not web.layers:
+        return QMatrix.identity(bottom)
+    # the bottom's keys stand for their identity columns until the first layer
+    state, push = bottom, _lift_columns
     for layer, labels in zip(web.layers, web.boundaries):
         if layer.kind in _LABELLED_KINDS:
             pair = (layer.a, layer.b)
         else:
             pair = labels[layer.pos - 1 : layer.pos + 1]
         local = local_map(layer.kind, rank, *pair)
-        state = apply_window(local, layer.pos, INPUT_SPANS[layer.kind], state)
+        state = push(local, layer.pos, INPUT_SPANS[layer.kind], state)
+        push = apply_window
     return QMatrix(TensorBasis(rank, web.top), bottom, state)
 
 

@@ -412,6 +412,24 @@ def _window_images(
             yield head + out_win + tail, poly, coeff
 
 
+def _lift_columns(
+    local: LocalMap, pos: int, span: int, keys: Iterable[Key]
+) -> list[LinComb]:
+    """``apply_window`` on the identity columns of ``keys``, read off the
+    map: an identity column holds the single entry ONE, and one input
+    window's images have distinct output windows and nonzero
+    coefficients, so no products are summed."""
+    lo, hi = pos - 1, pos - 1 + span
+    get = local.get
+    return [
+        LinComb._new(
+            (key[:lo] + out_win + key[hi:], coeff)
+            for out_win, coeff in get(key[lo:hi], ())
+        )
+        for key in keys
+    ]
+
+
 def _lift(
     k: int,
     labels: tuple[int, ...],
@@ -423,8 +441,7 @@ def _lift(
     """Lift a local map on factors [pos, pos+span) of ``labels`` to the
     whole boundary, with ``top`` the boundary above it."""
     cols = TensorBasis(k, labels)
-    state = apply_window(local, pos, span, [{key: ONE} for key in cols])
-    return QMatrix(TensorBasis(k, top), cols, state)
+    return QMatrix(TensorBasis(k, top), cols, _lift_columns(local, pos, span, cols))
 
 
 def _generator_matrix(

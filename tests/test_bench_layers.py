@@ -34,6 +34,7 @@ def test_every_line_is_one_layer_record(capsys):
         "transport",
         "laurent",
         "generator",
+        "evaluate",
         "compose",
         "tensor",
     ]

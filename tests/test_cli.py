@@ -381,6 +381,13 @@ def test_rs_rejects_garbage(capsys) -> None:
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["rs", "hecke"])
+def test_empty_permutation_is_rejected(capsys, command) -> None:
+    code, out, err = run(capsys, command, "")
+    assert (code, out) == (2, "")
+    assert err == "error: permutation must be a one-line word like 2413, got ''\n"
+
+
 def test_hecke_kl_printout(capsys) -> None:
     code, out, _ = run(capsys, "hecke", "321")
     assert code == 0

@@ -34,6 +34,7 @@ from moycalc.symhecke import (
     _norm,
     _packing,
     _raw,
+    _right_minimal_reps,
 )
 from moycalc.weblin import QMatrix
 
@@ -224,6 +225,28 @@ def test_min_coset_reps_count(mu):
         count *= j
     assert len(min_coset_reps(mu, "right")) == count // order
     assert len(min_coset_reps(mu, "left")) == count // order
+
+
+def _filtered_right_minimal_reps(nu):
+    """The representatives as ``_right_minimal_reps`` listed them before it
+    generated shuffles: every permutation of S_n, in lexicographic order,
+    whose entries increase along each nu-block of positions."""
+    pairs, start = [], 1
+    for p in nu:
+        pairs += range(start, start + p - 1)
+        start += p
+    return tuple(
+        images
+        for images in permutations(range(1, sum(nu) + 1))
+        if all(images[i - 1] < images[i] for i in pairs)
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_right_minimal_reps_are_the_filtered_permutations_in_order(n):
+    for nu in positive_compositions(n) + compositions_with_zero_parts(n):
+        got = tuple(w.images for w in _right_minimal_reps(nu))
+        assert got == _filtered_right_minimal_reps(nu), nu
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

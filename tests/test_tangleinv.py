@@ -939,22 +939,37 @@ def _reference_matrix(f, matrix, mu, z):
     return out
 
 
-def _tally(image):
-    """A class combination as the plan's routes return it."""
+def _tally(images):
+    """The class combinations of one weight's list of classes, as the
+    plan's routes return them: keyed by each class's index."""
     return {
-        (mu, z.images, e): c for (mu, z), poly in image.items() for e, c in poly.terms
+        (i, mu, z.images, e): c
+        for i, image in enumerate(images)
+        for (mu, z), poly in image.items()
+        for e, c in poly.terms
     }
 
 
-def _check_plan_against_the_chain(plan, web, matrix, mu, z):
-    source = plan.source(mu, z)
-    assert source == psi(z, mu, web.bottom).flat()
-    where = (web.text(), mu, z.one_line_text())
-    assert plan.curly(mu, source) == _tally(_reference_curly(web, mu, z)), where
-    assert plan.translation(mu, z) == _tally(_reference_translation(web, mu, z)), where
-    assert plan.matrix(mu, source) == _tally(
-        _reference_matrix(web, matrix, mu, z)
+def _check_plan_against_the_chain(plan, web, matrix, mu, classes):
+    sources = plan.sources(mu, classes)
+    assert sources == [psi(z, mu, web.bottom).flat() for z in classes]
+    where = (web.text(), mu, [z.one_line_text() for z in classes])
+    assert plan.curly(mu, sources) == _tally(
+        [_reference_curly(web, mu, z) for z in classes]
     ), where
+    assert plan.translation(mu, classes) == _tally(
+        [_reference_translation(web, mu, z) for z in classes]
+    ), where
+    assert plan.matrix(mu, sources) == _tally(
+        [_reference_matrix(web, matrix, mu, z) for z in classes]
+    ), where
+
+
+def _weight_classes(web):
+    """(mu, classes) for every weight of the web's bottom, the classes
+    of each weight in ``images`` order."""
+    for mu in all_compositions(sum(web.bottom), web.k):
+        yield mu, sorted(O_set(mu, web.bottom), key=lambda z: z.images)
 
 
 # splits (2,1) to (1,1,1), then merges back onto (1,2): a two-step path
@@ -970,10 +985,9 @@ def test_plan_routes_match_the_per_class_chain(k):
     for web in webs:
         plan = tangleinv._TransportPlan(web)
         matrix = evaluate(web)
-        for mu in all_compositions(sum(web.bottom), web.k):
-            for z in O_set(mu, web.bottom):
-                _check_plan_against_the_chain(plan, web, matrix, mu, z)
-                classes += 1
+        for mu, weight_classes in _weight_classes(web):
+            _check_plan_against_the_chain(plan, web, matrix, mu, weight_classes)
+            classes += len(weight_classes)
     assert classes >= len(webs)
 
 
@@ -1018,9 +1032,8 @@ def test_random_composite_webs_agree_class_by_class(web):
     assert compare_theorem13(web)
     plan = tangleinv._TransportPlan(web)
     matrix = evaluate(web)
-    for mu in all_compositions(sum(web.bottom), web.k):
-        for z in O_set(mu, web.bottom):
-            _check_plan_against_the_chain(plan, web, matrix, mu, z)
+    for mu, classes in _weight_classes(web):
+        _check_plan_against_the_chain(plan, web, matrix, mu, classes)
 
 
 def test_two_layer_web_routes_agree():
@@ -1042,7 +1055,11 @@ def test_compare_catches_one_perturbed_class(route, monkeypatch):
         image = kernel(plan, *args)
         if image and not perturbed:
             perturbed.append(args)
-            return {(mu, images, e + 1): c for (mu, images, e), c in image.items()}
+            first = min(i for i, *_ in image)
+            return {
+                (i, mu, images, e + (i == first)): c
+                for (i, mu, images, e), c in image.items()
+            }
         return image
 
     monkeypatch.setattr(tangleinv._TransportPlan, route, one_class_off)
@@ -1057,8 +1074,28 @@ def test_compare_checks_the_image_keys(route, monkeypatch):
 
     def padded(plan, *args):
         image = kernel(plan, *args)
-        return {(mu + (0,), images, e): c for (mu, images, e), c in image.items()}
+        return {(i, mu + (0,), images, e): c for (i, mu, images, e), c in image.items()}
 
     monkeypatch.setattr(tangleinv._TransportPlan, route, padded)
+    with pytest.raises(ValueError, match="not a composition with 3 parts"):
+        compare_theorem13(web)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_compare_checks_every_route_before_a_disagreement(route, monkeypatch):
+    # one class's image on one route has a malformed key, so the routes
+    # disagree there: the key's error wins over reporting False
+    web = Web(3, (1, 2), (Layer("merge", 1, 1, 2),))
+    kernel = getattr(tangleinv._TransportPlan, route)
+
+    def one_class_padded(plan, *args):
+        image = kernel(plan, *args)
+        first = min((i for i, *_ in image), default=None)
+        return {
+            (i, mu + (0,) * (i == first), images, e): c
+            for (i, mu, images, e), c in image.items()
+        }
+
+    monkeypatch.setattr(tangleinv._TransportPlan, route, one_class_padded)
     with pytest.raises(ValueError, match="not a composition with 3 parts"):
         compare_theorem13(web)

@@ -26,7 +26,8 @@ from moycalc.weblin import (
     special_pairs,
     split_matrix,
 )
-from moycalc.weblin import _block_local, _lift
+from moycalc.weblin import _block_local, _lift, _lift_columns
+from moycalc.webgraph import Layer, Web, evaluate, layer_matrix
 
 
 def qp(m: int) -> LaurentPoly:
@@ -547,7 +548,8 @@ def _windows(kind: str, k: int) -> list[tuple[tuple[int, ...], int, int]]:
 
 
 @st.composite
-def window_cases(draw):
+def boundary_cases(draw):
+    """A generator kind placed on a random boundary, k = 2..4."""
     k = draw(st.integers(min_value=2, max_value=4))
     kind = draw(st.sampled_from(sorted(INPUT_SPANS)))
     window, a, b = draw(st.sampled_from(_windows(kind, k)))
@@ -556,6 +558,12 @@ def window_cases(draw):
     labels = tuple(left) + window + tuple(right)
     pos = len(left) + 1
     generator_step(kind, k, labels, pos, a, b)
+    return k, kind, labels, pos, a, b
+
+
+@st.composite
+def window_cases(draw):
+    k, kind, labels, pos, a, b = draw(boundary_cases())
     basis = TensorBasis(k, labels).elements
     column = st.dictionaries(st.sampled_from(basis), small_polys, max_size=6)
     state = draw(st.lists(column, min_size=1, max_size=3))
@@ -572,6 +580,30 @@ def test_apply_window_matches_the_reference_loop(case):
     # same keys in the same order: printed outputs read dict order
     assert [list(column) for column in got] == [list(column) for column in want]
     assert all(type(column) is LinComb and all(column.values()) for column in got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_cases())
+def test_first_layer_read_matches_the_window_sums(case):
+    k, kind, labels, pos, a, b = case
+    local, span = local_map(kind, k, a, b), INPUT_SPANS[kind]
+    keys = TensorBasis(k, labels).elements
+    got = _lift_columns(local, pos, span, keys)
+    identity = [{key: ONE} for key in keys]
+    for want in (
+        apply_window(local, pos, span, identity),
+        _reference_apply_window(local, pos, span, identity),
+    ):
+        assert got == want
+        # same keys in the same order: printed outputs read dict order
+        assert [list(column) for column in got] == [list(column) for column in want]
+    assert all(type(column) is LinComb and all(column.values()) for column in got)
+    # a one-layer web's evaluation is the layer's matrix
+    layer = Layer(kind, pos, a, b) if kind in ("merge", "split", "cup") else Layer(kind, pos)
+    one_layer = evaluate(Web(k, labels, (layer,)))
+    assert one_layer == layer_matrix(layer, k, labels)
+    summed = QMatrix(one_layer.rows, keys, apply_window(local, pos, span, identity))
+    assert one_layer == summed
 
 
 def test_apply_window_drops_cancelled_entries():
