@@ -813,16 +813,14 @@ def move_pairs(
 # formal sums of restricted coset classes
 
 def _check_class_key(
-    k: int, nu: tuple[int, ...], mu: tuple[int, ...], z: Permutation
+    k: int, nu: tuple[int, ...], mu: tuple[int, ...], size: int
 ) -> None:
-    """Raise unless (mu, z) keys a class over content ``nu`` at rank ``k``."""
+    """Raise unless (mu, a class on ``size`` letters) keys a class over ``nu``."""
     n = sum(nu)
     if len(mu) != k or any(p < 0 for p in mu):
         raise ValueError(f"weight {mu} is not a composition with {k} parts")
-    if sum(mu) != n or z.n != n:
-        raise ValueError(
-            f"key ({mu}, {z.one_line_text()}) does not match content {nu}"
-        )
+    if sum(mu) != n or size != n:
+        raise ValueError(f"key ({mu}, {size} letters) does not match content {nu}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -846,7 +844,7 @@ class GrothVector:
         adopt = isinstance(coords, LinComb)
         for mu, z in coords:
             adopt = adopt and type(mu) is tuple
-            _check_class_key(self.k, self.nu, tuple(mu), z)
+            _check_class_key(self.k, self.nu, tuple(mu), z.n)
         if not adopt:
             coords = LinComb(
                 ((tuple(mu), z), poly) for (mu, z), poly in coords.items()
@@ -918,8 +916,8 @@ class GrothVector:
 _ROUTES = ("curly", "translation", "matrix")
 
 
-# (class index, weight, class images, exponent) -> nonzero integer: one weight's
-# list of class images, each Laurent coefficient spread over its monomials
+# (class index, weight, top box word, exponent) -> nonzero integer: one weight's
+# list of image fillings, each Laurent coefficient spread over its monomials
 Tally = dict[tuple[int, tuple[int, ...], tuple[int, ...], int], int]
 
 
@@ -945,14 +943,14 @@ class _TransportPlan:
     A plan carries each basis class (mu, z) as a box word over mu: its
     source word is ``psi``'s, written and checked column-strict by
     ``sources``.  Each route takes one weight's list of classes and
-    returns a ``Tally`` keyed by their index, so images compare with one
-    dict ``==``: the curly kernel folds the layers' box moves over
-    (index, word, exponent) triples; the translation kernel pushes each
-    z along the web's walls, each wall step analysed once; the matrix
-    kernel reads each word's column of the web's matrix, evaluated once.
-    Top words and matrix rows become classes through memos that run
-    ``psi_inverse``'s and ``phi_inverse``'s checks once per distinct
-    input, and ``check`` checks each image key once.
+    returns a ``Tally`` keyed by their index and top box words, so images
+    compare with one dict ``==`` and each route crosses at most one
+    bijection: the curly kernel folds the layers' box moves; the
+    translation kernel pushes each z along the web's walls, each wall
+    step analysed once, and writes each image as its ``psi`` word; the
+    matrix kernel reads each word's column of the web's matrix,
+    evaluated once, as ``phi_inverse`` words, once per distinct row.
+    ``check`` checks each image key once.
     """
 
     def __init__(self, f: Web) -> None:
@@ -964,7 +962,7 @@ class _TransportPlan:
                 )
         self.web = f
         self._block = _value_blocks(f.bottom)
-        self._classes: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
+        self._top_block = _value_blocks(f.top)
         self._rows: dict[object, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._checked: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
 
@@ -978,16 +976,10 @@ class _TransportPlan:
     def _walls(self) -> TranslationPath:
         return TranslationPath(self.web.boundaries)
 
-    def _top_class(self, word: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
-        _check_filling(word, mu, mu, self.web.top)
-        images = self._classes[word, mu] = _psi_inverse_word(word, self.web.top).images
-        return images
-
-    def _row_class(self, row_key: object) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _row(self, row_key: object) -> tuple[tuple[int, ...], tuple[int, ...]]:
         _check_basis_key(row_key, self.web.k)
         word, shape = _phi_inverse_word(row_key, self.web.k)
-        images = self._classes.get((word, shape)) or self._top_class(word, shape)
-        key = self._rows[row_key] = (shape, images)
+        key = self._rows[row_key] = (shape, word)
         return key
 
     def sources(self, mu: tuple[int, ...], classes: list[Permutation]) -> list[tuple[int, ...]]:
@@ -998,40 +990,35 @@ class _TransportPlan:
     def curly(self, mu: tuple[int, ...], sources: list[tuple[int, ...]]) -> Tally:
         """Fold the box moves of each layer over the source words."""
         layers = self.web.layers
-        get, top = self._classes.get, self._top_class
         if len(layers) == 1:
             # one source's moves are distinct words, so there is nothing to sum
             return {
-                (i, mu, get((word, mu)) or top(word, mu), e): 1
+                (i, mu, word, e): 1
                 for i, source in enumerate(sources)
                 for word, e in _box_moves(source, mu, layers[0])
             }
-        words = {(i, source, 0): 1 for i, source in enumerate(sources)}
+        words = {(i, mu, source, 0): 1 for i, source in enumerate(sources)}
         for layer in layers:
             words = _tally(
-                ((i, new, e + shift), c)
-                for (i, word, e), c in words.items()
+                ((i, mu, new, e + shift), c)
+                for (i, _, word, e), c in words.items()
                 for new, shift in _box_moves(word, mu, layer)
             )
-        # distinct top words are distinct classes
-        return {
-            (i, mu, get((word, mu)) or top(word, mu), e): c
-            for (i, word, e), c in words.items()
-        }
+        return words
 
     def translation(self, mu: tuple[int, ...], classes: list[Permutation]) -> Tally:
-        """Push each flag class z along the web's walls."""
-        push = self._walls.pusher(mu)
+        """Push each flag class z along the web's walls to top words."""
+        push, top, block = self._walls.pusher(mu), self.web.top, self._top_block
         return _tally(
-            ((i, mu, w.images, e), 1)
+            ((i, mu, _psi_word(w, mu, top, block), e), 1)
             for i, z in enumerate(classes)
             for e, w in push([(0, z)])
         )
 
     def matrix(self, mu: tuple[int, ...], sources: list[tuple[int, ...]]) -> Tally:
-        """Read each source word's column of the web's matrix as classes."""
-        columns, get, row = self._columns, self._rows.get, self._row_class
-        # distinct rows are distinct classes, and a column holds no zero
+        """Read each source word's column of the web's matrix as fillings."""
+        columns, get, row = self._columns, self._rows.get, self._row
+        # distinct rows are distinct fillings, and a column holds no zero
         return {
             (i, *(get(row_key) or row(row_key)), e): c
             for i, source in enumerate(sources)
@@ -1040,11 +1027,13 @@ class _TransportPlan:
         }
 
     def check(self, image: Tally) -> None:
-        """Run ``GrothVector``'s key check on each class of ``image`` not
-        seen before on this web."""
-        new = {(mu, images) for _, mu, images, _ in image} - self._checked
-        for mu, images in new:
-            _check_class_key(self.web.k, self.web.top, mu, Permutation._trusted(images))
+        """Run ``GrothVector``'s and ``psi_inverse``'s checks on each
+        (weight, word) of ``image`` not seen before on this web."""
+        k, top = self.web.k, self.web.top
+        new = {(mu, word) for _, mu, word, _ in image} - self._checked
+        for mu, word in new:
+            _check_class_key(k, top, mu, len(word))
+            _check_filling(word, mu, mu, top)
         self._checked |= new
 
 
@@ -1078,10 +1067,16 @@ def grothendieck_map(
                 f"vector over k={vec.k}, nu={vec.nu} does not match "
                 f"the web's source k={k}, nu={f.bottom}"
             )
+        tallies = [(coeff, image(mu, [z])) for (mu, z), coeff in vec.coords.items()]
+        for _, tally in tallies:
+            plan.check(tally)
+        classes = {
+            w: _psi_inverse_word(w, f.top) for _, t in tallies for _, _, w, _ in t
+        }
         total = LinComb.of_products(
-            ((weight, Permutation._trusted(images)), LaurentPoly.q_power(e), coeff * c)
-            for (mu, z), coeff in vec.coords.items()
-            for (_, weight, images, e), c in image(mu, [z]).items()
+            ((weight, classes[word]), LaurentPoly.q_power(e), coeff * c)
+            for coeff, tally in tallies
+            for (_, weight, word, e), c in tally.items()
         )
         return GrothVector(k, f.top, total)
 

@@ -133,6 +133,6 @@ SUITES: dict[str, Suite] = {
     "reidemeister": Suite(lambda n, k: reidemeister_suite(k), min_k=2),
     "bijections": Suite(lambda n, k: bijections_suite(n, k), max_n=7),
     "hecke": Suite(lambda n, k: hecke_suite(n), max_n=5),
-    "groth": Suite(lambda n, k: groth_suite(n, k), max_n=6, min_k=2),
+    "groth": Suite(lambda n, k: groth_suite(n, k), max_n=7, min_k=2),
     "foam": Suite(lambda n, k: verify_foam()),
 }

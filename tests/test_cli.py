@@ -314,8 +314,8 @@ def test_verify_groth_stdout_is_pinned(capsys, fmt, template, k, webs) -> None:
 
 
 def test_verify_reports_the_n_cap_before_the_k_floor(capsys) -> None:
-    argv = ("verify", "groth", "--n", "7", "--k", "1")
-    assert run(capsys, *argv) == (2, "", "error: groth suite needs n <= 6\n")
+    argv = ("verify", "groth", "--n", "8", "--k", "1")
+    assert run(capsys, *argv) == (2, "", "error: groth suite needs n <= 7\n")
 
 
 def test_verify_reports_are_deterministic(capsys) -> None:
@@ -347,7 +347,7 @@ def test_verify_rank_one_is_a_usage_error(capsys, suite) -> None:
 
 
 @pytest.mark.parametrize(
-    ("suite", "limit"), [("bijections", 7), ("hecke", 5), ("groth", 6)]
+    ("suite", "limit"), [("bijections", 7), ("hecke", 5), ("groth", 7)]
 )
 def test_verify_n_above_the_suite_bound_is_a_usage_error(capsys, suite, limit) -> None:
     # above these bounds the sweeps run for minutes or do not finish

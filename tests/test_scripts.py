@@ -17,3 +17,14 @@ def test_compute_examples_stdout_is_pinned(capsys):
     module.main()
     golden = ROOT / "tests" / "data" / "compute_examples_stdout.txt"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_verify_all_passes_every_check(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "verify_all", ROOT / "scripts" / "verify_all.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main() == 0
+    tally = capsys.readouterr().out.splitlines()[-1]
+    assert tally.startswith("-- 51 checks, 0 failed, ")

@@ -10,7 +10,7 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from moycalc import tangleinv
+from moycalc import symhecke, tangleinv
 from moycalc.boxcomb import (
     WeightedDiagramSum,
     all_compositions,
@@ -415,6 +415,39 @@ def test_oracle_only_speaks_rank_2():
 def test_oracle_rejects_open_words():
     with pytest.raises(ValueError, match="closed tangle word required"):
         skein_oracle(TangleWord(("-",), ()))
+
+
+@st.composite
+def closed_words(draw):
+    """A closed word on at most four strands with at most six crossings:
+    random cups, crossings and caps from the empty boundary, then caps
+    until nothing is left.  A top reached from
+    nothing holds as many + as - strands, so it has an opposite adjacent
+    pair to cap."""
+    word, crossings = TangleWord((), ()), 0
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        top = word.top
+        opposite = [pos for pos in range(1, len(top)) if top[pos - 1] != top[pos]]
+        moves = [TangleLayer("cap", pos) for pos in opposite]
+        if crossings < 6:
+            moves += [TangleLayer(kind, pos) for kind in ("X+", "X-") for pos in range(1, len(top))]
+        if len(top) + 2 <= 4:
+            moves += [TangleLayer("cup", pos, signs) for signs in (("-", "+"), ("+", "-"))
+                      for pos in range(1, len(top) + 2)]
+        layer = draw(st.sampled_from(moves))
+        crossings += layer.kind in ("X+", "X-")
+        word = TangleWord((), word.layers + (layer,))
+    while word.top:
+        top = word.top
+        pos = next(p for p in range(1, len(top)) if top[p - 1] != top[p])
+        word = TangleWord((), word.layers + (TangleLayer("cap", pos),))
+    return word
+
+
+@settings(max_examples=150, deadline=None)
+@given(word=closed_words())
+def test_oracle_matches_the_compiled_pipeline_on_random_closed_words(word):
+    assert skein_oracle(word) == link_poly(word, 2), word.text()
 
 
 # ----------------------------------------------------------------------
@@ -939,11 +972,12 @@ def _reference_matrix(f, matrix, mu, z):
     return out
 
 
-def _tally(images):
+def _tally(web, images):
     """The class combinations of one weight's list of classes, as the
-    plan's routes return them: keyed by each class's index."""
+    plan's routes return them: keyed by each class's index and each
+    image class's top filling."""
     return {
-        (i, mu, z.images, e): c
+        (i, mu, psi(z, mu, web.top).flat(), e): c
         for i, image in enumerate(images)
         for (mu, z), poly in image.items()
         for e, c in poly.terms
@@ -955,13 +989,18 @@ def _check_plan_against_the_chain(plan, web, matrix, mu, classes):
     assert sources == [psi(z, mu, web.bottom).flat() for z in classes]
     where = (web.text(), mu, [z.one_line_text() for z in classes])
     assert plan.curly(mu, sources) == _tally(
-        [_reference_curly(web, mu, z) for z in classes]
+        web, [_reference_curly(web, mu, z) for z in classes]
     ), where
-    assert plan.translation(mu, classes) == _tally(
-        [_reference_translation(web, mu, z) for z in classes]
-    ), where
+    translations = [_reference_translation(web, mu, z) for z in classes]
+    assert plan.translation(mu, classes) == _tally(web, translations), where
+    # the tally keeps only each image's top word: check the classes the
+    # wall steps push to, representatives included
+    push = plan._walls.pusher(mu)
+    assert [
+        LinComb(((mu, w), qp(e)) for e, w in push([(0, z)])) for z in classes
+    ] == translations, where
     assert plan.matrix(mu, sources) == _tally(
-        [_reference_matrix(web, matrix, mu, z) for z in classes]
+        web, [_reference_matrix(web, matrix, mu, z) for z in classes]
     ), where
 
 
@@ -1099,3 +1138,45 @@ def test_compare_checks_every_route_before_a_disagreement(route, monkeypatch):
     monkeypatch.setattr(tangleinv._TransportPlan, route, one_class_padded)
     with pytest.raises(ValueError, match="not a composition with 3 parts"):
         compare_theorem13(web)
+
+
+# k=2 on three strands: every weight has a column of two or more boxes,
+# so a top word in decreasing order is column-strict over none of them
+THREE_STRAND_MERGE = Web(2, (1, 1, 1), (Layer("merge", 1, 1, 1),))
+
+
+def _malformed_image_raises(web, route):
+    with pytest.raises(ValueError) as from_compare:
+        compare_theorem13(web)
+    # the identity class over (1, 2) has a nonzero image on every route
+    vec = GrothVector.basis(2, web.bottom, (1, 2), Permutation((1, 2, 3)))
+    with pytest.raises(ValueError) as from_map:
+        grothendieck_map(web, route=route)(vec)
+    return str(from_compare.value), str(from_map.value)
+
+
+def test_a_box_move_that_is_not_column_strict_raises(monkeypatch):
+    assert compare_theorem13(THREE_STRAND_MERGE)
+    box_moves = tangleinv._box_moves
+
+    def decreasing(word, mu, layer):
+        return [(tuple(sorted(new, reverse=True)), e) for new, e in box_moves(word, mu, layer)]
+
+    monkeypatch.setattr(tangleinv, "_box_moves", decreasing)
+    errors = _malformed_image_raises(THREE_STRAND_MERGE, "curly")
+    assert errors == ("filling is not column-strict",) * 2
+
+
+def test_a_translation_image_outside_the_restricted_set_raises(monkeypatch):
+    web = THREE_STRAND_MERGE
+    longest = Permutation((3, 2, 1))
+    assert all(longest not in O_set(mu, web.top) for mu in all_compositions(3, 2))
+    pusher = symhecke.TranslationPath.pusher
+
+    def off_the_set(path, mu=None):
+        push = pusher(path, mu)
+        return lambda terms: [(e, longest) for e, _ in push(terms)]
+
+    monkeypatch.setattr(symhecke.TranslationPath, "pusher", off_the_set)
+    for error in _malformed_image_raises(web, "translation"):
+        assert "321 does not represent a qualifying coset" in error
