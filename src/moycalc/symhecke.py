@@ -334,6 +334,12 @@ def _right_minimal_reps(nu: tuple[int, ...]) -> tuple[Permutation, ...]:
     return tuple(Permutation._trusted(word) for word, _ in words)
 
 
+def _embedded(z: Permutation, offset: int, n: int) -> Permutation:
+    """z acting on the values offset+1..offset+z.n of 1..n, fixing the rest."""
+    head, tail = tuple(range(1, offset + 1)), tuple(range(offset + z.n + 1, n + 1))
+    return Permutation._trusted(head + tuple(v + offset for v in z.images) + tail)
+
+
 @lru_cache(maxsize=None)
 def _pair_mask(mu: tuple[int, ...]) -> int:
     """Bit i set for each pair of values i, i+1 inside one block of mu."""
@@ -655,9 +661,17 @@ def kl_element(w: Permutation) -> HeckeElement:
     cached = _KL_CACHE.get(w.images)
     if cached is not None:
         return cached
-    n = w.n
+    n, images = w.n, w.images
     if w.is_identity():
         result = HeckeElement.unit(n)
+    elif images[0] == 1 or images[-1] == n:
+        # C_w of the interval w moves, embedded: the parabolic inclusion
+        # commutes with bar and keeps H_w + Σ q·Z[q]·H_y, so it keeps C_w
+        moved = [i for i, v in enumerate(images) if v != i + 1]
+        lo, hi = moved[0], moved[-1] + 1
+        inner = kl_element(Permutation._trusted(tuple(v - lo for v in images[lo:hi])))
+        terms = {_embedded(y, lo, n): c for y, c in inner.terms.items()}
+        result = HeckeElement(n, terms)
     else:
         group = _group(n)
         i = w.reduced_word()[0]
@@ -956,23 +970,6 @@ def _single_split(
     return None
 
 
-def _out_of_wall_reps(
-    offset: int, a: int, b: int, n: int
-) -> tuple[Permutation, ...]:
-    """Minimal representatives for splitting the block at ``offset`` into
-    (a, b): choose which a of the block values sit in the first a
-    positions."""
-    c = a + b
-    block_values = list(range(offset + 1, offset + c + 1))
-    reps = []
-    for chosen in combinations(block_values, a):
-        rest = [v for v in block_values if v not in chosen]
-        images = list(range(1, n + 1))
-        images[offset : offset + c] = list(chosen) + rest
-        reps.append(Permutation(tuple(images)))
-    return tuple(reps)
-
-
 def _check_classes(terms: list, wall: tuple[int, ...]) -> None:
     """Every class of the (exponent, class) terms is a permutation of
     the wall's n, minimal over the wall."""
@@ -1001,8 +998,10 @@ def _wall_step(
         offset, a, b = split
         c = a + b
         shift = c * (c - 1) // 2 - a * (a - 1) // 2 - b * (b - 1) // 2
+        # embedding a shuffle of the block keeps its length
         fan = tuple(
-            (shift - z.length(), z) for z in _out_of_wall_reps(offset, a, b, n)
+            (shift - z.length(), _embedded(z, offset, n))
+            for z in _right_minimal_reps((a, b))
         )
 
         def out_of_wall(terms: list, mu_mask: int | None) -> list:

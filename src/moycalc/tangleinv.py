@@ -989,16 +989,8 @@ class _TransportPlan:
 
     def curly(self, mu: tuple[int, ...], sources: list[tuple[int, ...]]) -> Tally:
         """Fold the box moves of each layer over the source words."""
-        layers = self.web.layers
-        if len(layers) == 1:
-            # one source's moves are distinct words, so there is nothing to sum
-            return {
-                (i, mu, word, e): 1
-                for i, source in enumerate(sources)
-                for word, e in _box_moves(source, mu, layers[0])
-            }
         words = {(i, mu, source, 0): 1 for i, source in enumerate(sources)}
-        for layer in layers:
+        for layer in self.web.layers:
             words = _tally(
                 ((i, mu, new, e + shift), c)
                 for (i, _, word, e), c in words.items()

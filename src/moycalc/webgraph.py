@@ -57,18 +57,14 @@ from .weblin import (
     INPUT_SPANS,
     QMatrix,
     TensorBasis,
+    _generator_matrix,
     _lift,
     _lift_columns,
     _resolve_label,
     apply_window,
-    cap_matrix,
-    cross_matrix_at,
-    cup_matrix,
     generator_step,
     local_map,
-    merge_matrix,
     reversal_matrix,
-    split_matrix,
 )
 
 __all__ = [
@@ -424,16 +420,7 @@ def parse_web(
 
 def layer_matrix(layer: Layer, k: int, labels: Sequence[int]) -> QMatrix:
     """The matrix of one layer on the given boundary below it."""
-    labels = tuple(labels)
-    if layer.kind == "merge":
-        return merge_matrix(k, labels, layer.pos)
-    if layer.kind == "split":
-        return split_matrix(k, labels, layer.pos, layer.a, layer.b)
-    if layer.kind == "cup":
-        return cup_matrix(k, labels, layer.pos, layer.a, layer.b)
-    if layer.kind == "cap":
-        return cap_matrix(k, labels, layer.pos)
-    return cross_matrix_at(layer.kind[-1], k, labels, layer.pos)
+    return _generator_matrix(layer.kind, k, labels, layer.pos, layer.a, layer.b)
 
 
 def evaluate(web: Web) -> QMatrix:

@@ -4,7 +4,7 @@ weighted refine/merge moves."""
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import moycalc.symhecke as symhecke
 import moycalc.verify as verify
 from moycalc.cli import main
 from moycalc.reporting import Report
@@ -415,6 +416,18 @@ def test_hecke_identity(capsys) -> None:
     code, out, _ = run(capsys, "hecke", "12")
     assert code == 0
     assert out == "H[12]*(1)\n"
+
+
+def test_hecke_works_on_the_interval_it_moves(capsys, monkeypatch) -> None:
+    # 21345678 moves only 1 and 2: C_w comes from S_2, not from all of S_8
+    sizes = []
+    group = symhecke._group
+    monkeypatch.setattr(symhecke, "_KL_CACHE", {})
+    monkeypatch.setattr(symhecke, "_group", lambda n: sizes.append(n) or group(n))
+    assert run(capsys, "hecke", "21345678") == (
+        0, "H[21345678]*(1) + H[12345678]*(q)\n", ""
+    )
+    assert sizes and 8 not in sizes
 
 
 def test_fillings_enumeration(capsys) -> None:

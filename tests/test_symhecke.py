@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moycalc import boxcomb
-from moycalc.qlaurent import ONE, LaurentPoly, LinComb, _unpack, quantum_int
+from moycalc.qlaurent import ONE, LaurentPoly, LinComb, _unpack
 from moycalc.symhecke import (
     FlagList,
     HeckeElement,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,13 +25,14 @@ from moycalc.boxcomb import (
 from moycalc.qlaurent import LaurentPoly, LinComb, ONE, ZERO, parse_laurent, quantum_int
 from moycalc.reporting import all_passed
 from moycalc.symhecke import (
+    FlagList,
     O_lists,
     O_set,
     Permutation,
     _in_block_pairs,
     _is_right_minimal,
-    _out_of_wall_reps,
     _single_split,
+    translation_flag,
 )
 from moycalc.tangleinv import (
     CORPUS,
@@ -899,6 +900,18 @@ def test_every_weights_class_lists_match_O_set_and_the_brute_force(n):
 # the transport plan against the per-class chain it replaced
 
 
+def _reference_out_of_wall_reps(offset, a, b, n):
+    """The classes a split of the block at ``offset`` into (a, b) fans
+    out over, in lexicographic order: which a of the block's values sit
+    in its first a places, the other b following in increasing order."""
+    block = range(offset + 1, offset + a + b + 1)
+    head, tail = range(1, offset + 1), range(offset + a + b + 1, n + 1)
+    return [
+        Permutation((*head, *chosen, *(v for v in block if v not in chosen), *tail))
+        for chosen in combinations(block, a)
+    ]
+
+
 def _reference_translation_flag(terms, path, mu):
     """The translation rule as one loop that re-derives every wall step
     for every call, dropping onto-wall classes by the brute-force
@@ -915,7 +928,7 @@ def _reference_translation_flag(terms, path, mu):
             c = a + b
             big = c * (c - 1) // 2
             small = a * (a - 1) // 2 + b * (b - 1) // 2
-            reps = _out_of_wall_reps(offset, a, b, n)
+            reps = _reference_out_of_wall_reps(offset, a, b, n)
             terms = [
                 (e + big - small - z.length(), w * z) for e, w in terms for z in reps
             ]
@@ -939,6 +952,27 @@ def _reference_translation_flag(terms, path, mu):
                 new_terms.append((e - l_y, z))
         terms = new_terms
     return terms
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_out_of_wall_fan_keeps_the_lexicographic_order(n):
+    # FlagList equality forgets order; text() shows the stored one
+    start = FlagList.single(Permutation.identity(n))
+    for src in positive_compositions(n):
+        for pos, c in enumerate(src):
+            # a single split takes a 1-part off either end of a block
+            for a in sorted({1, c - 1} - {0, c}):
+                b, offset = c - a, sum(src[:pos])
+                dst = src[:pos] + (a, b) + src[pos + 1 :]
+                shift = c * (c - 1) // 2 - a * (a - 1) // 2 - b * (b - 1) // 2
+                fan = FlagList(
+                    tuple(
+                        (shift - z.length(), z)
+                        for z in _reference_out_of_wall_reps(offset, a, b, n)
+                    )
+                )
+                got = translation_flag(start, [src, dst])
+                assert got.text() == fan.text(), (src, dst)
 
 
 def _reference_curly(f, mu, z):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moycalc import webgraph
-from moycalc.qlaurent import LaurentPoly, ONE, quantum_int
+from moycalc.qlaurent import LaurentPoly, quantum_int
 from moycalc.reporting import Report, all_passed, render_reports
 from moycalc.weblin import (
     QMatrix,
