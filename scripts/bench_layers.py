@@ -19,12 +19,15 @@ per repeat (its cache lives for the process) that keeps its own speed
 log; every other layer is timed warm, with its Kazhdan-Lusztig input
 computed beforehand.  The transport layer is ``compare_theorem13`` (the
 three routes over every basis class) on one fixed k=4 merge web on five
-strands, run once before it is timed.  The bijection layer sends every
-class of one fixed (mu, nu) at n=6 through psi, phi, phi_inverse and
-psi_inverse, also run once before it is timed.  The classes layer lists
-the classes of every weight with four parts over the content
-(1,1,1,1,1,1) in one ``O_lists`` pass, warm: the bijection row has built
-that content's masks.  The web-side rows are warm too: the laurent layer
+strands, run once before it is timed.  The groth layer is
+``compare_theorem13`` over the 160 one-generator webs with n <= 5 and
+k = 2..4 (the cosets workload's webs), also run once before it is
+timed, so every boundary's class table is built.  The bijection layer
+sends every class of one fixed (mu, nu) at n=6 through psi, phi,
+phi_inverse and psi_inverse, also run once before it is timed.  The
+classes layer lists the classes of every weight with four parts over
+the content (1,1,1,1,1,1) in one ``O_lists`` pass, warm: the bijection
+row has built that content's masks.  The web-side rows are warm too: the laurent layer
 builds, multiplies and adds every ordered pair of the quantum integers
 [1]..[12]; the generator layer applies one k=4 merge window to every
 basis vector of six 1-labelled strands; the evaluate layer evaluates
@@ -65,7 +68,7 @@ from moycalc.symhecke import (
     kl_element,
     sign_action,
 )
-from moycalc.tangleinv import compare_theorem13
+from moycalc.tangleinv import compare_theorem13, special_generator_webs
 from moycalc.webgraph import Layer, Web, evaluate
 from moycalc.weblin import (
     TensorBasis,
@@ -125,6 +128,12 @@ def bijections(
         psi_inverse(phi_inverse(phi(psi(z, mu, nu), k), k), mu, nu)
 
 
+def groth_sweep(webs: list[Web]) -> None:
+    """``compare_theorem13`` on every web, in turn."""
+    for web in webs:
+        compare_theorem13(web)
+
+
 def laurent_pairs(polys: list[LaurentPoly]) -> None:
     """For each ordered pair (a, b): a rebuilt from its terms, times b,
     added to a running total."""
@@ -163,6 +172,11 @@ def cases() -> list[tuple[str, str, Callable[[], tuple[float, float]]]]:
     compare_theorem13(web)
     transport = partial(timed, compare_theorem13, web)
     out.append(("transport", "k4|1,1,1,1,1|merge(1,1@2)", transport))
+    webs = [
+        web for k in (2, 3, 4) for n in range(1, 6) for web in special_generator_webs(n, k)
+    ]
+    groth_sweep(webs)
+    out.append(("groth", "k2-4|n1-5|160-webs", partial(timed, groth_sweep, webs)))
     polys = [quantum_int(m) for m in range(1, 13)]
     out.append(("laurent", "[1]..[12]", partial(timed, laurent_pairs, polys)))
     state = [{key: ONE} for key in TensorBasis(4, (1,) * 6)]

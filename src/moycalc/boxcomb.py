@@ -33,8 +33,8 @@ runs the kernels directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from itertools import chain, combinations
+from typing import Iterable, Sequence
 
 from .qlaurent import ONE, LaurentPoly, LinComb
 from .symhecke import (
@@ -115,9 +115,10 @@ def _cut(word: Sequence[int], shape: Sequence[int]) -> tuple[tuple[int, ...], ..
     return tuple(columns)
 
 
-def _is_strict(word: Sequence[int], shape: tuple[int, ...]) -> bool:
-    """Whether every entry is smaller than the one directly below it."""
-    return all(word[i - 1] < word[i] for i in _in_block_pairs(shape))
+def _is_strict(word: Sequence[int], pairs: tuple[int, ...]) -> bool:
+    """Whether every entry is smaller than the one directly below it,
+    given the shape's in-column pairs (``_in_block_pairs(shape)``)."""
+    return all(word[i - 1] < word[i] for i in pairs)
 
 
 def _content(word: Sequence[int]) -> tuple[int, ...]:
@@ -172,7 +173,7 @@ class Filling:
         return _content(self.flat())
 
     def is_column_strict(self) -> bool:
-        return _is_strict(self.flat(), self.shape)
+        return _is_strict(self.flat(), _in_block_pairs(self.shape))
 
     def with_flat(self, values: Sequence[int]) -> "Filling":
         """Same shape, entries replaced in box order."""
@@ -309,8 +310,7 @@ def _phi_inverse_word(
     for value, subset in enumerate(key, start=1):
         for j in subset:
             columns[j - 1].append(value)
-    word = tuple(v for column in columns for v in column)
-    return word, tuple(len(column) for column in columns)
+    return tuple(chain.from_iterable(columns)), tuple(map(len, columns))
 
 
 def phi_inverse(key: Sequence[Sequence[int]], k: int) -> Filling:
@@ -333,21 +333,26 @@ def relabel_by_content(f: Filling, nu: Sequence[int]) -> Filling:
     return f.with_flat([block[v - 1] for v in f.flat()])
 
 
-def _psi_word(
-    w: Permutation, mu: tuple[int, ...], nu: tuple[int, ...], block: list[int]
-) -> tuple[int, ...]:
-    """psi's box word over mu: box w(p) gets block[p - 1], the nu-block
-    of p (``_value_blocks(nu)``).  Raises when the word is not
-    column-strict (the coset does not qualify)."""
-    word = [0] * w.n
-    for position, box in enumerate(w.images):
-        word[box - 1] = block[position]
-    if not _is_strict(word, mu):
-        raise ValueError(
-            f"{w.one_line_text()} does not represent a qualifying "
-            f"coset for shape {mu} and content {nu}"
-        )
-    return tuple(word)
+def _psi_words(
+    ws: Iterable[Permutation], mu: tuple[int, ...], nu: tuple[int, ...], block: list[int]
+) -> list[tuple[int, ...]]:
+    """psi's box words over mu, one per class of ``ws``: box w(p) gets
+    block[p - 1], the nu-block of p (``_value_blocks(nu)``).  Raises at
+    the first word that is not column-strict (its coset does not
+    qualify)."""
+    pairs = _in_block_pairs(mu)
+    words = []
+    for w in ws:
+        word = [0] * w.n
+        for position, box in enumerate(w.images):
+            word[box - 1] = block[position]
+        if not _is_strict(word, pairs):
+            raise ValueError(
+                f"{w.one_line_text()} does not represent a qualifying "
+                f"coset for shape {mu} and content {nu}"
+            )
+        words.append(tuple(word))
+    return words
 
 
 def psi(
@@ -363,26 +368,20 @@ def psi(
     mu_t, nu_t = parts_of(mu), parts_of(nu)
     if sum(mu_t) != sum(nu_t) or sum(mu_t) != w.n:
         raise ValueError("composition sizes do not match the permutation")
-    return _filling(_psi_word(w, mu_t, nu_t, _value_blocks(nu_t)), mu_t)
+    return _filling(_psi_words([w], mu_t, nu_t, _value_blocks(nu_t))[0], mu_t)
 
 
-def _check_filling(
-    word: Sequence[int],
-    shape: tuple[int, ...],
-    mu: tuple[int, ...],
-    nu: tuple[int, ...],
+def _check_fillings(
+    words: Iterable[Sequence[int]], mu: tuple[int, ...], nu: tuple[int, ...]
 ) -> None:
-    """Raise unless a box word over ``shape`` is column-strict with
-    shape mu and content nu: the input ``psi_inverse`` accepts."""
-    if shape != mu:
-        raise ValueError(f"filling has shape {shape}, not {mu}")
-    if not _is_strict(word, shape):
-        raise ValueError("filling is not column-strict")
-    content = _content(word)
-    if len(content) > len(nu) or content + (0,) * (
-        len(nu) - len(content)
-    ) != nu:
-        raise ValueError(f"filling has content {content}, not {nu}")
+    """Raise unless every box word over mu is column-strict with
+    content nu: the input ``psi_inverse`` accepts, for one shape."""
+    pairs, block = _in_block_pairs(mu), _value_blocks(nu)
+    for word in words:
+        if not _is_strict(word, pairs):
+            raise ValueError("filling is not column-strict")
+        if sorted(word) != block:
+            raise ValueError(f"filling has content {_content(word)}, not {nu}")
 
 
 def _psi_inverse_word(word: Sequence[int], nu: tuple[int, ...]) -> Permutation:
@@ -414,8 +413,10 @@ def psi_inverse(
     that box.
     """
     mu_t, nu_t = parts_of(mu), parts_of(nu)
+    if f.shape != mu_t:
+        raise ValueError(f"filling has shape {f.shape}, not {mu_t}")
     word = f.flat()
-    _check_filling(word, f.shape, mu_t, nu_t)
+    _check_fillings([word], mu_t, nu_t)
     return _psi_inverse_word(word, nu_t)
 
 

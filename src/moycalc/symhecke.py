@@ -321,17 +321,8 @@ def min_coset_reps(mu: Sequence[int], side: str) -> set[Permutation]:
 @lru_cache(maxsize=None)
 def _right_minimal_reps(nu: tuple[int, ...]) -> tuple[Permutation, ...]:
     """The minimal representatives of the cosets w·S_nu in lexicographic
-    order: the shuffles that give each nu-block of positions an
-    increasing run of values, one block after another."""
-    words = [((), tuple(range(1, sum(nu) + 1)))]
-    for p in nu:
-        # combinations() runs in lexicographic order, so the words do
-        words = [
-            (word + chosen, tuple(v for v in rest if v not in chosen))
-            for word, rest in words
-            for chosen in combinations(rest, p)
-        ]
-    return tuple(Permutation._trusted(word) for word, _ in words)
+    order: the images of ``_rep_masks(nu)``."""
+    return tuple(Permutation._trusted(images) for images in _rep_masks(nu))
 
 
 def _embedded(z: Permutation, offset: int, n: int) -> Permutation:
@@ -349,22 +340,38 @@ def _pair_mask(mu: tuple[int, ...]) -> int:
 @lru_cache(maxsize=None)
 def _rep_masks(nu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """The failing-pair mask of each right-minimal representative z of
-    nu, keyed by its images in the order of ``_right_minimal_reps``.
+    nu, keyed by its images in lexicographic order.
 
+    The representatives are the shuffles that give each nu-block of
+    positions an increasing run of values, one block after another.
     Every element of z·S_nu is left-mu-minimal iff for each pair of
     values i, i+1 inside one mu-block, the position of i falls in a
     strictly earlier nu-block than the position of i+1.  Bit i of the
     mask is set when that fails for the values i, i+1, so z qualifies
-    for mu exactly when ``mask & _pair_mask(mu) == 0``.
+    for mu exactly when ``mask & _pair_mask(mu) == 0``.  A block's value
+    v fails with v+1 exactly when v+1 is not left over for a later
+    block, so each block sets its bits as it takes its values.
     """
-    block = _value_blocks(nu)
-    masks = {}
-    for z in _right_minimal_reps(nu):
-        blocks = [block[p - 1] for p in _inverse_images(z.images)]
-        masks[z.images] = sum(
-            1 << i for i in range(1, len(blocks)) if blocks[i - 1] >= blocks[i]
-        )
-    return masks
+    n = sum(nu)
+    bit = [1 << v for v in range(n + 1)]
+    below_n = (1 << n) - 2  # the bits of the values 1..n-1
+    # (word, the values left over, their bits, mask)
+    shuffles = [((), tuple(range(1, n + 1)), below_n | bit[n], 0)]
+    for p in nu:
+        grown = []
+        for word, rest, rest_bits, mask in shuffles:
+            # combinations() runs in lexicographic order, so the words do
+            for chosen in combinations(rest, p):
+                bits = sum(map(bit.__getitem__, chosen))
+                left = rest_bits ^ bits
+                grown.append((
+                    word + chosen,
+                    tuple([v for v in rest if not bit[v] & bits]),
+                    left,
+                    mask | bits & ~(left >> 1) & below_n,
+                ))
+        shuffles = grown
+    return {word: mask for word, _, _, mask in shuffles}
 
 
 def O_lists(

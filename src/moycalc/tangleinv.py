@@ -35,26 +35,27 @@ on every basis vector.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .boxcomb import (
     _check_basis_key,
-    _check_filling,
+    _check_fillings,
     _compositions,
     _merge_word,
     _phi_inverse_word,
     _phi_word,
     _psi_inverse_word,
-    _psi_word,
+    _psi_words,
     _split_word,
     all_compositions,
 )
 from .qlaurent import ONE, ZERO, LaurentPoly, LinComb, quantum_int
 from .reporting import Report
 from .symhecke import O_lists, Permutation, TranslationPath, _value_blocks
-from .weblin import QMatrix, special_pairs
+from .weblin import QMatrix, TensorBasis, special_pairs
 from .webgraph import (
     Layer,
     Web,
@@ -937,20 +938,75 @@ def _box_moves(word: tuple[int, ...], mu: tuple[int, ...], layer: Layer) -> list
     return _split_word(word, layer.pos, layer.a, layer.b)
 
 
+# the (k, boundary) class tables kept at once: the one-generator webs
+# with n <= 5 and k = 2..4 sit on 72 boundaries
+_TABLE_BOUND = 96
+
+
+class _ClassTable(NamedTuple):
+    """Every weight's classes over one (k, boundary), packed: the weights
+    with classes in ``all_compositions`` order, and for each class, in
+    ``O_lists`` order, its representative, its ``psi`` source word (n
+    bytes of ``words``) and its column in ``TensorBasis(k, nu)`` order.
+    ``ends[j]`` is one past the last class of weight j."""
+
+    n: int
+    mus: tuple[tuple[int, ...], ...]
+    ends: array
+    classes: tuple[Permutation, ...]
+    words: bytes
+    positions: array
+
+    def weights(self) -> Iterator[tuple[tuple[int, ...], tuple, list, array]]:
+        """(mu, classes, source words, column positions) per weight."""
+        n, words, start = self.n, self.words, 0
+        for mu, end in zip(self.mus, self.ends):
+            sources = [tuple(words[i : i + n]) for i in range(start * n, end * n, n)]
+            yield mu, self.classes[start:end], sources, self.positions[start:end]
+            start = end
+
+
+@lru_cache(maxsize=_TABLE_BOUND)
+def _weights(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The weights of n with k parts, one tuple each, shared by the tables."""
+    return tuple(all_compositions(n, k))
+
+
+@lru_cache(maxsize=_TABLE_BOUND)
+def _class_table(k: int, nu: tuple[int, ...]) -> _ClassTable:
+    """The class table of (k, nu), built on first use.  ``psi`` checks
+    each source word column-strict here, once per boundary."""
+    n, basis, block = sum(nu), TensorBasis(k, nu), _value_blocks(nu)
+    mus, ends, classes = [], array("I"), []
+    words, positions = bytearray(), array("I")
+    for mu, weight in O_lists(_weights(n, k), nu):
+        if not weight:
+            continue
+        mus.append(mu)
+        classes += weight
+        ends.append(len(classes))
+        for source in _psi_words(weight, mu, nu, block):
+            words += bytes(source)
+            positions.append(basis.index(_phi_word(source, mu)))
+    return _ClassTable(n, tuple(mus), ends, tuple(classes), bytes(words), positions)
+
+
 class _TransportPlan:
     """The per-web work of the three transport routes, done once.
 
     A plan carries each basis class (mu, z) as a box word over mu: its
-    source word is ``psi``'s, written and checked column-strict by
-    ``sources``.  Each route takes one weight's list of classes and
-    returns a ``Tally`` keyed by their index and top box words, so images
-    compare with one dict ``==`` and each route crosses at most one
-    bijection: the curly kernel folds the layers' box moves; the
-    translation kernel pushes each z along the web's walls, each wall
-    step analysed once, and writes each image as its ``psi`` word; the
-    matrix kernel reads each word's column of the web's matrix,
-    evaluated once, as ``phi_inverse`` words, once per distinct row.
-    ``check`` checks each image key once.
+    source word is ``psi``'s, from the boundary's class table or written
+    and checked column-strict by ``sources``.  Each route takes one
+    weight's list of classes and returns a ``Tally`` keyed by their index
+    and top box words, so images compare with one dict ``==`` and each
+    route crosses at most one bijection: the curly kernel folds the
+    layers' box moves over the source words; the translation kernel
+    pushes each z along the web's walls, each wall step analysed once,
+    and writes the images as ``psi`` words, one weight at a time; the
+    matrix kernel reads the columns at the classes' positions in the
+    web's matrix, evaluated once, as ``phi_inverse`` words, once per
+    distinct row.  ``check`` checks each weight's keys once and each
+    distinct top word once.
     """
 
     def __init__(self, f: Web) -> None:
@@ -964,13 +1020,11 @@ class _TransportPlan:
         self._block = _value_blocks(f.bottom)
         self._top_block = _value_blocks(f.top)
         self._rows: dict[object, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._checked: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
 
     @cached_property
-    def _columns(self) -> dict[object, LinComb]:
-        """The web's matrix, evaluated once, by column key."""
-        matrix = evaluate(self.web)
-        return dict(zip(matrix.cols, matrix.columns))
+    def _matrix(self) -> QMatrix:
+        """The web's matrix, evaluated once."""
+        return evaluate(self.web)
 
     @cached_property
     def _walls(self) -> TranslationPath:
@@ -984,8 +1038,7 @@ class _TransportPlan:
 
     def sources(self, mu: tuple[int, ...], classes: list[Permutation]) -> list[tuple[int, ...]]:
         """The classes' source words ``psi(z, mu, f.bottom)``."""
-        bottom, block = self.web.bottom, self._block
-        return [_psi_word(z, mu, bottom, block) for z in classes]
+        return _psi_words(classes, mu, self.web.bottom, self._block)
 
     def curly(self, mu: tuple[int, ...], sources: list[tuple[int, ...]]) -> Tally:
         """Fold the box moves of each layer over the source words."""
@@ -998,35 +1051,36 @@ class _TransportPlan:
             )
         return words
 
-    def translation(self, mu: tuple[int, ...], classes: list[Permutation]) -> Tally:
+    def translation(self, mu: tuple[int, ...], classes: Sequence[Permutation]) -> Tally:
         """Push each flag class z along the web's walls to top words."""
-        push, top, block = self._walls.pusher(mu), self.web.top, self._top_block
-        return _tally(
-            ((i, mu, _psi_word(w, mu, top, block), e), 1)
-            for i, z in enumerate(classes)
-            for e, w in push([(0, z)])
-        )
+        push = self._walls.pusher(mu)
+        pushed = [(i, e, w) for i, z in enumerate(classes) for e, w in push([(0, z)])]
+        words = _psi_words((w for *_, w in pushed), mu, self.web.top, self._top_block)
+        return _tally(((i, mu, word, e), 1) for (i, e, _), word in zip(pushed, words))
 
-    def matrix(self, mu: tuple[int, ...], sources: list[tuple[int, ...]]) -> Tally:
-        """Read each source word's column of the web's matrix as fillings."""
-        columns, get, row = self._columns, self._rows.get, self._row
+    def matrix(self, mu: tuple[int, ...], positions: Sequence[int]) -> Tally:
+        """Read the web's matrix columns at the classes' positions as fillings."""
+        columns, get, row = self._matrix.columns, self._rows.get, self._row
         # distinct rows are distinct fillings, and a column holds no zero
         return {
             (i, *(get(row_key) or row(row_key)), e): c
-            for i, source in enumerate(sources)
-            for row_key, poly in columns[_phi_word(source, mu)].items()
+            for i, position in enumerate(positions)
+            for row_key, poly in columns[position].items()
             for e, c in poly.terms
         }
 
     def check(self, image: Tally) -> None:
-        """Run ``GrothVector``'s and ``psi_inverse``'s checks on each
-        (weight, word) of ``image`` not seen before on this web."""
+        """Run ``GrothVector``'s key check once per weight (and word
+        length) of ``image``, and ``psi_inverse``'s filling check once
+        per distinct word of a weight."""
         k, top = self.web.k, self.web.top
-        new = {(mu, word) for _, mu, word, _ in image} - self._checked
-        for mu, word in new:
-            _check_class_key(k, top, mu, len(word))
-            _check_filling(word, mu, mu, top)
-        self._checked |= new
+        weights: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+        for _, mu, word, _ in image:
+            weights.setdefault(mu, set()).add(word)
+        for mu, words in weights.items():
+            for size in set(map(len, words)):
+                _check_class_key(k, top, mu, size)
+            _check_fillings(words, mu, top)
 
 
 def grothendieck_map(
@@ -1048,10 +1102,14 @@ def grothendieck_map(
     k = f.k
 
     def image(mu: tuple[int, ...], classes: list[Permutation]) -> Tally:
+        # psi's check on the source words, on every route
+        sources = plan.sources(mu, classes)
+        if route == "curly":
+            return plan.curly(mu, sources)
         if route == "translation":
             return plan.translation(mu, classes)
-        sources = plan.sources(mu, classes)
-        return plan.curly(mu, sources) if route == "curly" else plan.matrix(mu, sources)
+        index = plan._matrix.cols.index
+        return plan.matrix(mu, [index(_phi_word(source, mu)) for source in sources])
 
     def apply(vec: GrothVector) -> GrothVector:
         if (vec.k, vec.nu) != (k, f.bottom):
@@ -1101,19 +1159,18 @@ def compare_theorem13(f: Web) -> bool:
 
     Runs over all weight compositions with exactly ``k`` parts (the
     web's rank) and all their minimal coset representatives for the
-    web's bottom content, listed for every weight in one pass.  Each
+    web's bottom content, read from the bottom's class table.  Each
     weight's classes run together through the web's transport plan, the
     three tallies are compared as plain dicts, and each image key is
     checked once: in one tally when they agree (they share their keys),
     in all three before a disagreement is reported.
     """
     plan = _TransportPlan(f)
-    for mu, classes in O_lists(all_compositions(sum(f.bottom), f.k), f.bottom):
-        sources = plan.sources(mu, classes)
+    for mu, classes, sources, positions in _class_table(f.k, f.bottom).weights():
         images = (
             plan.curly(mu, sources),
             plan.translation(mu, classes),
-            plan.matrix(mu, sources),
+            plan.matrix(mu, positions),
         )
         agree = images[0] == images[1] == images[2]
         for image in images[:1] if agree else images:

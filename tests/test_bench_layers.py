@@ -32,6 +32,7 @@ def test_every_line_is_one_layer_record(capsys):
         "bijection",
         "classes",
         "transport",
+        "groth",
         "laurent",
         "generator",
         "evaluate",

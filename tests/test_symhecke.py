@@ -34,6 +34,7 @@ from moycalc.symhecke import (
     _norm,
     _packing,
     _raw,
+    _rep_masks,
     _right_minimal_reps,
 )
 from moycalc.weblin import QMatrix
@@ -247,6 +248,30 @@ def test_right_minimal_reps_are_the_filtered_permutations_in_order(n):
     for nu in positive_compositions(n) + compositions_with_zero_parts(n):
         got = tuple(w.images for w in _right_minimal_reps(nu))
         assert got == _filtered_right_minimal_reps(nu), nu
+
+
+def _brute_force_masks(nu):
+    """Each representative's failing-pair mask from its definition: bit
+    i is set when the position of the value i does not lie in a strictly
+    earlier nu-block than the position of i + 1."""
+    block_of = [b for b, p in enumerate(nu) for _ in range(p)]
+    masks = {}
+    for images in _filtered_right_minimal_reps(nu):
+        position = {v: pos for pos, v in enumerate(images)}
+        masks[images] = sum(
+            1 << i
+            for i in range(1, len(images))
+            if block_of[position[i]] >= block_of[position[i + 1]]
+        )
+    return masks
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_rep_masks_match_the_brute_force_masks_in_order(n):
+    for nu in positive_compositions(n) + compositions_with_zero_parts(n):
+        got = _rep_masks(nu)
+        want = _brute_force_masks(nu)
+        assert list(got.items()) == list(want.items()), nu
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

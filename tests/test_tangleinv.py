@@ -1033,7 +1033,8 @@ def _check_plan_against_the_chain(plan, web, matrix, mu, classes):
     assert [
         LinComb(((mu, w), qp(e)) for e, w in push([(0, z)])) for z in classes
     ] == translations, where
-    assert plan.matrix(mu, sources) == _tally(
+    positions = [matrix.cols.index(phi(psi(z, mu, web.bottom), web.k)) for z in classes]
+    assert plan.matrix(mu, positions) == _tally(
         web, [_reference_matrix(web, matrix, mu, z) for z in classes]
     ), where
 
@@ -1214,3 +1215,67 @@ def test_a_translation_image_outside_the_restricted_set_raises(monkeypatch):
     monkeypatch.setattr(symhecke.TranslationPath, "pusher", off_the_set)
     for error in _malformed_image_raises(web, "translation"):
         assert "321 does not represent a qualifying coset" in error
+
+
+# ----------------------------------------------------------------------
+# the per-boundary class tables
+
+
+def _cosets_boundaries():
+    """The (k, boundary) pairs of the one-generator webs with n <= 5, k = 2..4."""
+    return sorted(
+        {
+            (web.k, web.bottom)
+            for k in (2, 3, 4)
+            for n in range(1, 6)
+            for web in special_generator_webs(n, k)
+        }
+    )
+
+
+@pytest.mark.parametrize("k, nu", _cosets_boundaries())
+def test_class_table_matches_the_public_bijections(k, nu):
+    basis = TensorBasis(k, nu)
+    want = []
+    for mu in all_compositions(sum(nu), k):
+        classes = sorted(O_set(mu, nu), key=lambda z: z.images)
+        if classes:
+            fillings = [psi(z, mu, nu) for z in classes]
+            want.append((
+                mu,
+                classes,
+                [g.flat() for g in fillings],
+                [basis.index(phi(g, k)) for g in fillings],
+            ))
+    got = [
+        (mu, list(classes), sources, list(positions))
+        for mu, classes, sources, positions in tangleinv._class_table(k, nu).weights()
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_class_outside_the_table_still_raises_on_every_route(route):
+    web = THREE_STRAND_MERGE
+    assert compare_theorem13(web)
+    assert tangleinv._class_table.cache_info().currsize >= 1
+    # 132 puts 2 above 3 in the column of (1, 2), so its coset does not qualify
+    z = Permutation((1, 3, 2))
+    assert z not in O_set((1, 2), web.bottom)
+    vec = GrothVector.basis(2, web.bottom, (1, 2), z)
+    with pytest.raises(ValueError, match="132 does not represent a qualifying coset"):
+        grothendieck_map(web, route=route)(vec)
+
+
+def test_the_class_tables_stay_at_their_bound():
+    boundaries = [
+        (k, nu)
+        for k in (2, 3, 4)
+        for n in range(1, 7)
+        for nu in positive_compositions(n)
+        if max(nu) <= k
+    ]
+    assert len(boundaries) > tangleinv._TABLE_BOUND
+    for k, nu in boundaries:
+        tangleinv._class_table(k, nu)
+    assert tangleinv._class_table.cache_info().currsize == tangleinv._TABLE_BOUND
