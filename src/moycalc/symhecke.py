@@ -862,12 +862,16 @@ class FlagList:
 
     Equality is multiset equality; ``text()`` renders the stored order
     while ``canonical_text()`` renders the sorted normal form
-    (ascending exponent, then word text)."""
+    (ascending exponent, then word text).  Each exponent must be an
+    ``int`` and each class a ``Permutation``."""
 
     terms: tuple[tuple[int, Permutation], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
+        for e, w in self.terms:
+            if type(e) is not int or not isinstance(w, Permutation):
+                raise ValueError(f"term ({e!r}, {w!r}) is not (int exponent, Permutation)")
 
     @classmethod
     def single(cls, w: Permutation, exponent: int = 0) -> "FlagList":
@@ -892,9 +896,6 @@ class FlagList:
         if not isinstance(other, FlagList):
             return NotImplemented
         return FlagList(self.terms + other.terms)
-
-    def shift(self, m: int) -> "FlagList":
-        return FlagList(tuple((e + m, w) for e, w in self.terms))
 
     def times_quantum(self, m: int) -> "FlagList":
         """[m]·self: one shifted copy per monomial of the quantum integer."""
@@ -930,10 +931,7 @@ class FlagList:
         return ", ".join(self._term_text(e, w) for e, w in self.terms)
 
     def canonical_text(self) -> str:
-        if not self.terms:
-            return "(empty)"
-        ordered = sorted(self.terms, key=lambda t: (t[0], t[1].word_text()))
-        return ", ".join(self._term_text(e, w) for e, w in ordered)
+        return FlagList(sorted(self.terms, key=lambda t: (t[0], t[1].word_text()))).text()
 
     def __str__(self) -> str:
         return self.text()
@@ -998,7 +996,7 @@ def _wall_step(
     """The translation move from wall ``src`` to wall ``dst``, analysed
     once per wall pair: a function taking (exponent, class) terms over
     ``src`` and the mu-restriction pair mask (or None) to the terms over
-    ``dst``.  Every input class is checked to be minimal over ``src``."""
+    ``dst``.  The input classes are trusted to be minimal over ``src``."""
     n = sum(src)
     split = _single_split(src, dst)
     if split is not None:
@@ -1012,7 +1010,6 @@ def _wall_step(
         )
 
         def out_of_wall(terms: list, mu_mask: int | None) -> list:
-            _check_classes(terms, src)
             return [(e + s, w * z) for e, w in terms for s, z in fan]
 
         return out_of_wall
@@ -1022,7 +1019,6 @@ def _wall_step(
         end = offset + a + b
 
         def onto_wall(terms: list, mu_mask: int | None) -> list:
-            _check_classes(terms, src)
             masks = _rep_masks(dst) if mu_mask is not None else None
             out = []
             for e, w in terms:
@@ -1053,7 +1049,8 @@ class TranslationPath:
     representatives with exponent offsets L - l(z)); a coarsening step
     moves onto the wall (each class is replaced by the minimal
     representative of its coset, with exponent offset -l(y)).  Each
-    step is analysed once per pair of walls and cached.
+    step is analysed once per pair of walls and cached.  ``push`` checks
+    its classes once, over the starting wall; the steps trust them.
     """
 
     def __init__(self, walls: Sequence[Sequence[int]]) -> None:
@@ -1073,17 +1070,15 @@ class TranslationPath:
         given, onto-wall steps drop the classes whose coset does not
         qualify for the mu-restricted class set.  ``mu`` must sum to the
         path's n, and every class must be a permutation of that size,
-        minimal over the starting wall."""
-        return self.pusher(mu)(terms)
+        minimal over the starting wall: checked here, once."""
+        _check_classes(terms, self.start)
+        return self._pusher(mu)(terms)
 
-    def pusher(self, mu: Sequence[int] | None = None) -> Callable[[list], list]:
-        """``push`` with ``mu`` checked once, for many classes of one weight."""
+    def _pusher(self, mu: Sequence[int] | None = None) -> Callable[[list], list]:
+        """``push`` for many trusted classes of one weight, ``mu`` checked once."""
         mu_mask = None if mu is None else _pair_mask(_parts_summing_to(mu, self.n))
 
         def push(terms: list) -> list:
-            if not self.steps:
-                # each step checks its input; a path without one checks here
-                _check_classes(terms, self.start)
             for step in self.steps:
                 terms = step(terms, mu_mask)
             return terms

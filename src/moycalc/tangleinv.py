@@ -29,7 +29,8 @@ formal Laurent combinations of restricted coset classes, computed by a
 choice of three routes: box-diagram moves on fillings, translation of
 flag classes, or the web's own matrix carried through the filling
 encodings.  ``compare_theorem13`` checks that the three routes agree
-on every basis vector.
+on every basis vector; both run the route kernels a weight at a time
+over the bottom's class table.  A class is checked once, in ``GrothVector``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .boxcomb import (
 )
 from .qlaurent import ONE, ZERO, LaurentPoly, LinComb, quantum_int
 from .reporting import Report
-from .symhecke import O_lists, Permutation, TranslationPath, _value_blocks
+from .symhecke import O_lists, Permutation, TranslationPath, _check_classes, _value_blocks
 from .weblin import QMatrix, TensorBasis, special_pairs
 from .webgraph import (
     Layer,
@@ -818,7 +819,7 @@ def _check_class_key(
 ) -> None:
     """Raise unless (mu, a class on ``size`` letters) keys a class over ``nu``."""
     n = sum(nu)
-    if len(mu) != k or any(p < 0 for p in mu):
+    if len(mu) != k or any(type(p) is not int or p < 0 for p in mu):
         raise ValueError(f"weight {mu} is not a composition with {k} parts")
     if sum(mu) != n or size != n:
         raise ValueError(f"key ({mu}, {size} letters) does not match content {nu}")
@@ -829,10 +830,10 @@ class GrothVector:
     """A finitely supported Laurent combination of basis classes.
 
     Coordinates are keyed by (weight composition with exactly ``k``
-    parts, minimal coset representative); all keys share the content
-    composition ``nu``.  Zero coordinates are dropped on construction.
-    A ``LinComb`` whose weights are already tuples is adopted as it is,
-    after its keys are checked.
+    ``int`` parts, minimal coset representative); all keys share the
+    content composition ``nu`` and are checked here, where classes
+    enter the transport.  Zero coordinates are dropped.  A ``LinComb``
+    whose weights are already tuples is adopted after its keys are checked.
     """
 
     k: int
@@ -845,7 +846,10 @@ class GrothVector:
         adopt = isinstance(coords, LinComb)
         for mu, z in coords:
             adopt = adopt and type(mu) is tuple
+            if not isinstance(z, Permutation):
+                raise ValueError(f"class {z!r} is not a Permutation")
             _check_class_key(self.k, self.nu, tuple(mu), z.n)
+        _check_classes([(0, z) for _, z in coords], self.nu)
         if not adopt:
             coords = LinComb(
                 ((tuple(mu), z), poly) for (mu, z), poly in coords.items()
@@ -957,13 +961,14 @@ class _ClassTable(NamedTuple):
     words: bytes
     positions: array
 
+    def weight(self, j: int) -> tuple[tuple[int, ...], tuple, list, array]:
+        """Weight j's (mu, classes, source words, column positions)."""
+        n, start, end = self.n, self.ends[j - 1] if j else 0, self.ends[j]
+        sources = [tuple(self.words[i : i + n]) for i in range(start * n, end * n, n)]
+        return self.mus[j], self.classes[start:end], sources, self.positions[start:end]
+
     def weights(self) -> Iterator[tuple[tuple[int, ...], tuple, list, array]]:
-        """(mu, classes, source words, column positions) per weight."""
-        n, words, start = self.n, self.words, 0
-        for mu, end in zip(self.mus, self.ends):
-            sources = [tuple(words[i : i + n]) for i in range(start * n, end * n, n)]
-            yield mu, self.classes[start:end], sources, self.positions[start:end]
-            start = end
+        return map(self.weight, range(len(self.mus)))
 
 
 @lru_cache(maxsize=_TABLE_BOUND)
@@ -995,14 +1000,14 @@ class _TransportPlan:
     """The per-web work of the three transport routes, done once.
 
     A plan carries each basis class (mu, z) as a box word over mu: its
-    source word is ``psi``'s, from the boundary's class table or written
-    and checked column-strict by ``sources``.  Each route takes one
-    weight's list of classes and returns a ``Tally`` keyed by their index
-    and top box words, so images compare with one dict ``==`` and each
-    route crosses at most one bijection: the curly kernel folds the
-    layers' box moves over the source words; the translation kernel
-    pushes each z along the web's walls, each wall step analysed once,
-    and writes the images as ``psi`` words, one weight at a time; the
+    source word is ``psi``'s, from the boundary's class table.  Each
+    route takes one table weight (mu, classes, source words, positions),
+    reads only the fields it needs, and returns a ``Tally`` keyed by the
+    classes' index and top box words, so images compare with one dict
+    ``==`` and each route crosses at most one bijection: the curly
+    kernel folds the layers' box moves over the source words; the
+    translation kernel pushes each z along the web's walls, each wall
+    step analysed once, and writes the images as ``psi`` words; the
     matrix kernel reads the columns at the classes' positions in the
     web's matrix, evaluated once, as ``phi_inverse`` words, once per
     distinct row.  ``check`` checks each weight's keys once and each
@@ -1017,7 +1022,6 @@ class _TransportPlan:
                     f"layer {i} is {layer.kind}"
                 )
         self.web = f
-        self._block = _value_blocks(f.bottom)
         self._top_block = _value_blocks(f.top)
         self._rows: dict[object, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
@@ -1036,11 +1040,7 @@ class _TransportPlan:
         key = self._rows[row_key] = (shape, word)
         return key
 
-    def sources(self, mu: tuple[int, ...], classes: list[Permutation]) -> list[tuple[int, ...]]:
-        """The classes' source words ``psi(z, mu, f.bottom)``."""
-        return _psi_words(classes, mu, self.web.bottom, self._block)
-
-    def curly(self, mu: tuple[int, ...], sources: list[tuple[int, ...]]) -> Tally:
+    def curly(self, mu: tuple[int, ...], classes, sources, positions) -> Tally:
         """Fold the box moves of each layer over the source words."""
         words = {(i, mu, source, 0): 1 for i, source in enumerate(sources)}
         for layer in self.web.layers:
@@ -1051,14 +1051,14 @@ class _TransportPlan:
             )
         return words
 
-    def translation(self, mu: tuple[int, ...], classes: Sequence[Permutation]) -> Tally:
+    def translation(self, mu: tuple[int, ...], classes, sources, positions) -> Tally:
         """Push each flag class z along the web's walls to top words."""
-        push = self._walls.pusher(mu)
+        push = self._walls._pusher(mu)
         pushed = [(i, e, w) for i, z in enumerate(classes) for e, w in push([(0, z)])]
         words = _psi_words((w for *_, w in pushed), mu, self.web.top, self._top_block)
         return _tally(((i, mu, word, e), 1) for (i, e, _), word in zip(pushed, words))
 
-    def matrix(self, mu: tuple[int, ...], positions: Sequence[int]) -> Tally:
+    def matrix(self, mu: tuple[int, ...], classes, sources, positions) -> Tally:
         """Read the web's matrix columns at the classes' positions as fillings."""
         columns, get, row = self._matrix.columns, self._rows.get, self._row
         # distinct rows are distinct fillings, and a column holds no zero
@@ -1095,21 +1095,33 @@ def grothendieck_map(
     "matrix" reads columns of the web's own matrix through the filling
     encodings.  All three return the same map when the theory holds;
     ``compare_theorem13`` asserts exactly that.
+
+    The map runs its route once per weight of the bottom's class table,
+    checking the tally once; a class outside the table raises ``psi``'s error.
     """
     if route not in _ROUTES:
         raise ValueError(f"unknown route {route!r}; have {', '.join(_ROUTES)}")
     plan = _TransportPlan(f)
-    k = f.k
+    k, table = f.k, _class_table(f.k, f.bottom)
+    # mu -> class -> its image's (key, q^e, count) terms
+    images: dict[tuple[int, ...], dict[Permutation, list]] = {}
 
-    def image(mu: tuple[int, ...], classes: list[Permutation]) -> Tally:
-        # psi's check on the source words, on every route
-        sources = plan.sources(mu, classes)
-        if route == "curly":
-            return plan.curly(mu, sources)
-        if route == "translation":
-            return plan.translation(mu, classes)
-        index = plan._matrix.cols.index
-        return plan.matrix(mu, [index(_phi_word(source, mu)) for source in sources])
+    def class_terms(mu: tuple[int, ...], z: Permutation) -> list:
+        if mu not in images and mu in table.mus:
+            _, classes, *_ = weight = table.weight(table.mus.index(mu))
+            tally = getattr(plan, route)(*weight)
+            plan.check(tally)
+            tops = {w: _psi_inverse_word(w, f.top) for _, _, w, _ in tally}
+            terms: dict[Permutation, list] = {y: [] for y in classes}
+            for (i, top_mu, word, e), c in tally.items():
+                terms[classes[i]].append(((top_mu, tops[word]), LaurentPoly.q_power(e), c))
+            images[mu] = terms
+        if z not in images.get(mu, ()):
+            raise ValueError(
+                f"{z.one_line_text()} does not represent a qualifying "
+                f"coset for shape {mu} and content {f.bottom}"
+            )
+        return images[mu][z]
 
     def apply(vec: GrothVector) -> GrothVector:
         if (vec.k, vec.nu) != (k, f.bottom):
@@ -1117,16 +1129,10 @@ def grothendieck_map(
                 f"vector over k={vec.k}, nu={vec.nu} does not match "
                 f"the web's source k={k}, nu={f.bottom}"
             )
-        tallies = [(coeff, image(mu, [z])) for (mu, z), coeff in vec.coords.items()]
-        for _, tally in tallies:
-            plan.check(tally)
-        classes = {
-            w: _psi_inverse_word(w, f.top) for _, t in tallies for _, _, w, _ in t
-        }
         total = LinComb.of_products(
-            ((weight, classes[word]), LaurentPoly.q_power(e), coeff * c)
-            for coeff, tally in tallies
-            for (_, weight, word, e), c in tally.items()
+            (key, power, coeff * c)
+            for (mu, z), coeff in vec.coords.items()
+            for key, power, c in class_terms(mu, z)
         )
         return GrothVector(k, f.top, total)
 
@@ -1166,12 +1172,8 @@ def compare_theorem13(f: Web) -> bool:
     in all three before a disagreement is reported.
     """
     plan = _TransportPlan(f)
-    for mu, classes, sources, positions in _class_table(f.k, f.bottom).weights():
-        images = (
-            plan.curly(mu, sources),
-            plan.translation(mu, classes),
-            plan.matrix(mu, positions),
-        )
+    for weight in _class_table(f.k, f.bottom).weights():
+        images = [getattr(plan, route)(*weight) for route in _ROUTES]
         agree = images[0] == images[1] == images[2]
         for image in images[:1] if agree else images:
             plan.check(image)

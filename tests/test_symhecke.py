@@ -1046,6 +1046,15 @@ def test_kink_table_regression(k):
         assert got.canonical_text() == want.canonical_text()
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [((0.5, Permutation.identity(2)),), ((True, Permutation.identity(2)),), ((0, "12"),)],
+)
+def test_flag_list_terms_are_int_exponents_and_permutations(terms):
+    with pytest.raises(ValueError, match="is not \\(int exponent, Permutation\\)"):
+        FlagList(terms)
+
+
 def test_translation_drops_classes_outside_the_restricted_set():
     e2 = Permutation.identity(2)
     assert translation_flag(

@@ -29,6 +29,7 @@ from moycalc.symhecke import (
     O_lists,
     O_set,
     Permutation,
+    TranslationPath,
     _in_block_pairs,
     _is_right_minimal,
     _single_split,
@@ -666,6 +667,20 @@ def test_vector_validates_keys():
         GrothVector(2, (1, 1), {((1, 1), e(3)): ONE})
 
 
+def test_vector_checks_its_classes_where_they_enter():
+    with pytest.raises(ValueError, match=r"class 213 is not minimal over \(2, 1\)"):
+        GrothVector.basis(3, (2, 1), (1, 1, 1), Permutation((2, 1, 3)))
+    with pytest.raises(ValueError, match="not a Permutation"):
+        GrothVector.basis(2, (1, 1), (1, 1), "12")
+    assert not GrothVector.basis(3, (2, 1), (1, 1, 1), Permutation((1, 3, 2))).is_zero()
+
+
+@pytest.mark.parametrize("mu", [(1.0, 1), (True, 1), (1, 1.0)])
+def test_vector_weights_have_int_parts(mu):
+    with pytest.raises(ValueError, match="not a composition with 2 parts"):
+        GrothVector.basis(2, (1, 1), mu, e(2))
+
+
 def test_vector_addition_and_scaling():
     basis = GrothVector.basis(2, (1, 1), (1, 1), e(2))
     double = basis + basis
@@ -1019,22 +1034,22 @@ def _tally(web, images):
 
 
 def _check_plan_against_the_chain(plan, web, matrix, mu, classes):
-    sources = plan.sources(mu, classes)
-    assert sources == [psi(z, mu, web.bottom).flat() for z in classes]
+    fillings = [psi(z, mu, web.bottom) for z in classes]
+    positions = [matrix.cols.index(phi(g, web.k)) for g in fillings]
+    weight = (mu, classes, [g.flat() for g in fillings], positions)
     where = (web.text(), mu, [z.one_line_text() for z in classes])
-    assert plan.curly(mu, sources) == _tally(
+    assert plan.curly(*weight) == _tally(
         web, [_reference_curly(web, mu, z) for z in classes]
     ), where
     translations = [_reference_translation(web, mu, z) for z in classes]
-    assert plan.translation(mu, classes) == _tally(web, translations), where
+    assert plan.translation(*weight) == _tally(web, translations), where
     # the tally keeps only each image's top word: check the classes the
     # wall steps push to, representatives included
-    push = plan._walls.pusher(mu)
+    push = plan._walls._pusher(mu)
     assert [
         LinComb(((mu, w), qp(e)) for e, w in push([(0, z)])) for z in classes
     ] == translations, where
-    positions = [matrix.cols.index(phi(psi(z, mu, web.bottom), web.k)) for z in classes]
-    assert plan.matrix(mu, positions) == _tally(
+    assert plan.matrix(*weight) == _tally(
         web, [_reference_matrix(web, matrix, mu, z) for z in classes]
     ), where
 
@@ -1206,15 +1221,54 @@ def test_a_translation_image_outside_the_restricted_set_raises(monkeypatch):
     web = THREE_STRAND_MERGE
     longest = Permutation((3, 2, 1))
     assert all(longest not in O_set(mu, web.top) for mu in all_compositions(3, 2))
-    pusher = symhecke.TranslationPath.pusher
+    pusher = symhecke.TranslationPath._pusher
 
     def off_the_set(path, mu=None):
         push = pusher(path, mu)
         return lambda terms: [(e, longest) for e, _ in push(terms)]
 
-    monkeypatch.setattr(symhecke.TranslationPath, "pusher", off_the_set)
+    monkeypatch.setattr(symhecke.TranslationPath, "_pusher", off_the_set)
     for error in _malformed_image_raises(web, "translation"):
         assert "321 does not represent a qualifying coset" in error
+
+
+def _counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` to record each call's arguments; returns the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_map_runs_its_route_once_per_weight(route, monkeypatch):
+    web = THREE_STRAND_MERGE
+    table = tangleinv._class_table(web.k, web.bottom)
+    assert len(table.classes) > len(table.mus)
+    calls = _counting(monkeypatch, tangleinv._TransportPlan, route)
+    apply = grothendieck_map(web, route=route)
+    for mu, classes, _, _ in table.weights():
+        for z in classes:
+            apply(GrothVector.basis(web.k, web.bottom, mu, z))
+    assert len(calls) == len(table.mus)
+
+
+def test_classes_are_checked_where_they_enter_the_walls(monkeypatch):
+    calls = _counting(monkeypatch, symhecke, "_check_classes")
+    for k in (2, 3, 4):
+        for n in range(1, 6):
+            for web in special_generator_webs(n, k):
+                assert compare_theorem13(web)
+    assert calls == []
+    path = TranslationPath(SPLIT_MERGE_WEB.boundaries)
+    assert len(path.steps) == 2
+    path.push([(0, e(3))], (1, 1, 1))
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------
