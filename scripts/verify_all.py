@@ -12,27 +12,22 @@ from __future__ import annotations
 import sys
 from time import perf_counter
 
-from moycalc.foamalg import verify_foam
 from moycalc.reporting import Report, all_passed
-from moycalc.tangleinv import reidemeister_suite
-from moycalc.verify import bijections_suite, groth_suite, hecke_suite
-from moycalc.webgraph import verify_moy
+from moycalc.verify import SUITES
+
+# (suite, n, k) in report order; a suite ignores the parameter it does not take
+GRID = (
+    *(("moy", 0, k) for k in (2, 3, 4)),
+    *(("reidemeister", 0, k) for k in (2, 3, 4)),
+    *(("bijections", n, 3) for n in (2, 3, 4, 5)),
+    *(("hecke", n, 0) for n in (2, 3, 4, 5)),
+    *(("groth", 4, k) for k in (2, 3, 4)),
+    ("foam", 0, 0),
+)
 
 
 def gather() -> list[Report]:
-    reports: list[Report] = []
-    for k in (2, 3, 4):
-        reports.extend(verify_moy(k))
-    for k in (2, 3, 4):
-        reports.extend(reidemeister_suite(k))
-    for n in (2, 3, 4, 5):
-        reports.extend(bijections_suite(n, 3))
-    for n in (2, 3, 4, 5):
-        reports.extend(hecke_suite(n))
-    for k in (2, 3, 4):
-        reports.extend(groth_suite(4, k))
-    reports.extend(verify_foam())
-    return reports
+    return [report for name, n, k in GRID for report in SUITES[name].run(n, k)]
 
 
 def main() -> int:

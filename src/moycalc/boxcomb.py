@@ -33,7 +33,7 @@ runs the kernels directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from typing import Iterable, Sequence
 
 from .qlaurent import ONE, LaurentPoly, LinComb
@@ -42,6 +42,7 @@ from .symhecke import (
     _blocks,
     _in_block_pairs,
     _inversion_count,
+    _is_strict,
     _value_blocks,
     parts_of,
 )
@@ -113,12 +114,6 @@ def _cut(word: Sequence[int], shape: Sequence[int]) -> tuple[tuple[int, ...], ..
         columns.append(tuple(word[start : start + p]))
         start += p
     return tuple(columns)
-
-
-def _is_strict(word: Sequence[int], pairs: tuple[int, ...]) -> bool:
-    """Whether every entry is smaller than the one directly below it,
-    given the shape's in-column pairs (``_in_block_pairs(shape)``)."""
-    return all(word[i - 1] < word[i] for i in pairs)
 
 
 def _content(word: Sequence[int]) -> tuple[int, ...]:
@@ -266,11 +261,8 @@ def _phi_word(word: Sequence[int], shape: Sequence[int]) -> tuple[tuple[int, ...
     """phi on a column-strict box word: factor i lists the columns
     holding i, in increasing order because boxes run column by column."""
     key: list[list[int]] = [[] for _ in range(max(word, default=0))]
-    start = 0
-    for j, p in enumerate(shape, start=1):
-        for v in word[start : start + p]:
-            key[v - 1].append(j)
-        start += p
+    for v, j in zip(word, _value_blocks(shape)):
+        key[v - 1].append(j)
     return tuple(tuple(cols) for cols in key)
 
 
@@ -387,13 +379,9 @@ def _check_fillings(
 def _psi_inverse_word(word: Sequence[int], nu: tuple[int, ...]) -> Permutation:
     """The shortest class of a checked box word: each content block's
     values go to its boxes in box order."""
-    next_value = []
-    start = 0
-    for p in nu:
-        next_value.append(start)
-        start += p
+    next_value = list(accumulate(nu, initial=0))
     # the content check makes the assigned values exactly 1..n, once each
-    images = [0] * start
+    images = [0] * len(word)
     for box, v in enumerate(word, start=1):
         images[next_value[v - 1]] = box
         next_value[v - 1] += 1

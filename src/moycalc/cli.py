@@ -16,7 +16,8 @@ Subcommands:
   given content
 
 Exit codes: 0 when the command (and every check, for ``verify``)
-succeeds, 1 when a verification check fails, 2 on input errors.  The
+succeeds, 1 when a verification check fails, 2 on input errors: a
+``ValueError`` from any command is caught once, in ``main``.  The
 enumeration bounds n <= 8 and k <= 4 are enforced when arguments are
 parsed, and a rank read from a file header is held to the same bound.
 All output is deterministic: polynomial text is canonical and report
@@ -118,18 +119,15 @@ def _file_command(args: argparse.Namespace, parse: Callable, value: Callable) ->
     ``--k`` is given, and print the value of what was parsed."""
     try:
         source = Path(args.file).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
+    except OSError as err:
         return _fail(str(err))
-    try:
-        parsed = parse(source)
-        if args.k is None and parsed.k is not None and parsed.k > MAX_K:
-            _, line, col = next(slice_chunks(source))
-            raise WebParseError(
-                f"k out of range: need k <= {MAX_K}, got {parsed.k}", line, col
-            )
-        print(value(parsed))
-    except ValueError as err:
-        return _fail(str(err))
+    parsed = parse(source)
+    if args.k is None and parsed.k is not None and parsed.k > MAX_K:
+        _, line, col = next(slice_chunks(source))
+        raise WebParseError(
+            f"k out of range: need k <= {MAX_K}, got {parsed.k}", line, col
+        )
+    print(value(parsed))
     return 0
 
 
@@ -165,11 +163,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_rs(args: argparse.Namespace) -> int:
-    try:
-        w = _parse_permutation(args.permutation)
-    except ValueError as err:
-        return _fail(str(err))
-    insertion, recording = rs_tableaux(w)
+    insertion, recording = rs_tableaux(_parse_permutation(args.permutation))
 
     def rows(tableau: tuple[tuple[int, ...], ...]) -> str:
         return ",".join(
@@ -182,21 +176,14 @@ def cmd_rs(args: argparse.Namespace) -> int:
 
 
 def cmd_hecke(args: argparse.Namespace) -> int:
-    try:
-        w = _parse_permutation(args.permutation)
-    except ValueError as err:
-        return _fail(str(err))
-    print(kl_element(w).text())
+    print(kl_element(_parse_permutation(args.permutation)).text())
     return 0
 
 
 def cmd_fillings(args: argparse.Namespace) -> int:
-    try:
-        mu = _parse_composition(args.mu, "shape")
-        nu = _parse_composition(args.nu, "content")
-        found = column_strict_fillings(mu, nu)
-    except ValueError as err:
-        return _fail(str(err))
+    mu = _parse_composition(args.mu, "shape")
+    nu = _parse_composition(args.nu, "content")
+    found = column_strict_fillings(mu, nu)
     for filling in sorted(found, key=lambda f: f.columns):
         print(filling.text())
     print(f"total {len(found)}")
@@ -214,23 +201,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    eval_web = sub.add_parser(
-        "eval-web", help="evaluate a web file (scalar or matrix)"
-    )
-    eval_web.add_argument("--file", required=True, help="web source file")
-    eval_web.add_argument(
-        "--k", type=_bounded("k", MAX_K), default=None, help="rank override"
-    )
-    eval_web.set_defaults(handler=cmd_eval_web)
-
-    link = sub.add_parser(
-        "link-poly", help="evaluate a closed tangle word to the invariant"
-    )
-    link.add_argument("--file", required=True, help="tangle source file")
-    link.add_argument(
-        "--k", type=_bounded("k", MAX_K), default=None, help="rank override"
-    )
-    link.set_defaults(handler=cmd_link_poly)
+    for name, source, handler, help_text in (
+        ("eval-web", "web", cmd_eval_web, "evaluate a web file (scalar or matrix)"),
+        (
+            "link-poly", "tangle", cmd_link_poly,
+            "evaluate a closed tangle word to the invariant",
+        ),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--file", required=True, help=f"{source} source file")
+        command.add_argument(
+            "--k", type=_bounded("k", MAX_K), default=None, help="rank override"
+        )
+        command.set_defaults(handler=handler)
 
     check = sub.add_parser("verify", help="run a verification suite")
     check.add_argument("suite", choices=list(verify.SUITES))
@@ -239,17 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--format", choices=["text", "records"], default="text")
     check.set_defaults(handler=cmd_verify)
 
-    rs = sub.add_parser(
-        "rs", help="insertion/recording tableaux of a permutation"
-    )
-    rs.add_argument("permutation", help="one-line word, e.g. 2413")
-    rs.set_defaults(handler=cmd_rs)
-
-    hecke = sub.add_parser(
-        "hecke", help="Kazhdan-Lusztig element in the standard basis"
-    )
-    hecke.add_argument("permutation", help="one-line word, e.g. 321")
-    hecke.set_defaults(handler=cmd_hecke)
+    for name, example, handler, help_text in (
+        ("rs", "2413", cmd_rs, "insertion/recording tableaux of a permutation"),
+        ("hecke", "321", cmd_hecke, "Kazhdan-Lusztig element in the standard basis"),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("permutation", help=f"one-line word, e.g. {example}")
+        command.set_defaults(handler=handler)
 
     fillings = sub.add_parser(
         "fillings", help="column-strict fillings of a shape with a content"
@@ -263,7 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ValueError as err:
+        return _fail(str(err))
 
 
 if __name__ == "__main__":

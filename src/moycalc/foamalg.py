@@ -235,10 +235,6 @@ class FlagRingElement(_RingElement):
     _names = ("1", "X1", "X2", "X1X2", "X1^2", "X1X2^2")
     _size_error = "need 6 coordinates, got {}"
 
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        return self.coeffs
-
     @classmethod
     def generator(cls, index: int) -> "FlagRingElement":
         """The class of X1, X2, or X3 (the last is -X1 - X2)."""
@@ -442,6 +438,11 @@ class FoamMap:
         )
 
 
+def _image_row(a: FrobElement) -> dict[tuple[int], Fraction]:
+    """An algebra element as an image row on the one-factor basis."""
+    return {(p,): coeff for p, coeff in enumerate(a.coeffs)}
+
+
 @lru_cache(maxsize=None)
 def _catalogue() -> dict[str, tuple[FoamMap, int]]:
     """Built once; ``basic_map`` hands out copies of these maps."""
@@ -478,13 +479,13 @@ def _catalogue() -> dict[str, tuple[FoamMap, int]]:
             ),
             1,
         ),
-        # closed-surface foams on one sheet: the three-dimensional algebra
-        "circle-birth": (
-            FoamMap((), (3,), {(): {(0,): 1}}),
-            -2,
-        ),
+        # closed-surface foams on one sheet: the structure maps of the
+        # three-dimensional algebra
+        "circle-birth": (FoamMap((), (3,), {(): _image_row(FrobElement.one())}), -2),
         "circle-death": (
-            FoamMap((3,), (), {(2,): {(): -1}}),
+            FoamMap(
+                (3,), (), {(p,): {(): frob_trace(x)} for p, x in enumerate(_FROB_BASIS)}
+            ),
             -2,
         ),
         "tube-merge": (
@@ -492,10 +493,9 @@ def _catalogue() -> dict[str, tuple[FoamMap, int]]:
                 (3, 3),
                 (3,),
                 {
-                    (i, j): {(i + j,): 1}
-                    for i in range(3)
-                    for j in range(3)
-                    if i + j <= 2
+                    (i, j): _image_row(x * y)
+                    for i, x in enumerate(_FROB_BASIS)
+                    for j, y in enumerate(_FROB_BASIS)
                 },
             ),
             2,
@@ -504,10 +504,7 @@ def _catalogue() -> dict[str, tuple[FoamMap, int]]:
             FoamMap(
                 (3,),
                 (3, 3),
-                {
-                    (power,): frob_comul(FrobElement.x(power))
-                    for power in range(3)
-                },
+                {(p,): frob_comul(x) for p, x in enumerate(_FROB_BASIS)},
             ),
             2,
         ),
@@ -631,25 +628,31 @@ def _frobenius_failures() -> list[str]:
     return failures
 
 
+def _family_report(
+    check: str, anchor: str, held: str, failures: list[str]
+) -> Report:
+    """A family's report: its witness says what ``held``, or lists the
+    first four failures."""
+    return Report(
+        check=check,
+        anchor=anchor,
+        passed=not failures,
+        witness="; ".join(failures[:4]) if failures else held,
+    )
+
+
 def verify_foam() -> list[Report]:
     """Exact checks of the whole foam shadow, one report per family."""
     reports = []
 
-    failures = _frobenius_failures()
     reports.append(
-        Report(
-            check="foam-frobenius",
-            anchor=(
-                "C[x]/(x^3) with the signed comultiplication and the "
-                "trace -1 on x^2 is a commutative Frobenius algebra"
-            ),
-            passed=not failures,
-            witness=(
-                "unit, associativity, counit, coassociativity and the "
-                "compatibility square hold on the full basis"
-                if not failures
-                else "; ".join(failures[:4])
-            ),
+        _family_report(
+            "foam-frobenius",
+            "C[x]/(x^3) with the signed comultiplication and the "
+            "trace -1 on x^2 is a commutative Frobenius algebra",
+            "unit, associativity, counit, coassociativity and the "
+            "compatibility square hold on the full basis",
+            _frobenius_failures(),
         )
     )
 
@@ -688,19 +691,13 @@ def verify_foam() -> list[Report]:
         if len({d1, d2, d3}) < 3 and theta_eval(d1, d2, d3) != 0:
             theta_failures.append(f"({d1},{d2},{d3}) != 0")
     reports.append(
-        Report(
-            check="foam-theta",
-            anchor=(
-                "theta surfaces evaluate to the sign of the dot "
-                "arrangement: +1 on even arrangements of 0,1,2 dots, "
-                "-1 on odd ones, 0 whenever two disks carry equal dots"
-            ),
-            passed=not theta_failures,
-            witness=(
-                "all dot triples up to 3 dots per disk"
-                if not theta_failures
-                else "; ".join(theta_failures[:4])
-            ),
+        _family_report(
+            "foam-theta",
+            "theta surfaces evaluate to the sign of the dot "
+            "arrangement: +1 on even arrangements of 0,1,2 dots, "
+            "-1 on odd ones, 0 whenever two disks carry equal dots",
+            "all dot triples up to 3 dots per disk",
+            theta_failures,
         )
     )
 
@@ -735,18 +732,12 @@ def verify_foam() -> list[Report]:
                     f"{mapped.degree()} != {foam_degree(name, dots)}"
                 )
     reports.append(
-        Report(
-            check="foam-degrees",
-            anchor=(
-                "the degree of every basic foam piece equals the degree "
-                "of its linear map, shifts included, and each dot adds 2"
-            ),
-            passed=not degree_failures,
-            witness=(
-                "all catalogue entries with up to two dots"
-                if not degree_failures
-                else "; ".join(degree_failures[:4])
-            ),
+        _family_report(
+            "foam-degrees",
+            "the degree of every basic foam piece equals the degree "
+            "of its linear map, shifts included, and each dot adds 2",
+            "all catalogue entries with up to two dots",
+            degree_failures,
         )
     )
 

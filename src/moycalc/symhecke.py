@@ -295,10 +295,10 @@ def _in_block_pairs(mu: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i for block in _blocks(mu) for i in block[:-1])
 
 
-def _is_right_minimal(w: Permutation, pairs: tuple[int, ...]) -> bool:
-    """w minimal in w·S_mu: entries at in-block positions increase."""
-    images = w.images
-    return all(images[i - 1] < images[i] for i in pairs)
+def _is_strict(word: Sequence[int], pairs: tuple[int, ...]) -> bool:
+    """Whether entries rise across every in-block pair (``_in_block_pairs``):
+    a box word is column-strict, a one-line word is minimal in w·S_mu."""
+    return all(word[i - 1] < word[i] for i in pairs)
 
 
 def min_coset_reps(mu: Sequence[int], side: str) -> set[Permutation]:
@@ -976,16 +976,18 @@ def _single_split(
 
 
 def _check_classes(terms: list, wall: tuple[int, ...]) -> None:
-    """Every class of the (exponent, class) terms is a permutation of
-    the wall's n, minimal over the wall."""
+    """Every class of the (exponent, class) terms is a ``Permutation``
+    of the wall's n, minimal over the wall."""
     n = sum(wall)
     pairs = _in_block_pairs(wall)
     for _, w in terms:
+        if not isinstance(w, Permutation):
+            raise ValueError(f"class {w!r} is not a Permutation")
         if len(w.images) != n:
             raise ValueError(
                 f"class {w.one_line_text()} is not a permutation of size n={n}"
             )
-        if not _is_right_minimal(w, pairs):
+        if not _is_strict(w.images, pairs):
             raise ValueError(f"class {w.one_line_text()} is not minimal over {wall}")
 
 

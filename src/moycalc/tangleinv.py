@@ -17,10 +17,10 @@ quantum integer [k].
 
 Verification lives next to the pipeline: ``skein_check`` tests the
 defining relation q^k P(L+) - q^-k P(L-) = (q - q^-1) P(L0) on a
-validated triple, ``skein_oracle`` recomputes rank-2 values by
-expanding every crossing into two weighted crossingless pictures
-(never touching the crossing matrices), ``reidemeister_suite`` asserts
-the kink, sliding, braid, and zig-zag moves as exact matrix
+validated triple, ``skein_oracle`` recomputes rank-2 values as one
+sum over the product of every crossing's two weighted crossingless
+pictures (never touching the crossing matrices), ``reidemeister_suite``
+asserts the kink, sliding, braid, and zig-zag moves as exact matrix
 identities, and ``move_pairs`` manufactures closed diagram pairs
 related by a single move for regression runs over the ``CORPUS``.
 
@@ -39,6 +39,8 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import product
+from math import prod
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .boxcomb import (
@@ -362,12 +364,16 @@ def link_poly(t: TangleWord, k: int | None = None) -> LaurentPoly:
     boundary strands is rejected.
     """
     rank = _resolve_rank(t, k)
+    _require_closed(t)
+    return evaluate_closed(to_web(t, rank))
+
+
+def _require_closed(t: TangleWord) -> None:
     if not t.is_closed:
         raise ValueError(
             "closed tangle word required; boundary is "
             f"{_signs_text(t.bottom)!r} -> {_signs_text(t.top)!r}"
         )
-    return evaluate_closed(to_web(t, rank))
 
 
 # ----------------------------------------------------------------------
@@ -387,35 +393,25 @@ def _with_layers(
     return TangleWord(t.bottom, tuple(layers), t.k)
 
 
-def _smoothing_layers(
-    t: TangleWord, index: int
-) -> tuple[TangleLayer, ...]:
-    """The oriented smoothing of the crossing at layer ``index``: drop
-    it when its strands are parallel, turn them back when they are
-    antiparallel."""
-    layer = t.layers[index]
-    p = layer.pos
-    below = t.boundaries[index]
-    first, second = below[p - 1], below[p]
-    if first == second:
-        return ()
-    return (
-        TangleLayer("cap", p),
-        TangleLayer("cup", p, (second, first)),
-    )
-
-
 def skein_triple(
     t: TangleWord, index: int
 ) -> tuple[TangleWord, TangleWord, TangleWord]:
-    """The words (L+, L-, L0) that differ only at crossing ``index``."""
+    """The words (L+, L-, L0) that differ only at crossing ``index``.
+
+    L0 is the oriented smoothing: the crossing is dropped when its
+    strands are parallel and turned back when they are antiparallel."""
     if index not in crossing_sites(t):
         raise ValueError(f"layer {index} of the word is not a crossing")
     pos = t.layers[index].pos
+    first, second = t.boundaries[index][pos - 1 : pos + 1]
+    smoothing = () if first == second else (
+        TangleLayer("cap", pos),
+        TangleLayer("cup", pos, (second, first)),
+    )
     before, after = t.layers[:index], t.layers[index + 1 :]
     plus = _with_layers(t, before + (TangleLayer("X+", pos),) + after)
     minus = _with_layers(t, before + (TangleLayer("X-", pos),) + after)
-    zero = _with_layers(t, before + _smoothing_layers(plus, index) + after)
+    zero = _with_layers(t, before + smoothing + after)
     return plus, minus, zero
 
 
@@ -447,18 +443,16 @@ def skein_check(
             f"{len(diffs)} layers, need exactly one"
         )
     site = diffs[0]
-    at_plus, at_minus = plus.layers[site], minus.layers[site]
-    if (at_plus.kind, at_minus.kind) != ("X+", "X-") or (
-        at_plus.pos != at_minus.pos
+    pos = plus.layers[site].pos
+    if (plus.layers[site], minus.layers[site]) != (
+        TangleLayer("X+", pos),
+        TangleLayer("X-", pos),
     ):
         raise ValueError(
             "skein triple mismatch: the differing site must hold X+ "
             "against X- at one position"
         )
-    expected_zero = plus.layers[:site] + _smoothing_layers(
-        plus, site
-    ) + plus.layers[site + 1 :]
-    if zero.layers != expected_zero:
+    if zero.layers != skein_triple(plus, site)[2].layers:
         raise ValueError(
             "skein triple mismatch: the third word is not the oriented "
             "smoothing at the differing site"
@@ -475,72 +469,43 @@ def skein_check(
 # ----------------------------------------------------------------------
 # the independent rank-2 oracle
 
-@dataclass(frozen=True)
-class _Site:
-    """One crossing in the expansion: two weighted crossingless
-    pictures, each a run of ("cup"|"cap", position) shadow moves."""
-
-    branches: tuple[tuple[LaurentPoly, tuple[tuple[str, int], ...]], ...]
-
-
 def skein_oracle(t: TangleWord, k: int = 2) -> LaurentPoly:
     """Brute-force value of a closed word by crossing resolution.
 
     Defined for rank 2 only.  Every crossing contributes two
     crossingless pictures whose weights come from the crossing's sign
-    and whether its strands are parallel; resolving all crossings
-    leaves plain cup/cap diagrams, whose circles are counted directly
-    and each contribute a factor [2].  Neither the crossing matrices
-    nor the web evaluation pipeline is touched, so agreement with
-    ``link_poly`` cross-validates both.
+    and whether its strands are parallel; the value sums, over every
+    choice of one picture per crossing, the product of the chosen
+    weights times [2] per circle of the resulting cup/cap diagram.
+    Neither the crossing matrices nor the web evaluation pipeline is
+    touched, so agreement with ``link_poly`` cross-validates both.
     """
     if k != 2:
         raise ValueError(
             f"the skein-resolution oracle covers only k=2, got k={k}"
         )
-    if not t.is_closed:
-        raise ValueError(
-            "closed tangle word required; boundary is "
-            f"{_signs_text(t.bottom)!r} -> {_signs_text(t.top)!r}"
-        )
-    slots: list[object] = []
+    _require_closed(t)
+    # each layer's weighted pictures (sign, q-exponent, ("cup"|"cap",
+    # position) moves): one for a cup or cap, q^e and -q^2e for a crossing
+    choices = []
     for layer, signs in zip(t.layers, t.boundaries):
-        if layer.kind == "cup":
-            slots.append((("cup", layer.pos),))
-        elif layer.kind == "cap":
-            slots.append((("cap", layer.pos),))
-        else:
-            p = layer.pos
-            if layer.kind == "X+":
-                straight = LaurentPoly.q_power(-1)
-                turned = -LaurentPoly.q_power(-2)
-            else:
-                straight = LaurentPoly.q_power(1)
-                turned = -LaurentPoly.q_power(2)
-            keep: tuple[tuple[str, int], ...] = ()
-            turn = (("cap", p), ("cup", p))
-            if signs[p - 1] == signs[p]:
-                branches = ((straight, keep), (turned, turn))
-            else:
-                branches = ((straight, turn), (turned, keep))
-            slots.append(_Site(branches))
-    return _resolve_sites(slots)
-
-
-def _resolve_sites(slots: list[object]) -> LaurentPoly:
-    for i, slot in enumerate(slots):
-        if isinstance(slot, _Site):
-            total = ZERO
-            for weight, picture in slot.branches:
-                rest = slots[:i] + [picture] + slots[i + 1 :]
-                total = total + weight * _resolve_sites(rest)
-            return total
-    picture = [
-        piece
-        for moves in slots
-        for piece in moves  # type: ignore[union-attr]
-    ]
-    return quantum_int(2) ** _loop_count(picture)
+        p = layer.pos
+        if layer.kind in ("cup", "cap"):
+            choices.append(((1, 0, ((layer.kind, p),)),))
+            continue
+        e = -1 if layer.kind == "X+" else 1
+        keep, turn = (), (("cap", p), ("cup", p))
+        # the q^e picture keeps parallel strands and turns antiparallel ones
+        if signs[p - 1] != signs[p]:
+            keep, turn = turn, keep
+        choices.append(((1, e, keep), (-1, 2 * e, turn)))
+    total = ZERO
+    for picks in product(*choices):
+        sign = prod(s for s, _, _ in picks)
+        weight = LaurentPoly.q_power(sum(e for _, e, _ in picks))
+        picture = [move for _, _, moves in picks for move in moves]
+        total = total + sign * weight * quantum_int(2) ** _loop_count(picture)
+    return total
 
 
 def _loop_count(picture: Sequence[tuple[str, int]]) -> int:

@@ -491,18 +491,18 @@ def tensor_webs(left: Web, right: Web) -> Web:
 # mirror symmetry
 
 def mirror_web(web: Web) -> Web:
-    """The left-right reflection: positions flipped, label pairs swapped,
-    crossing signs exchanged."""
-    layers = []
-    for layer, labels in zip(web.layers, web.boundaries):
-        span = INPUT_SPANS[layer.kind]
-        pos = len(labels) - layer.pos - span + 2
-        kind = _MIRROR_KINDS.get(layer.kind, layer.kind)
-        if layer.kind in _LABELLED_KINDS:
-            layers.append(Layer(kind, pos, layer.b, layer.a))
-        else:
-            layers.append(Layer(kind, pos))
-    return Web(web.k, tuple(reversed(web.bottom)), tuple(layers))
+    """The left-right reflection: positions flipped, label pairs swapped
+    (an unlabelled layer's pair is (None, None)), crossing signs exchanged."""
+    layers = tuple(
+        Layer(
+            _MIRROR_KINDS.get(layer.kind, layer.kind),
+            len(labels) - layer.pos - INPUT_SPANS[layer.kind] + 2,
+            layer.b,
+            layer.a,
+        )
+        for layer, labels in zip(web.layers, web.boundaries)
+    )
+    return Web(web.k, tuple(reversed(web.bottom)), layers)
 
 
 def mirror_exponent(web: Web) -> int:

@@ -63,8 +63,6 @@ __all__ = [
     "crossing_matrix",
     "reversal_matrix",
     "special_pairs",
-    "CROSSING_SIGN",
-    "CROSSING_EIGEN_EXPONENT",
 ]
 
 Subset = tuple[int, ...]
@@ -582,25 +580,17 @@ def hecke_E(s: int, n: int, k: int) -> QMatrix:
     return up @ down
 
 
-# Frozen crossing normalization, fixed once by the exhaustive search in
-# tests/test_weblin.py (test_crossing_search_regression):
-# X⁺ = -q^{-k}(E - q·id), X⁻ = -q^{k}(E - q^{-1}·id).
-CROSSING_SIGN = -1
-CROSSING_EIGEN_EXPONENT = 1  # exponent b for the positive crossing
-
-
 def crossing_matrix(sign: str, k: int) -> QMatrix:
     """The crossing on V ⊗ V: sign "+" or "-", mutually inverse."""
     E = hecke_E(1, 2, k)
-    ident = QMatrix.identity(E.rows)
-    if sign == "+":
-        a, b = -k, CROSSING_EIGEN_EXPONENT
-    elif sign == "-":
-        a, b = k, -CROSSING_EIGEN_EXPONENT
-    else:
+    if sign not in ("+", "-"):
         raise ValueError(f"crossing sign must be '+' or '-', got {sign!r}")
-    shift = LaurentPoly.q_power(a) * CROSSING_SIGN
-    return (E - LaurentPoly.q_power(b) * ident) * shift
+    # Frozen crossing normalization, fixed once by the exhaustive search in
+    # tests/test_weblin.py (test_crossing_search_regression):
+    # X⁺ = -q^{-k}(E - q·id), X⁻ = -q^{k}(E - q^{-1}·id).
+    e = 1 if sign == "+" else -1
+    ident = QMatrix.identity(E.rows)
+    return (E - LaurentPoly.q_power(e) * ident) * -LaurentPoly.q_power(-e * k)
 
 
 def _block_local(block: QMatrix) -> dict[Key, tuple[tuple[Key, LaurentPoly], ...]]:

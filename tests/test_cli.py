@@ -488,3 +488,24 @@ def test_missing_subcommand_is_a_usage_error() -> None:
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, source",
+    [
+        (["rs", ""], None),
+        (["hecke", "12x"], None),
+        (["fillings", "2,-1", "3"], None),
+        (["eval-web"], "web k=3 bottom=\nmerge(9,9@1)\n"),
+        (["link-poly"], OPEN_TANGLE),
+    ],
+)
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv, source) -> None:
+    if source is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(source)
+        argv = [*argv, "--file", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

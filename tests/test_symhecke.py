@@ -1107,6 +1107,11 @@ def test_translation_rejects_classes_of_another_size():
         TranslationPath([(3,), (1, 2)]).push([(0, Permutation.identity(4))])
 
 
+def test_push_rejects_a_class_that_is_not_a_permutation():
+    with pytest.raises(ValueError, match="class '123' is not a Permutation"):
+        TranslationPath([(2, 1), (1, 1, 1)]).push([(0, "123")])
+
+
 @pytest.mark.parametrize("mu", [(1, 1), (5,), (2, 2), (1, 0, 1)])
 def test_translation_rejects_a_restriction_of_another_size(mu):
     e = Permutation.identity(3)

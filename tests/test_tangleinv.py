@@ -31,7 +31,7 @@ from moycalc.symhecke import (
     Permutation,
     TranslationPath,
     _in_block_pairs,
-    _is_right_minimal,
+    _is_strict,
     _single_split,
     translation_flag,
 )
@@ -936,7 +936,7 @@ def _reference_translation_flag(terms, path, mu):
     for src, dst in zip(walls, walls[1:]):
         src_pairs = _in_block_pairs(src)
         for _, w in terms:
-            assert _is_right_minimal(w, src_pairs)
+            assert _is_strict(w.images, src_pairs)
         split = _single_split(src, dst)
         if split is not None:
             offset, a, b = split
