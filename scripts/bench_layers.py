@@ -22,9 +22,14 @@ three routes over every basis class) on one fixed k=4 merge web on five
 strands, run once before it is timed.  The groth layer is
 ``compare_theorem13`` over the 160 one-generator webs with n <= 5 and
 k = 2..4 (the cosets workload's webs), also run once before it is
-timed, so every boundary's class table is built.  The bijection layer
-sends every class of one fixed (mu, nu) at n=6 through psi, phi,
-phi_inverse and psi_inverse, also run once before it is timed.  The
+timed, so every boundary's class table is built.  The classtable
+layer is the one-time cost that those warm rows leave out:
+``grothendieck_map`` of a k=4 merge web on six 1-strands, which builds
+the class table of its bottom (1,1,1,1,1,1), in a fresh interpreter per
+repeat whose weight classes (``O_lists``) are listed before the clock
+starts.  The bijection layer sends every class of one fixed (mu, nu)
+at n=6 through psi, phi, phi_inverse and psi_inverse, also run once
+before it is timed.  The
 classes layer lists the classes of every weight with four parts over
 the content (1,1,1,1,1,1) in one ``O_lists`` pass, warm: the bijection
 row has built that content's masks.  The web-side rows are warm too: the laurent layer
@@ -92,6 +97,18 @@ group = [Permutation(p) for p in itertools.permutations(range(1, 6))]
 print(json.dumps(timed(lambda: [kl_element(w) for w in group])))
 """
 
+COLD_CLASS_TABLE = """
+import json
+from bench_layers import timed
+from moycalc.boxcomb import all_compositions
+from moycalc.symhecke import O_lists
+from moycalc.tangleinv import grothendieck_map
+from moycalc.webgraph import Layer, Web
+O_lists(all_compositions(6, 4), (1,) * 6)
+web = Web(4, (1,) * 6, (Layer("merge", 1, 1, 1),))
+print(json.dumps(timed(grothendieck_map, web)))
+"""
+
 
 def timed(call: Callable[..., object], *args: object) -> tuple[float, float]:
     """(raw, scaled) seconds of one call, under a speed log of its own;
@@ -106,11 +123,11 @@ def timed(call: Callable[..., object], *args: object) -> tuple[float, float]:
     return end - start - inside, log.scaled(start, end)
 
 
-def cold_kl_s5() -> tuple[float, float]:
-    """(raw, scaled) seconds for kl_element over S_5 in a fresh interpreter."""
+def cold(snippet: str) -> tuple[float, float]:
+    """(raw, scaled) seconds that a snippet prints from a fresh interpreter."""
     path = os.pathsep.join([str(SCRIPTS), *(p for p in sys.path if p)])
     done = subprocess.run(
-        [sys.executable, "-c", COLD_KL_S5],
+        [sys.executable, "-c", snippet],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -146,7 +163,7 @@ def laurent_pairs(polys: list[LaurentPoly]) -> None:
 def cases() -> list[tuple[str, str, Callable[[], tuple[float, float]]]]:
     """(layer, input, one repeat returning its raw and scaled seconds)."""
     out: list[tuple[str, str, Callable[[], tuple[float, float]]]] = [
-        ("kl_element", "S5-cold", cold_kl_s5)
+        ("kl_element", "S5-cold", partial(cold, COLD_KL_S5))
     ]
     for text in ("54321", "654321"):
         element = kl_element(Permutation.from_one_line(text))
@@ -177,6 +194,7 @@ def cases() -> list[tuple[str, str, Callable[[], tuple[float, float]]]]:
     ]
     groth_sweep(webs)
     out.append(("groth", "k2-4|n1-5|160-webs", partial(timed, groth_sweep, webs)))
+    out.append(("classtable", "k4|1,1,1,1,1,1", partial(cold, COLD_CLASS_TABLE)))
     polys = [quantum_int(m) for m in range(1, 13)]
     out.append(("laurent", "[1]..[12]", partial(timed, laurent_pairs, polys)))
     state = [{key: ONE} for key in TensorBasis(4, (1,) * 6)]

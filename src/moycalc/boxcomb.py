@@ -339,12 +339,17 @@ def _psi_words(
         for position, box in enumerate(w.images):
             word[box - 1] = block[position]
         if not _is_strict(word, pairs):
-            raise ValueError(
-                f"{w.one_line_text()} does not represent a qualifying "
-                f"coset for shape {mu} and content {nu}"
-            )
+            raise _unqualified(w, mu, nu)
         words.append(tuple(word))
     return words
+
+
+def _unqualified(w: Permutation, mu: tuple[int, ...], nu: tuple[int, ...]) -> ValueError:
+    """psi's error for a class whose coset does not qualify."""
+    return ValueError(
+        f"{w.one_line_text()} does not represent a qualifying "
+        f"coset for shape {mu} and content {nu}"
+    )
 
 
 def psi(

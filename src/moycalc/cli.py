@@ -17,7 +17,8 @@ Subcommands:
 
 Exit codes: 0 when the command (and every check, for ``verify``)
 succeeds, 1 when a verification check fails, 2 on input errors: a
-``ValueError`` from any command is caught once, in ``main``.  The
+``ValueError`` from any command is caught once, in ``main``; 141 when
+the reader of stdout closed it early (no traceback).  The
 enumeration bounds n <= 8 and k <= 4 are enforced when arguments are
 parsed, and a rank read from a file header is held to the same bound.
 All output is deterministic: polynomial text is canonical and report
@@ -27,6 +28,7 @@ lists are emitted in a fixed order.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -51,6 +53,8 @@ __all__ = [
 
 MAX_N = 8
 MAX_K = 4
+# 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
+EXIT_CLOSED_PIPE = 141
 
 
 def _bounded(name: str, limit: int) -> Callable[[str], int]:
@@ -243,9 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except ValueError as err:
         return _fail(str(err))
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -849,7 +849,8 @@ def sign_action(h: HeckeElement, mu: Sequence[int]) -> QMatrix:
         if word in columns:
             columns[word] = _project(vec, project, group, width, offset)
         stack.extend((longer, vec) for longer in tree.get(word, ()))
-    return QMatrix(basis, basis, list(columns.values()))
+    # _project keys every column by the module's basis
+    return QMatrix._trusted(basis, basis, columns.values())
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
@@ -53,6 +54,7 @@ from .boxcomb import (
     _psi_inverse_word,
     _psi_words,
     _split_word,
+    _unqualified,
     all_compositions,
 )
 from .qlaurent import ONE, ZERO, LaurentPoly, LinComb, quantum_int
@@ -917,7 +919,8 @@ class _ClassTable(NamedTuple):
     with classes in ``all_compositions`` order, and for each class, in
     ``O_lists`` order, its representative, its ``psi`` source word (n
     bytes of ``words``) and its column in ``TensorBasis(k, nu)`` order.
-    ``ends[j]`` is one past the last class of weight j."""
+    ``ends[j]`` is one past the last class of weight j; ``owner`` maps
+    each column back to its class."""
 
     n: int
     mus: tuple[tuple[int, ...], ...]
@@ -925,6 +928,7 @@ class _ClassTable(NamedTuple):
     classes: tuple[Permutation, ...]
     words: bytes
     positions: array
+    owner: array
 
     def weight(self, j: int) -> tuple[tuple[int, ...], tuple, list, array]:
         """Weight j's (mu, classes, source words, column positions)."""
@@ -944,11 +948,13 @@ def _weights(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=_TABLE_BOUND)
 def _class_table(k: int, nu: tuple[int, ...]) -> _ClassTable:
-    """The class table of (k, nu), built on first use.  ``psi`` checks
-    each source word column-strict here, once per boundary."""
+    """The class table of (k, nu), built on first use.  ``psi`` and
+    ``phi_inverse`` check each class here, once per boundary."""
     n, basis, block = sum(nu), TensorBasis(k, nu), _value_blocks(nu)
-    mus, ends, classes = [], array("I"), []
-    words, positions = bytearray(), array("I")
+    # 16-bit class and column indices while they fit: below 4^8 columns
+    code = "H" if len(basis) < 1 << 16 else "I"
+    mus, ends, classes = [], array(code), []
+    words, positions, owner = bytearray(), array(code), array(code, [0]) * len(basis)
     for mu, weight in O_lists(_weights(n, k), nu):
         if not weight:
             continue
@@ -956,26 +962,31 @@ def _class_table(k: int, nu: tuple[int, ...]) -> _ClassTable:
         classes += weight
         ends.append(len(classes))
         for source in _psi_words(weight, mu, nu, block):
+            key = _phi_word(source, mu)
+            _check_basis_key(key, k)
+            if _phi_inverse_word(key, k) != (source, mu):
+                raise ValueError(f"phi_inverse does not invert phi on {key}")
             words += bytes(source)
-            positions.append(basis.index(_phi_word(source, mu)))
-    return _ClassTable(n, tuple(mus), ends, tuple(classes), bytes(words), positions)
+            positions.append(position := basis.index(key))
+            owner[position] = len(positions) - 1
+    return _ClassTable(n, tuple(mus), ends, tuple(classes), bytes(words), positions, owner)
 
 
 class _TransportPlan:
     """The per-web work of the three transport routes, done once.
 
-    A plan carries each basis class (mu, z) as a box word over mu: its
-    source word is ``psi``'s, from the boundary's class table.  Each
-    route takes one table weight (mu, classes, source words, positions),
-    reads only the fields it needs, and returns a ``Tally`` keyed by the
-    classes' index and top box words, so images compare with one dict
-    ``==`` and each route crosses at most one bijection: the curly
-    kernel folds the layers' box moves over the source words; the
-    translation kernel pushes each z along the web's walls, each wall
-    step analysed once, and writes the images as ``psi`` words; the
-    matrix kernel reads the columns at the classes' positions in the
-    web's matrix, evaluated once, as ``phi_inverse`` words, once per
-    distinct row.  ``check`` checks each weight's keys once and each
+    A plan carries each basis class (mu, z) as a box word over mu, read
+    from the class tables: ``psi``'s source word from the bottom's, its
+    images' words from the top's.  Each route takes one table weight
+    (mu, classes, source words, positions), reads only the fields it
+    needs, and returns a ``Tally`` keyed by the classes' index and top
+    box words, so images compare with one dict ``==``: the curly kernel
+    folds the layers' box moves over the source words; the translation
+    kernel pushes each z along the web's walls, each wall step analysed
+    once, and looks the images up among the top's classes; the matrix
+    kernel reads the columns at the classes' positions in the web's
+    matrix, evaluated once, and each row's class through the top's
+    ``owner``.  ``check`` checks each weight's keys once and each
     distinct top word once.
     """
 
@@ -987,8 +998,6 @@ class _TransportPlan:
                     f"layer {i} is {layer.kind}"
                 )
         self.web = f
-        self._top_block = _value_blocks(f.top)
-        self._rows: dict[object, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     @cached_property
     def _matrix(self) -> QMatrix:
@@ -999,11 +1008,16 @@ class _TransportPlan:
     def _walls(self) -> TranslationPath:
         return TranslationPath(self.web.boundaries)
 
-    def _row(self, row_key: object) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        _check_basis_key(row_key, self.web.k)
-        word, shape = _phi_inverse_word(row_key, self.web.k)
-        key = self._rows[row_key] = (shape, word)
-        return key
+    @cached_property
+    def _top(self) -> tuple[array, list, list, dict]:
+        """The top's class table, unpacked once: ``owner``, each class's weight
+        and word, and per weight (index of its first class, classes' images)."""
+        table, mus, words, spans = _class_table(self.web.k, self.web.top), [], [], {}
+        for mu, classes, sources, _ in table.weights():
+            spans[mu] = len(words), [z.images for z in classes]
+            mus += [mu] * len(classes)
+            words += sources
+        return table.owner, mus, words, spans
 
     def curly(self, mu: tuple[int, ...], classes, sources, positions) -> Tally:
         """Fold the box moves of each layer over the source words."""
@@ -1017,21 +1031,30 @@ class _TransportPlan:
         return words
 
     def translation(self, mu: tuple[int, ...], classes, sources, positions) -> Tally:
-        """Push each flag class z along the web's walls to top words."""
-        push = self._walls._pusher(mu)
-        pushed = [(i, e, w) for i, z in enumerate(classes) for e, w in push([(0, z)])]
-        words = _psi_words((w for *_, w in pushed), mu, self.web.top, self._top_block)
-        return _tally(((i, mu, word, e), 1) for (i, e, _), word in zip(pushed, words))
+        """Push each flag class z along the web's walls, and find the images
+        among the top's classes."""
+        push, (_, _, words, spans) = self._walls._pusher(mu), self._top
+        start, images = spans.get(mu, (0, []))
+        image: Tally = {}
+        for i, z in enumerate(classes):
+            for e, w in push([(0, z)]):
+                at = bisect_left(images, w.images)
+                if images[at : at + 1] != [w.images]:
+                    raise _unqualified(w, mu, self.web.top)
+                key = (i, mu, words[start + at], e)
+                image[key] = image.get(key, 0) + 1
+        return image
 
     def matrix(self, mu: tuple[int, ...], classes, sources, positions) -> Tally:
-        """Read the web's matrix columns at the classes' positions as fillings."""
-        columns, get, row = self._matrix.columns, self._rows.get, self._row
+        """Read the web's matrix columns at the classes' positions as top words."""
+        (owner, mus, words, _), index = self._top, self._matrix.rows.index
         # distinct rows are distinct fillings, and a column holds no zero
         return {
-            (i, *(get(row_key) or row(row_key)), e): c
+            (i, mus[c], words[c], e): n
             for i, position in enumerate(positions)
-            for row_key, poly in columns[position].items()
-            for e, c in poly.terms
+            for row_key, poly in self._matrix.columns[position].items()
+            for c in (owner[index(row_key)],)
+            for e, n in poly.terms
         }
 
     def check(self, image: Tally) -> None:
@@ -1082,10 +1105,7 @@ def grothendieck_map(
                 terms[classes[i]].append(((top_mu, tops[word]), LaurentPoly.q_power(e), c))
             images[mu] = terms
         if z not in images.get(mu, ()):
-            raise ValueError(
-                f"{z.one_line_text()} does not represent a qualifying "
-                f"coset for shape {mu} and content {f.bottom}"
-            )
+            raise _unqualified(z, mu, f.bottom)
         return images[mu][z]
 
     def apply(vec: GrothVector) -> GrothVector:

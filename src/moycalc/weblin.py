@@ -172,6 +172,16 @@ class QMatrix:
     def identity(cls, index: Sequence) -> "QMatrix":
         return cls(index, index, tuple(LinComb({key: ONE}) for key in index))
 
+    @classmethod
+    def _trusted(cls, rows: Sequence, cols: Sequence, columns: Iterable[LinComb]) -> "QMatrix":
+        """A matrix from ``LinComb`` columns, one per column key, that the
+        caller built keyed by ``rows``: adopted without the row check."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        object.__setattr__(matrix, "cols", cols)
+        object.__setattr__(matrix, "columns", tuple(columns))
+        return matrix
+
     # -- shape and access ----------------------------------------------
 
     @property

@@ -33,6 +33,7 @@ def test_every_line_is_one_layer_record(capsys):
         "classes",
         "transport",
         "groth",
+        "classtable",
         "laurent",
         "generator",
         "evaluate",

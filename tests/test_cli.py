@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import moycalc
 import moycalc.symhecke as symhecke
 import moycalc.verify as verify
-from moycalc.cli import main
+from moycalc.cli import EXIT_CLOSED_PIPE, main
 from moycalc.reporting import Report
 
 CIRCLE_WEB = "web k=3 bottom=\ncup(1,2@1)\ncap(@1)\n"
@@ -509,3 +513,24 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, source) -> None:
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_a_closed_stdout_pipe_exits_without_a_traceback() -> None:
+    # the reader end is closed before the child writes, so its first
+    # flush meets a closed pipe every time
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(moycalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "moycalc", "verify", "foam", "--k", "4"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_CLOSED_PIPE
+    assert done.stderr == b""

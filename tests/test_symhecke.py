@@ -923,6 +923,18 @@ def test_sign_actions_on_s5_keep_their_texts(mu):
     assert _text_digest(texts) == SIGN_ACTION_S5_SHA256[mu]
 
 
+def test_sign_action_columns_pass_the_row_check_it_skips():
+    # sign_action adopts its columns without QMatrix's row check; the public
+    # constructor still runs it, on the same columns and on a stray row key
+    m = sign_action(kl_element(perm("53412")), (2, 2, 1))
+    assert QMatrix(m.rows, m.cols, m.columns) == m
+    longest = perm("54321")
+    assert longest not in m.rows
+    columns = [m.columns[0] + LinComb({longest: ONE}), *m.columns[1:]]
+    with pytest.raises(ValueError, match="row key .* is not in the row index"):
+        QMatrix(m.rows, m.cols, columns)
+
+
 def test_annihilator_spot_checks():
     assert sign_action(kl_element(perm("321")), (2, 1)).is_zero()
     assert not sign_action(kl_element(perm("231")), (2, 1)).is_zero()

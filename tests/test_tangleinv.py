@@ -1308,6 +1308,66 @@ def test_class_table_matches_the_public_bijections(k, nu):
     assert got == want
 
 
+@pytest.mark.parametrize("k, nu", _cosets_boundaries())
+def test_class_table_owner_inverts_positions(k, nu):
+    table = tangleinv._class_table(k, nu)
+    assert len(table.owner) == len(TensorBasis(k, nu)) == len(table.positions)
+    assert [table.owner[p] for p in table.positions] == list(range(len(table.classes)))
+    assert sorted(table.positions) == list(range(len(table.owner)))
+
+
+def test_table_indices_widen_at_two_to_the_sixteen_columns():
+    # 4^8 columns: the last class ends at 2^16, one past 16 bits
+    wide = tangleinv._class_table.__wrapped__(4, (1,) * 8)
+    assert wide.ends[-1] == len(wide.owner) == 1 << 16
+    assert {a.typecode for a in (wide.ends, wide.positions, wide.owner)} == {"I"}
+    assert [wide.owner[p] for p in wide.positions] == list(range(1 << 16))
+    narrow = tangleinv._class_table(4, (2,) + (1,) * 6)
+    assert {a.typecode for a in (narrow.ends, narrow.positions, narrow.owner)} == {"H"}
+
+
+def test_a_table_checks_phi_inverse_when_it_is_built(monkeypatch):
+    k, nu = 3, (1, 2)
+    assert tangleinv._class_table.__wrapped__(k, nu) == tangleinv._class_table(k, nu)
+    phi_inverse_word = tangleinv._phi_inverse_word
+
+    def reversed_word(key, k):
+        word, shape = phi_inverse_word(key, k)
+        return word[::-1], shape
+
+    monkeypatch.setattr(tangleinv, "_phi_inverse_word", reversed_word)
+    with pytest.raises(ValueError, match="phi_inverse does not invert phi"):
+        tangleinv._class_table.__wrapped__(k, nu)
+
+
+def test_a_matrix_row_off_its_weight_is_read_as_its_own_class():
+    web = THREE_STRAND_MERGE
+    plan = tangleinv._TransportPlan(web)
+    matrix = evaluate(web)
+    mu, _, _, positions = weight = tangleinv._class_table(web.k, web.bottom).weight(0)
+    off = next(key for key in matrix.rows if tangleinv._phi_inverse_word(key, web.k)[1] != mu)
+    columns = list(matrix.columns)
+    columns[positions[0]] = LinComb({off: LaurentPoly.q_power(1)})
+    plan._matrix = QMatrix(matrix.rows, matrix.cols, columns)
+    word, shape = tangleinv._phi_inverse_word(off, web.k)
+    image = plan.matrix(*weight)
+    assert image[0, shape, word, 1] == 1
+    assert image != plan.curly(*weight)
+
+
+def test_a_warm_compare_crosses_no_bijection(monkeypatch):
+    webs = [web for n in range(1, 6) for web in special_generator_webs(n, 4)]
+    for web in webs:
+        assert compare_theorem13(web)
+    calls = [
+        _counting(monkeypatch, tangleinv, name)
+        for name in ("_phi_inverse_word", "_psi_words", "_psi_inverse_word")
+    ]
+    for web in webs:
+        assert compare_theorem13(web)
+    assert calls == [[], [], []]
+
+
 @pytest.mark.parametrize("route", ROUTES)
 def test_a_class_outside_the_table_still_raises_on_every_route(route):
     web = THREE_STRAND_MERGE
