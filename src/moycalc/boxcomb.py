@@ -231,25 +231,30 @@ def column_strict_fillings(
             f"shape {mu_t} and content {nu_t} have different sizes"
         )
     out: set[Filling] = set()
+    # recurse over the nonzero columns only; the zero ones stay empty
+    columns: list[tuple[int, ...]] = [()] * len(mu_t)
+    nonzero = [col for col, size in enumerate(mu_t) if size]
 
-    def extend(col: int, remaining: list[int], acc: list[tuple[int, ...]]):
-        if col == len(mu_t):
+    def extend(index: int, remaining: list[int]):
+        if index == len(nonzero):
             if all(r == 0 for r in remaining):
-                out.add(Filling._trusted(tuple(acc)))
+                out.add(Filling._trusted(tuple(columns)))
             return
         # a column holds a value at most once, so no value may have more
         # copies left than there are columns left
-        if max(remaining, default=0) > len(mu_t) - col:
+        if max(remaining, default=0) > len(nonzero) - index:
             return
+        col = nonzero[index]
         left = [v for v, r in enumerate(remaining, start=1) if r > 0]
         for chosen in combinations(left, mu_t[col]):
             for v in chosen:
                 remaining[v - 1] -= 1
-            extend(col + 1, remaining, acc + [chosen])
+            columns[col] = chosen
+            extend(index + 1, remaining)
             for v in chosen:
                 remaining[v - 1] += 1
 
-    extend(0, list(nu_t), [])
+    extend(0, list(nu_t))
     return out
 
 
@@ -257,11 +262,12 @@ def column_strict_fillings(
 # the tensor-basis bijection
 
 
-def _phi_word(word: Sequence[int], shape: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """phi on a column-strict box word: factor i lists the columns
-    holding i, in increasing order because boxes run column by column."""
+def _phi_word(word: Sequence[int], columns: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """phi on a column-strict box word, given each box's column
+    (``_value_blocks`` of the shape): factor i lists the columns holding
+    i, in increasing order because boxes run column by column."""
     key: list[list[int]] = [[] for _ in range(max(word, default=0))]
-    for v, j in zip(word, _value_blocks(shape)):
+    for v, j in zip(word, columns):
         key[v - 1].append(j)
     return tuple(tuple(cols) for cols in key)
 
@@ -276,7 +282,7 @@ def phi(f: Filling, k: int) -> tuple[tuple[int, ...], ...]:
         )
     if not f.is_column_strict():
         raise ValueError("filling is not column-strict")
-    key = _phi_word(f.flat(), f.shape)
+    key = _phi_word(f.flat(), _value_blocks(f.shape))
     if any(len(cols) != count for cols, count in zip(key, f.content())):
         raise ValueError("value repeats within a column")
     return key

@@ -9,9 +9,11 @@ coefficients:
   trace Tr(x^i) = -1 when i = 2 (else 0), and the signed
   comultiplication Delta(1) = -(1@x^2 + x@x + x^2@1),
   Delta(x) = -(x@x^2 + x^2@x), Delta(x^2) = -x^2@x^2.
-* The two-dimensional algebra C[x]/(x^2) (trace x -> 1) underlies the
-  seam foams between a pair of sheets; it appears only inside the
-  basic-map catalogue.
+* The basic-map catalogue builds both sheet algebras from one rule on
+  C[x]/(x^k): trace x^(k-1) -> (-1)^k, comultiplication
+  x^p -> (-1)^k sum_(i>=p) x^i@x^(k-1+p-i).  k = 2 gives the seam foams
+  between a pair of sheets, k = 3 the one-sheet foams; ``frob_trace``
+  and ``frob_comul`` read the k = 3 maps.
 * ``FlagRingElement`` is C[X1,X2,X3] modulo the elementary symmetric
   polynomials, in the frozen monomial basis
   {1, X1, X2, X1X2, X1^2, X1X2^2}, with trace = coefficient of X1X2^2.
@@ -186,20 +188,22 @@ def frob_mul(a: FrobElement, b: FrobElement) -> FrobElement:
 
 
 def frob_trace(a: FrobElement) -> Fraction:
-    """The trace form: -1 on x^2, zero on 1 and x."""
-    return -a.coeffs[2]
+    """The trace form: -1 on x^2, zero on 1 and x (``circle-death``)."""
+    trace = _catalogue()["circle-death"][0].entries
+    return sum((a.coeffs[p] * row[()] for (p,), row in trace.items()), Fraction(0))
 
 
 def frob_comul(a: FrobElement) -> dict[tuple[int, int], Fraction]:
     """The signed comultiplication, as coefficients on basis pairs.
 
     Keys are pairs of basis exponents; the value at (i, j) is the
-    coefficient of x^i @ x^j.  Zero entries are dropped.
+    coefficient of x^i @ x^j (``tube-split``).  Zero entries are dropped.
     """
+    comul = _catalogue()["tube-split"][0].entries
     return _sparse(
-        ((i, 2 + power - i), -coeff)
+        (pair, coeff * value)
         for power, coeff in enumerate(a.coeffs)
-        for i in range(power, 3)
+        for pair, value in comul[(power,)].items()
     )
 
 
@@ -376,6 +380,18 @@ def surgery_search() -> list[str]:
 # ----------------------------------------------------------------------
 # basic foam pieces as graded maps
 
+def _basis_key(key: object, factors: tuple[int, ...]) -> tuple[int, ...]:
+    """``key`` if it holds one int exponent per factor, each below that
+    factor's truncation order."""
+    if not (
+        isinstance(key, tuple)
+        and len(key) == len(factors)
+        and all(type(e) is int and 0 <= e < k for e, k in zip(key, factors))
+    ):
+        raise ValueError(f"basis key {key!r} does not fit factors of orders {factors}")
+    return key
+
+
 @dataclass(frozen=True)
 class FoamMap:
     """A linear map between tensor powers of the sheet algebras.
@@ -400,21 +416,20 @@ class FoamMap:
                 )
         frozen = {}
         for key, row in self.entries.items():
-            exact = _sparse((tuple(out), _exact(coeff)) for out, coeff in row.items())
+            exact = _sparse(
+                (_basis_key(out, self.target), _exact(coeff)) for out, coeff in row.items()
+            )
             if exact:
-                frozen[tuple(key)] = exact
+                frozen[_basis_key(key, self.source)] = exact
         object.__setattr__(self, "entries", frozen)
-
-    @staticmethod
-    def _shift(factors: tuple[int, ...]) -> int:
-        return sum(1 - order for order in factors)
 
     def is_zero(self) -> bool:
         return not self.entries
 
     def degree(self) -> int:
-        """The homogeneous degree, shifts included."""
-        offset = self._shift(self.target) - self._shift(self.source)
+        """The homogeneous degree, shifts included: 1-k per factor of
+        order k."""
+        offset = sum(1 - k for k in self.target) - sum(1 - k for k in self.source)
         degree: int | None = None
         for key, row in self.entries.items():
             for out in row:
@@ -438,77 +453,30 @@ class FoamMap:
         )
 
 
-def _image_row(a: FrobElement) -> dict[tuple[int], Fraction]:
-    """An algebra element as an image row on the one-factor basis."""
-    return {(p,): coeff for p, coeff in enumerate(a.coeffs)}
+# the four maps of each sheet algebra C[x]/(x^k): unit, trace, product,
+# comultiplication
+_SHEET_MAPS = {
+    2: ("seam-birth", "seam-death", "seam-merge", "seam-split"),
+    3: ("circle-birth", "circle-death", "tube-merge", "tube-split"),
+}
 
 
 @lru_cache(maxsize=None)
 def _catalogue() -> dict[str, tuple[FoamMap, int]]:
-    """Built once; ``basic_map`` hands out copies of these maps."""
-    return {
-        # seam foams between two sheets: the two-dimensional algebra
-        "seam-birth": (
-            FoamMap((), (2,), {(): {(0,): 1}}),
-            -1,
-        ),
-        "seam-death": (
-            FoamMap((2,), (), {(1,): {(): 1}}),
-            -1,
-        ),
-        "seam-merge": (
-            FoamMap(
-                (2, 2),
-                (2,),
-                {
-                    (0, 0): {(0,): 1},
-                    (0, 1): {(1,): 1},
-                    (1, 0): {(1,): 1},
-                },
-            ),
-            1,
-        ),
-        "seam-split": (
-            FoamMap(
-                (2,),
-                (2, 2),
-                {
-                    (0,): {(1, 0): 1, (0, 1): 1},
-                    (1,): {(1, 1): 1},
-                },
-            ),
-            1,
-        ),
-        # closed-surface foams on one sheet: the structure maps of the
-        # three-dimensional algebra
-        "circle-birth": (FoamMap((), (3,), {(): _image_row(FrobElement.one())}), -2),
-        "circle-death": (
-            FoamMap(
-                (3,), (), {(p,): {(): frob_trace(x)} for p, x in enumerate(_FROB_BASIS)}
-            ),
-            -2,
-        ),
-        "tube-merge": (
-            FoamMap(
-                (3, 3),
-                (3,),
-                {
-                    (i, j): _image_row(x * y)
-                    for i, x in enumerate(_FROB_BASIS)
-                    for j, y in enumerate(_FROB_BASIS)
-                },
-            ),
-            2,
-        ),
-        "tube-split": (
-            FoamMap(
-                (3,),
-                (3, 3),
-                {(p,): frob_comul(x) for p, x in enumerate(_FROB_BASIS)},
-            ),
-            2,
-        ),
-    }
+    """Both sheet algebras from the one C[x]/(x^k) rule of the module
+    docstring, built once; ``basic_map`` hands out copies of these maps."""
+    catalogue = {}
+    for k, (unit, trace, mul, comul) in _SHEET_MAPS.items():
+        sign = (-1) ** k
+        catalogue[unit] = (FoamMap((), (k,), {(): {(0,): 1}}), 1 - k)
+        catalogue[trace] = (FoamMap((k,), (), {(k - 1,): {(): sign}}), 1 - k)
+        products = {(i, j): {(i + j,): 1} for i in range(k) for j in range(k - i)}
+        catalogue[mul] = (FoamMap((k, k), (k,), products), k - 1)
+        coproducts = {
+            (p,): {(i, k - 1 + p - i): sign for i in range(p, k)} for p in range(k)
+        }
+        catalogue[comul] = (FoamMap((k,), (k, k), coproducts), k - 1)
+    return catalogue
 
 
 BASIC_FOAM_NAMES: tuple[str, ...] = tuple(sorted(_catalogue()))
@@ -516,8 +484,8 @@ BASIC_FOAM_NAMES: tuple[str, ...] = tuple(sorted(_catalogue()))
 
 def _catalogue_entry(name: str, dots: int) -> tuple[FoamMap, int]:
     """The undotted map and degree of a basic foam piece."""
-    if dots < 0:
-        raise ValueError(f"dot count must be >= 0, got {dots}")
+    if type(dots) is not int or dots < 0:
+        raise ValueError(f"dot count must be an int >= 0, got {dots!r}")
     try:
         return _catalogue()[name]
     except KeyError:
@@ -535,35 +503,44 @@ def basic_map(name: str, dots: int = 0) -> FoamMap:
     """The graded linear map of a basic foam piece.
 
     Each dot multiplies by x on the first tensor factor of the source
-    (of the target, for the two birth foams whose source is empty);
-    dots beyond the factor's truncation produce the zero map.
+    (of the target, for the two birth foams whose source is empty), a
+    shift of that factor's exponent; dots beyond the factor's truncation
+    produce the zero map.
     """
     base, _ = _catalogue_entry(name, dots)
-    if dots == 0:
-        return FoamMap(base.source, base.target, base.entries)
     if base.source:
-        order = base.source[0]
-        entries: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-        for key in product(*(range(k) for k in base.source)):
-            lifted = (key[0] + dots,) + key[1:]
-            if lifted[0] >= order:
-                continue
-            entries[key] = dict(base.entries.get(lifted, {}))
-        return FoamMap(base.source, base.target, entries)
-    order = base.target[0]
-    entries = {}
-    for key, row in base.entries.items():
-        moved: dict[tuple[int, ...], Fraction] = {}
-        for out, coeff in row.items():
-            raised = (out[0] + dots,) + out[1:]
-            if raised[0] < order:
-                moved[raised] = coeff
-        entries[key] = moved
+        entries = {
+            (key[0] - dots,) + key[1:]: dict(row)
+            for key, row in base.entries.items()
+            if key[0] >= dots
+        }
+    else:
+        entries = {
+            key: {
+                (out[0] + dots,) + out[1:]: coeff
+                for out, coeff in row.items()
+                if out[0] + dots < base.target[0]
+            }
+            for key, row in base.entries.items()
+        }
     return FoamMap(base.source, base.target, entries)
 
 
 # ----------------------------------------------------------------------
 # the verification suite
+
+def _on_factors(
+    foam: FoamMap, vector: Mapping[tuple[int, ...], Fraction], start: int
+) -> dict[tuple[int, ...], Fraction]:
+    """``foam`` on the tensor factors of ``vector`` from ``start`` on, as
+    many as its source has, and the identity on the others."""
+    end = start + len(foam.source)
+    return _sparse(
+        (key[:start] + image + key[end:], factor)
+        for key, coeff in vector.items()
+        for image, factor in foam.apply({key[start:end]: coeff}).items()
+    )
+
 
 def _frobenius_failures() -> list[str]:
     failures = []
@@ -578,53 +555,22 @@ def _frobenius_failures() -> list[str]:
         if one * a != a:
             failures.append(f"unit at {a}")
 
-    for a in _FROB_BASIS:
-        # counit laws: applying the trace to either leg returns the input
-        left = FrobElement.zero()
-        right = FrobElement.zero()
-        for (i, j), coeff in frob_comul(a).items():
-            left = left + coeff * frob_trace(FrobElement.x(i)) * (
-                FrobElement.x(j)
-            )
-            right = right + coeff * frob_trace(FrobElement.x(j)) * (
-                FrobElement.x(i)
-            )
-        if left != a or right != a:
+    # counit, coassociativity and the compatibility square, through the
+    # catalogue's k = 3 maps on basis tensors
+    _, trace, mul, comul = (_catalogue()[name][0] for name in _SHEET_MAPS[3])
+    for p, a in enumerate(_FROB_BASIS):
+        basis, split = {(p,): 1}, comul.apply({(p,): 1})
+        if _on_factors(trace, split, 0) != basis or _on_factors(trace, split, 1) != basis:
             failures.append(f"counit at {a}")
-        # coassociativity on basis tensors
-        comul = frob_comul(a).items()
-        first = _sparse(
-            ((p, q, j), coeff * inner)
-            for (i, j), coeff in comul
-            for (p, q), inner in frob_comul(FrobElement.x(i)).items()
-        )
-        second = _sparse(
-            ((i, p, q), coeff * inner)
-            for (i, j), coeff in comul
-            for (p, q), inner in frob_comul(FrobElement.x(j)).items()
-        )
-        if first != second:
+        if _on_factors(comul, split, 0) != _on_factors(comul, split, 1):
             failures.append(f"coassociativity at {a}")
-    # the compatibility square on all nine basis tensors
-    for i in range(3):
-        for j in range(3):
-            product_side = frob_comul(FrobElement.x(i) * FrobElement.x(j))
-            through_left = _sparse(
-                ((p, out), coeff * value)
-                for (p, q), coeff in frob_comul(FrobElement.x(i)).items()
-                for out, value in enumerate(
-                    (FrobElement.x(q) * FrobElement.x(j)).coeffs
-                )
-            )
-            through_right = _sparse(
-                ((out, q), coeff * value)
-                for (p, q), coeff in frob_comul(FrobElement.x(j)).items()
-                for out, value in enumerate(
-                    (FrobElement.x(i) * FrobElement.x(p)).coeffs
-                )
-            )
-            if product_side != through_left or product_side != through_right:
-                failures.append(f"compatibility at x^{i} @ x^{j}")
+    for i, j in product(range(3), repeat=2):
+        pair = {(i, j): 1}
+        product_side = comul.apply(mul.apply(pair))
+        through_left = _on_factors(mul, _on_factors(comul, pair, 0), 1)
+        through_right = _on_factors(mul, _on_factors(comul, pair, 1), 0)
+        if product_side != through_left or product_side != through_right:
+            failures.append(f"compatibility at x^{i} @ x^{j}")
     return failures
 
 

@@ -961,8 +961,9 @@ def _class_table(k: int, nu: tuple[int, ...]) -> _ClassTable:
         mus.append(mu)
         classes += weight
         ends.append(len(classes))
+        columns = _value_blocks(mu)
         for source in _psi_words(weight, mu, nu, block):
-            key = _phi_word(source, mu)
+            key = _phi_word(source, columns)
             _check_basis_key(key, k)
             if _phi_inverse_word(key, k) != (source, mu):
                 raise ValueError(f"phi_inverse does not invert phi on {key}")

@@ -169,6 +169,15 @@ def test_dimension_nine_worked_case():
     assert total == comb(3, 2) * comb(3, 3) * comb(3, 1)
 
 
+def test_zero_columns_stay_empty_at_any_length():
+    # one recursion level per nonzero column, so a long tail of zero
+    # columns cannot exhaust the recursion limit
+    assert column_strict_fillings((1,) + (0,) * 5000, (1,)) == {
+        Filling(((1,),) + ((),) * 5000)
+    }
+    assert column_strict_fillings((0,) * 5000, (0,)) == {Filling(((),) * 5000)}
+
+
 def test_column_strict_size_mismatch():
     with pytest.raises(ValueError):
         column_strict_fillings((2, 1), (2, 2))

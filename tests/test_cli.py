@@ -452,6 +452,15 @@ def test_fillings_size_mismatch(capsys) -> None:
     assert "different sizes" in err
 
 
+def test_fillings_on_a_long_shape_of_zero_columns(capsys) -> None:
+    # the enumerator recursed once per column, zero columns included,
+    # and raised RecursionError on a shape that sums to 1
+    code, out, err = run(capsys, "fillings", "1," + ",".join(["0"] * 1500), "1")
+    assert code == 0
+    assert err == ""
+    assert out == "[1]" + ",[]" * 1500 + "\ntotal 1\n"
+
+
 def test_fillings_rejects_negative_parts(capsys) -> None:
     code, _, err = run(capsys, "fillings", "2,-1", "1")
     assert code == 2

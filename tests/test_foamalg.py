@@ -447,6 +447,90 @@ def test_mutating_a_handed_out_map_leaves_the_catalogue_alone(name) -> None:
     assert foam_degree(name) == degree
 
 
+# unit, trace, product and comultiplication of each sheet algebra C[x]/(x^k)
+SHEETS = {
+    2: ("seam-birth", "seam-death", "seam-merge", "seam-split"),
+    3: ("circle-birth", "circle-death", "tube-merge", "tube-split"),
+}
+
+
+def _on_legs(foam: FoamMap, vector: dict, start: int) -> dict:
+    """Apply ``foam`` to the tensor factors of ``vector`` from ``start``
+    on, as many as its source has, through ``FoamMap.apply``."""
+    width = len(foam.source)
+    out: dict = {}
+    for key, coeff in vector.items():
+        images = foam.apply({key[start : start + width]: coeff})
+        for image, value in images.items():
+            moved = key[:start] + image + key[start + width :]
+            out[moved] = out.get(moved, 0) + value
+    return {key: value for key, value in out.items() if value}
+
+
+@pytest.mark.parametrize("k", sorted(SHEETS))
+def test_sheet_maps_satisfy_the_frobenius_laws(k) -> None:
+    unit, trace, mul, comul = (basic_map(name) for name in SHEETS[k])
+    for p in range(k):
+        basis = {(p,): 1}
+        # unit and counit laws
+        assert _on_legs(mul, _on_legs(unit, basis, 0), 0) == basis
+        assert _on_legs(mul, _on_legs(unit, basis, 1), 0) == basis
+        assert _on_legs(trace, comul.apply(basis), 0) == basis
+        assert _on_legs(trace, comul.apply(basis), 1) == basis
+        # coassociativity
+        assert _on_legs(comul, comul.apply(basis), 0) == _on_legs(
+            comul, comul.apply(basis), 1
+        )
+    for i, j in product(range(k), repeat=2):
+        pair = {(i, j): 1}
+        # commutativity and the Frobenius compatibility square
+        assert mul.apply(pair) == mul.apply({(j, i): 1})
+        direct = comul.apply(mul.apply(pair))
+        assert direct == _on_legs(mul, _on_legs(comul, pair, 1), 0)
+        assert direct == _on_legs(mul, _on_legs(comul, pair, 0), 1)
+    for triple in product(range(k), repeat=3):
+        basis = {triple: 1}
+        assert _on_legs(mul, _on_legs(mul, basis, 0), 0) == _on_legs(
+            mul, _on_legs(mul, basis, 1), 0
+        )
+
+
+def _dotted_reference(name: str, dots: int) -> dict:
+    """Dots by enumeration: on a map with a source, every source key
+    whose first exponent, raised by ``dots``, stays below its order takes
+    the undotted row of the raised key; on a birth, every image's first
+    exponent is raised, and the images that reach the order drop."""
+    base = basic_map(name)
+    if base.source:
+        entries = {}
+        for key in product(*(range(order) for order in base.source)):
+            lifted = (key[0] + dots,) + key[1:]
+            if lifted[0] < base.source[0] and lifted in base.entries:
+                entries[key] = dict(base.entries[lifted])
+        return entries
+    entries = {}
+    for key, row in base.entries.items():
+        moved = {
+            (out[0] + dots,) + out[1:]: coeff
+            for out, coeff in row.items()
+            if out[0] + dots < base.target[0]
+        }
+        if moved:
+            entries[key] = moved
+    return entries
+
+
+@pytest.mark.parametrize("name", BASIC_FOAM_NAMES)
+def test_dotted_maps_match_the_enumerated_reference(name) -> None:
+    for dots in range(5):
+        dotted = basic_map(name, dots)
+        assert dotted.entries == _dotted_reference(name, dots), (name, dots)
+        assert (dotted.source, dotted.target) == (
+            basic_map(name).source,
+            basic_map(name).target,
+        )
+
+
 def test_circle_maps_are_the_three_sheet_unit_and_trace() -> None:
     assert basic_map("circle-birth").entries == {(): {(0,): Fraction(1)}}
     assert basic_map("circle-death").entries == {(2,): {(): Fraction(-1)}}
@@ -522,6 +606,33 @@ def test_coefficients_must_be_exact(bad) -> None:
         FoamMap((2,), (2,), {(0,): {(1,): bad}})
     assert FrobElement((1, Fraction(1, 2), -3)).coeffs == (1, Fraction(1, 2), -3)
     assert FoamMap((2,), (2,), {(0,): {(1,): 2}}).entries == {(0,): {(1,): 2}}
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(7,): {(9,): 1}},
+        {(0, 1): {(0,): 1}},
+        {(3,): {(0,): 1}},
+        {(0,): {(3,): 1}},
+        {(0,): {(0, 0): 1}},
+        {(-1,): {(0,): 1}},
+        {(True,): {(0,): 1}},
+        {(0,): {(1.0,): 1}},
+    ],
+)
+def test_foam_map_keys_must_fit_the_factors(entries) -> None:
+    # one int exponent per factor, each below that factor's order
+    with pytest.raises(ValueError, match="basis key"):
+        FoamMap((3,), (3,), entries)
+
+
+@pytest.mark.parametrize("dots", [1.5, 1.0, True, "1", None])
+def test_dot_counts_must_be_ints(dots) -> None:
+    with pytest.raises(ValueError, match="dot count"):
+        basic_map("circle-birth", dots)
+    with pytest.raises(ValueError, match="dot count"):
+        foam_degree("circle-birth", dots)
 
 
 def test_foam_map_apply_is_linear() -> None:
