@@ -282,10 +282,7 @@ def phi(f: Filling, k: int) -> tuple[tuple[int, ...], ...]:
         )
     if not f.is_column_strict():
         raise ValueError("filling is not column-strict")
-    key = _phi_word(f.flat(), _value_blocks(f.shape))
-    if any(len(cols) != count for cols, count in zip(key, f.content())):
-        raise ValueError("value repeats within a column")
-    return key
+    return _phi_word(f.flat(), _value_blocks(f.shape))
 
 
 def _check_basis_key(key: Sequence[Sequence[int]], k: int) -> None:

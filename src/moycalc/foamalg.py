@@ -41,12 +41,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
+from .qlaurent import _tally
 from .reporting import Report
 from .symhecke import _inversion_count
-
-_Key = TypeVar("_Key")
 
 __all__ = [
     "FrobElement",
@@ -77,12 +76,9 @@ def _exact(value: object) -> Fraction:
     return Fraction(value)
 
 
-def _sparse(pairs: Iterable[tuple[_Key, Fraction]]) -> dict[_Key, Fraction]:
+def _sparse(pairs: Iterable[tuple[object, Fraction]]) -> dict:
     """Sum (key, coefficient) pairs, dropping the zero sums."""
-    out: dict[_Key, Fraction] = {}
-    for key, coeff in pairs:
-        out[key] = out.get(key, 0) + coeff
-    return {key: coeff for key, coeff in out.items() if coeff}
+    return {key: coeff for key, coeff in _tally(pairs).items() if coeff}
 
 
 @dataclass(frozen=True)
@@ -445,12 +441,13 @@ class FoamMap:
     def apply(
         self, vector: Mapping[tuple[int, ...], int | Fraction]
     ) -> dict[tuple[int, ...], Fraction]:
-        """Image of a vector given by basis-tuple coefficients."""
-        return _sparse(
-            (target_key, coeff * factor)
+        """Image of a vector given by basis-tuple coefficients, each key
+        and coefficient checked as the map's own entries are."""
+        rows = (
+            (self.entries.get(_basis_key(key, self.source), {}), _exact(coeff))
             for key, coeff in vector.items()
-            for target_key, factor in self.entries.get(tuple(key), {}).items()
         )
+        return _sparse((out, coeff * factor) for row, coeff in rows for out, factor in row.items())
 
 
 # the four maps of each sheet algebra C[x]/(x^k): unit, trace, product,

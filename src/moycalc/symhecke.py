@@ -3,8 +3,8 @@
 Contents:
 
 - ``Permutation``: one-line-notation permutations of {1..n} with reduced
-  words, two text renderings (one-line digits, reduced-word digits), and
-  minimal-coset-representative predicates.
+  words and two text renderings (one-line digits, reduced-word digits);
+  minimality in a coset w·S_mu is the module-level ``_is_strict``.
 - ``HeckeElement``: elements of the Hecke algebra of S_n over Z[q,q^-1]
   in the normalization with quadratic relation
   H_s^2 = H_e + (q^-1 - q) H_s, so that C_s := H_s + q satisfies
@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .qlaurent import ONE, LaurentPoly, LinComb, _pack, _unpack
+from .qlaurent import ONE, LaurentPoly, LinComb, _pack, _tally, _unpack
 from .weblin import QMatrix
 
 __all__ = [
@@ -879,11 +879,7 @@ class FlagList:
         return cls(((exponent, w),))
 
     def _counter(self) -> dict[tuple[int, tuple[int, ...]], int]:
-        counts: dict[tuple[int, tuple[int, ...]], int] = {}
-        for e, w in self.terms:
-            key = (e, w.images)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        return _tally(((e, w.images), 1) for e, w in self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlagList):

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .boxcomb import (
     _check_basis_key,
@@ -57,7 +57,7 @@ from .boxcomb import (
     _unqualified,
     all_compositions,
 )
-from .qlaurent import ONE, ZERO, LaurentPoly, LinComb, quantum_int
+from .qlaurent import ONE, ZERO, LaurentPoly, LinComb, _tally, quantum_int
 from .reporting import Report
 from .symhecke import O_lists, Permutation, TranslationPath, _check_classes, _value_blocks
 from .weblin import QMatrix, TensorBasis, special_pairs
@@ -891,15 +891,6 @@ _ROUTES = ("curly", "translation", "matrix")
 # (class index, weight, top box word, exponent) -> nonzero integer: one weight's
 # list of image fillings, each Laurent coefficient spread over its monomials
 Tally = dict[tuple[int, tuple[int, ...], tuple[int, ...], int], int]
-
-
-def _tally(pairs: Iterable[tuple[Hashable, int]]) -> dict:
-    """Sum (key, count) pairs into a plain dict.  The box moves and the
-    wall steps only count, so every count is positive and no sum is zero."""
-    out: dict = {}
-    for key, c in pairs:
-        out[key] = out.get(key, 0) + c
-    return out
 
 
 def _box_moves(word: tuple[int, ...], mu: tuple[int, ...], layer: Layer) -> list:

@@ -500,9 +500,8 @@ def local_map(kind: str, k: int, a: int, b: int) -> LocalMap:
         # the split of the one-dimensional full power, born from nothing
         local[()] = local_map("split", k, a, b)[(full,)]
     elif kind == "cap":
-        for S in combinations(full, a):
-            T = tuple(x for x in full if x not in S)
-            local[(S, T)] = (((), LaurentPoly.q_power(-_inversions(S, T))),)
+        # the merge onto the one-dimensional full power, closed off
+        local = {key: (((), c),) for key, ((_, c),) in local_map("merge", k, a, b).items()}
     elif kind.startswith("cross"):
         local = _block_local(crossing_matrix(kind[len("cross"):], k))
     else:

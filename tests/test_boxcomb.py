@@ -100,6 +100,32 @@ def test_actions_reject_repeated_content():
         act_right(f, Permutation.identity(3))
 
 
+@pytest.mark.parametrize(
+    "call, reason",
+    [
+        (
+            lambda: act_left(Permutation.identity(3), filling((1,), (2,))),
+            "permutation size does not match filling size",
+        ),
+        (
+            lambda: act_right(filling((1,), (2,)), Permutation.identity(3)),
+            "permutation size does not match filling size",
+        ),
+        (lambda: curlyvee(filling((1, 1)), 1, (1, 1)), "filling is not column-strict"),
+        (lambda: curlywedge(filling((2, 2), (1,)), 1), "filling is not column-strict"),
+    ],
+    ids=["act-left-size", "act-right-size", "curlyvee-strict", "curlywedge-strict"],
+)
+def test_bijection_layer_errors(call, reason):
+    with pytest.raises(ValueError, match=reason) as info:
+        call()
+    assert type(info.value) is ValueError
+
+
+def test_the_empty_diagram_sum_prints_zero():
+    assert str(WeightedDiagramSum()) == "0"
+
+
 def test_filling_helpers():
     f = filling((1, 3), (2,))
     assert f.shape == (2, 1)

@@ -11,6 +11,7 @@ import pytest
 
 import moycalc
 import moycalc.symhecke as symhecke
+import moycalc.tangleinv as tangleinv
 import moycalc.verify as verify
 from moycalc.cli import EXIT_CLOSED_PIPE, main
 from moycalc.reporting import Report
@@ -543,3 +544,41 @@ def test_a_closed_stdout_pipe_exits_without_a_traceback() -> None:
         os.close(write_end)
     assert done.returncode == EXIT_CLOSED_PIPE
     assert done.stderr == b""
+
+
+# ----------------------------------------------------------------------
+# python -m moycalc
+
+TRANSCRIPT = Path(__file__).resolve().parent / "data" / "cli_transcript.txt"
+
+
+def _python_m_moycalc(cwd: Path, *argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(moycalc.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "moycalc", *argv],
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path, COLUMNS="80"),
+        timeout=120,
+    )
+
+
+def test_python_m_moycalc_help_is_main_help(tmp_path, capsys, monkeypatch) -> None:
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    done = _python_m_moycalc(tmp_path, "--help")
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
+
+def test_python_m_moycalc_prints_the_transcript_line(tmp_path) -> None:
+    argv = ["link-poly", "--file", "trefoil-plus.tangle", "--k", "3"]
+    (tmp_path / argv[2]).write_text(tangleinv.CORPUS["trefoil-plus"], encoding="utf-8")
+    records = TRANSCRIPT.read_text(encoding="utf-8").split("\n\n")
+    (record,) = [r for r in records if r.startswith("$ moycalc " + " ".join(argv) + "\n")]
+    done = _python_m_moycalc(tmp_path, *argv)
+    assert record.splitlines()[1:] == [f"> {done.stdout.rstrip()}", f"exit {done.returncode}"]
+    assert done.stderr == ""

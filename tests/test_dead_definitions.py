@@ -1,12 +1,13 @@
-"""Every function, class and method defined under src/ is referenced
+"""Every function, class and method defined under src/, and every
+private name a module-level assignment there binds, is referenced
 outside its own definition, somewhere in src/, scripts/, tests/ or
 perfbench/.
 
 A function or class counts as referenced by a name it is read as, an
 attribute of that name, an imported name or a string that spells it
 (``__all__``, ``getattr`` names, dotted tracer targets); a method only
-by an attribute or such a string.  Dunder methods are called by Python
-itself and are left out.
+by an attribute or such a string; a module-level name like a function.
+Dunder names are read by Python itself and are left out.
 """
 
 from __future__ import annotations
@@ -48,12 +49,20 @@ def _references(tree: ast.AST) -> tuple[Counter, Counter]:
 
 
 def _definitions(tree: ast.Module):
-    """(definition, is a method) for every def and class in the tree."""
+    """(definition, name, is a method) for every def and class in the
+    tree, and for every private name a module-level assignment binds."""
     for node in ast.walk(tree):
         body = getattr(node, "body", [])
         for child in body if isinstance(body, list) else ():
             if isinstance(child, DEFINITIONS):
-                yield child, isinstance(node, ast.ClassDef)
+                yield child, child.name, isinstance(node, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id.startswith("_"):
+                        yield node, name.id, False
 
 
 def _dead(trees: dict[Path, ast.Module], sources: list[Path]) -> list[str]:
@@ -65,15 +74,15 @@ def _dead(trees: dict[Path, ast.Module], sources: list[Path]) -> list[str]:
         attributes += a
     dead = []
     for path in sources:
-        for node, method in _definitions(trees[path]):
-            if node.name.startswith("__") and node.name.endswith("__"):
+        for node, name, method in _definitions(trees[path]):
+            if name.startswith("__") and name.endswith("__"):
                 continue
             own_names, own_attributes = _references(node)
-            outside = attributes[node.name] - own_attributes[node.name]
+            outside = attributes[name] - own_attributes[name]
             if not method:
-                outside += names[node.name] - own_names[node.name]
+                outside += names[name] - own_names[name]
             if outside <= 0:
-                dead.append(f"{path.relative_to(ROOT).as_posix()}:{node.lineno} {node.name}")
+                dead.append(f"{path.relative_to(ROOT).as_posix()}:{node.lineno} {name}")
     return dead
 
 
@@ -95,6 +104,9 @@ def test_every_definition_is_referenced():
         ("def f():\n    pass\nclass A:\n    def g(self):\n        return f()\n", ["A", "g"]),
         ("class A:\n    def g(self):\n        pass\nx = getattr(A(), 'g')\n", []),
         ("class A:\n    def __eq__(self, other):\n        pass\nA()\n", []),
+        ('_K0 = TypeVar("_K0")\n', ["_K0"]),
+        ("_A0, (_B0, c) = 1, (2, 3)\nd: int = _B0\n_E0: int = 4\n__all__ = []\n", ["_A0", "_E0"]),
+        ("_CACHE = {}\ndef f():\n    return _CACHE\nf()\n", []),
     ],
 )
 def test_the_check_sees_a_dead_definition(text, dead):

@@ -645,6 +645,21 @@ def test_foam_map_apply_is_linear() -> None:
     }
 
 
+@pytest.mark.parametrize("key", [(7,), (0, 0), (), (-1,), (True,), (1.0,), "0"])
+def test_foam_map_apply_checks_its_keys(key) -> None:
+    # a key that does not fit the source is an error, not a zero row
+    with pytest.raises(ValueError, match="basis key"):
+        basic_map("tube-split").apply({key: 1})
+
+
+@pytest.mark.parametrize("name", ["tube-split", "circle-death"])
+@pytest.mark.parametrize("bad", [1.5, True, "1", None])
+def test_foam_map_apply_checks_its_coefficients(name, bad) -> None:
+    # checked even where the map's row is zero (circle-death on x^0)
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        basic_map(name).apply({(0,): bad})
+
+
 # ----------------------------------------------------------------------
 # the verification suite
 

@@ -64,6 +64,13 @@ def test_quantum_int_rejects_negative():
         quantum_int(-1)
 
 
+def test_negative_powers_are_rejected_and_repr_reads_the_text():
+    with pytest.raises(ValueError, match="power must be a nonnegative int, got -1") as info:
+        Q ** -1
+    assert type(info.value) is ValueError
+    assert repr(Q) == "LaurentPoly('q')"
+
+
 # ----------------------------------------------------------------------
 # ring laws (randomized)
 

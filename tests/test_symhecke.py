@@ -174,6 +174,29 @@ def test_permutation_entries_must_be_ints(images):
         Permutation(images)
 
 
+@pytest.mark.parametrize(
+    "call, reason",
+    [
+        (lambda: perm("12") * perm("123"), "size mismatch in permutation product"),
+        (lambda: O_set((1, 1), (3,)), r"compositions \(1, 1\) and \(3,\) have different sums"),
+        (lambda: FlagList(()).times_quantum(-1), "quantum multiple needs m >= 0, got -1"),
+    ],
+    ids=["product-sizes", "O-set-sums", "negative-quantum"],
+)
+def test_hecke_layer_errors(call, reason):
+    with pytest.raises(ValueError, match=reason) as info:
+        call()
+    assert type(info.value) is ValueError
+
+
+def test_hecke_difference_and_texts():
+    h = HeckeElement.standard(perm("21"))
+    assert str(h - HeckeElement.unit(2)) == "H[21]*(1) + H[12]*(-1)"
+    assert str(h - h) == "0"
+    assert str(h) == "H[21]*(1)"
+    assert FlagList(()).text() == "(empty)"
+
+
 @pytest.mark.parametrize("i", [0, 4, -1])
 def test_side_products_reject_generators_out_of_range(i):
     p = perm("2413")

@@ -307,6 +307,12 @@ def test_link_poly_rejects_open_words():
         link_poly(TangleWord(("-",), ()), 2)
 
 
+def test_link_poly_rejects_a_rank_below_two():
+    with pytest.raises(ValueError, match="tangle rank k must be >= 2, got 1") as info:
+        link_poly(corpus_word("unknot"), 1)
+    assert type(info.value) is ValueError
+
+
 # ----------------------------------------------------------------------
 # link polynomial values
 

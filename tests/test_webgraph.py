@@ -303,6 +303,8 @@ def test_parse_types_each_layer_once(monkeypatch):
             (1, 27),
             "merge position 1 out of range",
         ),
+        ("cap(1@1)", {"k": 3, "bottom": (1, 2)}, (1, 1), "cap expects no labels or a label pair"),
+        ("cross+(1,1@1)", {"k": 3, "bottom": (1, 1)}, (1, 1), r"cross\+ takes no labels"),
     ],
 )
 def test_parse_errors_keep_line_and_column(source, kwargs, where, reason):
@@ -533,6 +535,13 @@ def test_web_typing_agrees_with_the_constructors(k):
 def test_stack_rejects_mismatched_boundaries():
     with pytest.raises(ValueError, match="cannot stack"):
         stack_webs(digon_web(3, 1, 2), Web(3, (1, 2), ()))
+
+
+@pytest.mark.parametrize("join", [stack_webs, tensor_webs])
+def test_stack_and_tensor_reject_mismatched_ranks(join):
+    with pytest.raises(ValueError, match="rank mismatch: 2 vs 3") as info:
+        join(Web(2, (1,)), Web(3, (1,)))
+    assert type(info.value) is ValueError
 
 
 # ----------------------------------------------------------------------

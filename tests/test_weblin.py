@@ -168,6 +168,39 @@ def test_split_and_cup_need_their_label_pair(kind, labels):
         cup_matrix(3, (), 1, None, 2)
 
 
+_ONE_STRAND = TensorBasis(2, (1,))
+
+
+@pytest.mark.parametrize(
+    "call, reason",
+    [
+        (lambda: TensorBasis(0, ()), "rank k must be >= 1, got 0"),
+        (lambda: TensorBasis(3, (-1,)), r"negative label in \(-1,\)"),
+        (lambda: QMatrix(_ONE_STRAND, _ONE_STRAND, [{}]), "need one column per column key"),
+        (
+            lambda: QMatrix.identity(_ONE_STRAND).scalar(),
+            r"matrix of shape \(2, 2\) is not a scalar",
+        ),
+        (
+            lambda: QMatrix.identity(_ONE_STRAND) @ QMatrix.identity(TensorBasis(2, (1, 1))),
+            "composition index mismatch",
+        ),
+        (lambda: generator_step("frob", 3, (1, 1), 1), "unknown generator kind 'frob'"),
+        (lambda: local_map("frob", 3, 1, 1), "unknown generator kind 'frob'"),
+        (lambda: intertwiner_matrix("merge1,1", 3, (1, 1), 1), "malformed generator 'merge1,1'"),
+        (lambda: hecke_E(0, 3, 2), "position s=0 out of range for n=3"),
+    ],
+    ids=[
+        "rank-0", "negative-label", "short-columns", "scalar", "matmul",
+        "step-kind", "local-kind", "malformed", "hecke-position",
+    ],
+)
+def test_wedge_layer_errors(call, reason):
+    with pytest.raises(ValueError, match=reason) as info:
+        call()
+    assert type(info.value) is ValueError
+
+
 def test_intertwiner_label_mismatch_errors():
     with pytest.raises(ValueError):
         intertwiner_matrix("merge(1,2)", 4, (1, 2), 1)  # pair not special
