@@ -7,6 +7,10 @@ fixed, so two checkouts can be compared on one machine:
 
     python3 scripts/bench_layers.py --repeats 7
 
+``--layer NAME`` (repeatable) prints only the rows of the named layers,
+for example ``--layer groth --layer transport --layer evaluate``; every
+layer's input is still set up, but only the named rows are timed.
+
 Times are in reference milliseconds, as in ``perfbench/run.py``: a
 shared machine's speed jumps by a factor near two several times a
 second, so each row runs under a ``perfbench/speed.py`` log that times a
@@ -234,11 +238,20 @@ def record(layer: str, text: str, times: list[tuple[float, float]]) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7, help="timed calls per layer")
+    parser.add_argument(
+        "--layer", action="append", metavar="NAME", help="time only this layer (repeatable)"
+    )
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    for layer, text, repeat in cases():
-        print(record(layer, text, [repeat() for _ in range(args.repeats)]), flush=True)
+    rows = cases()
+    known = list(dict.fromkeys(layer for layer, _, _ in rows))
+    unknown = [name for name in args.layer or () if name not in known]
+    if unknown:
+        parser.error(f"unknown layer {', '.join(unknown)}; known: {', '.join(known)}")
+    for layer, text, repeat in rows:
+        if args.layer is None or layer in args.layer:
+            print(record(layer, text, [repeat() for _ in range(args.repeats)]), flush=True)
     return 0
 
 

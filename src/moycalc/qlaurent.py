@@ -43,8 +43,10 @@ class LaurentPoly:
     The ``terms`` tuple is normalized on construction: duplicate
     exponents are merged, zero coefficients dropped, and the pairs
     sorted by descending exponent, so equality and hashing are
-    structural.  ``+``, ``*`` and ``parse_laurent`` sum through this
-    constructor; the maps that keep the form use ``_trusted``.
+    structural.  Every exponent and coefficient must be exactly an
+    ``int``; anything else raises ``ValueError``.  ``+``, ``*`` and
+    ``parse_laurent`` sum through this constructor; the maps that keep
+    the form use ``_trusted``.
     """
 
     # normalized (exponent, coefficient) pairs, descending exponent
@@ -55,6 +57,9 @@ class LaurentPoly:
         pairs = raw.items() if isinstance(raw, (dict, Mapping)) else raw
         acc: dict[int, int] = {}
         for exp, coeff in pairs:
+            # exactly int: a bool, float or Fraction is not a term of Z[q, q^-1]
+            if type(exp) is not int or type(coeff) is not int:
+                raise ValueError(f"term {exp!r}: {coeff!r} needs an int exponent and coefficient")
             acc[exp] = acc.get(exp, 0) + coeff
         _set_terms(self, _normal(acc))
 

@@ -993,9 +993,10 @@ def _wall_step(
     src: tuple[int, ...], dst: tuple[int, ...]
 ) -> Callable[[list, int | None], list]:
     """The translation move from wall ``src`` to wall ``dst``, analysed
-    once per wall pair: a function taking (exponent, class) terms over
-    ``src`` and the mu-restriction pair mask (or None) to the terms over
-    ``dst``.  The input classes are trusted to be minimal over ``src``."""
+    once per wall pair: a function taking (exponent, images) terms over
+    ``src``, each class as its one-line images, and the mu-restriction
+    pair mask (or None) to the terms over ``dst``.  The input classes
+    are trusted to be minimal over ``src``."""
     n = sum(src)
     split = _single_split(src, dst)
     if split is not None:
@@ -1004,12 +1005,13 @@ def _wall_step(
         shift = c * (c - 1) // 2 - a * (a - 1) // 2 - b * (b - 1) // 2
         # embedding a shuffle of the block keeps its length
         fan = tuple(
-            (shift - z.length(), _embedded(z, offset, n))
+            (shift - z.length(), _embedded(z, offset, n).images)
             for z in _right_minimal_reps((a, b))
         )
 
         def out_of_wall(terms: list, mu_mask: int | None) -> list:
-            return [(e + s, w * z) for e, w in terms for s, z in fan]
+            # the images of w * z
+            return [(e + s, tuple(w[j - 1] for j in z)) for e, w in terms for s, z in fan]
 
         return out_of_wall
     merge = _single_split(dst, src)
@@ -1020,15 +1022,14 @@ def _wall_step(
         def onto_wall(terms: list, mu_mask: int | None) -> list:
             masks = _rep_masks(dst) if mu_mask is not None else None
             out = []
-            for e, w in terms:
-                images = w.images
+            for e, images in terms:
                 segment = images[offset:end]
                 # sorting the merged window keeps z minimal over dst
                 z = images[:offset] + tuple(sorted(segment)) + images[end:]
                 if masks is not None and masks[z] & mu_mask:
                     continue
                 # l(y) counts the inversions inside the merged window
-                out.append((e - _inversion_count(segment), Permutation._trusted(z)))
+                out.append((e - _inversion_count(segment), z))
             return out
 
         return onto_wall
@@ -1049,7 +1050,8 @@ class TranslationPath:
     moves onto the wall (each class is replaced by the minimal
     representative of its coset, with exponent offset -l(y)).  Each
     step is analysed once per pair of walls and cached.  ``push`` checks
-    its classes once, over the starting wall; the steps trust them.
+    its classes once, over the starting wall; the steps trust them and
+    act on their one-line images.
     """
 
     def __init__(self, walls: Sequence[Sequence[int]]) -> None:
@@ -1071,10 +1073,12 @@ class TranslationPath:
         path's n, and every class must be a permutation of that size,
         minimal over the starting wall: checked here, once."""
         _check_classes(terms, self.start)
-        return self._pusher(mu)(terms)
+        pushed = self._pusher(mu)([(e, w.images) for e, w in terms])
+        return [(e, Permutation._trusted(images)) for e, images in pushed]
 
     def _pusher(self, mu: Sequence[int] | None = None) -> Callable[[list], list]:
-        """``push`` for many trusted classes of one weight, ``mu`` checked once."""
+        """``push`` for many trusted classes of one weight, ``mu`` checked
+        once, on (exponent, images) terms: each class as its one-line images."""
         mu_mask = None if mu is None else _pair_mask(_parts_summing_to(mu, self.n))
 
         def push(terms: list) -> list:

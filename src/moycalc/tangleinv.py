@@ -1029,10 +1029,10 @@ class _TransportPlan:
         start, images = spans.get(mu, (0, []))
         image: Tally = {}
         for i, z in enumerate(classes):
-            for e, w in push([(0, z)]):
-                at = bisect_left(images, w.images)
-                if images[at : at + 1] != [w.images]:
-                    raise _unqualified(w, mu, self.web.top)
+            for e, w in push([(0, z.images)]):
+                at = bisect_left(images, w)
+                if images[at : at + 1] != [w]:
+                    raise _unqualified(Permutation(w), mu, self.web.top)
                 key = (i, mu, words[start + at], e)
                 image[key] = image.get(key, 0) + 1
         return image
@@ -1143,17 +1143,18 @@ def compare_theorem13(f: Web) -> bool:
     Runs over all weight compositions with exactly ``k`` parts (the
     web's rank) and all their minimal coset representatives for the
     web's bottom content, read from the bottom's class table.  Each
-    weight's classes run together through the web's transport plan, the
-    three tallies are compared as plain dicts, and each image key is
-    checked once: in one tally when they agree (they share their keys),
-    in all three before a disagreement is reported.
+    weight's classes run together through the web's transport plan and
+    the three tallies are compared as plain dicts.  The image keys are
+    checked only before a disagreement is reported, in all three
+    tallies: the translation route finds every image among the top
+    table's classes, whose words the table checked when it was built,
+    so tallies that agree hold only checked words.
     """
     plan = _TransportPlan(f)
     for weight in _class_table(f.k, f.bottom).weights():
         images = [getattr(plan, route)(*weight) for route in _ROUTES]
-        agree = images[0] == images[1] == images[2]
-        for image in images[:1] if agree else images:
-            plan.check(image)
-        if not agree:
+        if not images[0] == images[1] == images[2]:
+            for image in images:
+                plan.check(image)
             return False
     return True

@@ -430,7 +430,8 @@ def evaluate(web: Web) -> QMatrix:
     state through each layer's local window map; a closed web pushes a
     single column.  The first layer's images are read off its map, and
     every later layer's are summed by ``apply_window``.  The pushed
-    columns are the matrix's columns.
+    columns are the matrix's columns; their keys are top-basis keys by
+    construction, so the matrix is adopted without the row check.
     """
     rank = web.k
     bottom = TensorBasis(rank, web.bottom)
@@ -446,7 +447,7 @@ def evaluate(web: Web) -> QMatrix:
         local = local_map(layer.kind, rank, *pair)
         state = push(local, layer.pos, INPUT_SPANS[layer.kind], state)
         push = apply_window
-    return QMatrix(TensorBasis(rank, web.top), bottom, state)
+    return QMatrix._trusted(TensorBasis(rank, web.top), bottom, state)
 
 
 def evaluate_closed(web: Web) -> LaurentPoly:

@@ -1,7 +1,8 @@
 """Every function, class and method defined under src/, and every
 private name a module-level assignment there binds, is referenced
 outside its own definition, somewhere in src/, scripts/, tests/ or
-perfbench/.
+perfbench/.  This file is not read for references: the names its cases
+spell as strings would otherwise count as uses.
 
 A function or class counts as referenced by a name it is read as, an
 attribute of that name, an imported name or a string that spells it
@@ -18,11 +19,13 @@ from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+GUARD = Path(__file__).resolve()
+ROOT = GUARD.parents[1]
 FILES = sorted(
     path
     for folder in ("src", "scripts", "tests", "perfbench")
     for path in (ROOT / folder).rglob("*.py")
+    if path != GUARD
 )
 SOURCES = [path for path in FILES if path.is_relative_to(ROOT / "src")]
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -91,9 +94,20 @@ def test_the_files_are_found():
     assert {"src/moycalc/symhecke.py", "perfbench/tracing.py", "tests/test_cli.py"} <= names
 
 
+def _trees() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in FILES}
+
+
 def test_every_definition_is_referenced():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in FILES}
-    assert _dead(trees, SOURCES) == []
+    assert _dead(_trees(), SOURCES) == []
+
+
+def test_a_name_spelled_only_in_the_guard_is_reported():
+    # "_Key" appears among this file's cases, and nowhere else
+    assert GUARD not in FILES
+    path = ROOT / "src" / "example.py"
+    trees = _trees() | {path: ast.parse('_Key = TypeVar("_Key")\n')}
+    assert [entry.split()[-1] for entry in _dead(trees, [path])] == ["_Key"]
 
 
 @pytest.mark.parametrize(
@@ -104,8 +118,8 @@ def test_every_definition_is_referenced():
         ("def f():\n    pass\nclass A:\n    def g(self):\n        return f()\n", ["A", "g"]),
         ("class A:\n    def g(self):\n        pass\nx = getattr(A(), 'g')\n", []),
         ("class A:\n    def __eq__(self, other):\n        pass\nA()\n", []),
-        ('_K0 = TypeVar("_K0")\n', ["_K0"]),
-        ("_A0, (_B0, c) = 1, (2, 3)\nd: int = _B0\n_E0: int = 4\n__all__ = []\n", ["_A0", "_E0"]),
+        ('_Key = TypeVar("_Key")\n', ["_Key"]),
+        ("_A, (_B, c) = 1, (2, 3)\nd: int = _B\n_E: int = 4\n__all__ = []\n", ["_A", "_E"]),
         ("_CACHE = {}\ndef f():\n    return _CACHE\nf()\n", []),
     ],
 )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -139,6 +141,25 @@ def test_constructor_accepts_any_mapping_or_pairs():
     assert LaurentPoly([(0, 1), (2, 1), (0, 1), (1, 0)]) == expected
     assert LaurentPoly(((0, 2), (2, 1))).terms == ((2, 1), (0, 2))
     assert Q * 0 == ZERO and (ZERO * Q).terms == () and (Q * ZERO).terms == ()
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {0: 1.5},
+        {0: 2.0},
+        {0.5: 2},
+        {0: True},
+        {True: 1},
+        {"1": 1},
+        [(1, Fraction(1, 2))],
+        # the raw pairs are checked: this True would be gone once summed
+        [(0, True), (0, -1)],
+    ],
+)
+def test_constructor_rejects_terms_that_are_not_ints(terms):
+    with pytest.raises(ValueError, match="needs an int exponent and coefficient"):
+        LaurentPoly(terms)
 
 
 @given(polys)

@@ -1,6 +1,7 @@
 """The slice grammar shared by web and tangle sources: one error type,
-the same faults reported alike, round trips of random words, and the
-CLI contract on byte-mutated files."""
+the same faults reported alike, round trips of random words, the row
+keys of random webs' matrices, and the CLI contract on byte-mutated
+files."""
 
 from __future__ import annotations
 
@@ -13,9 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moycalc.cli import main
-from moycalc.tangleinv import TangleLayer, TangleParseError, TangleWord, parse_tangle
-from moycalc.webgraph import Layer, Web, WebParseError, parse_web
-from moycalc.weblin import generator_step
+from moycalc.tangleinv import (
+    TangleLayer,
+    TangleParseError,
+    TangleWord,
+    parse_tangle,
+    special_generator_webs,
+)
+from moycalc.webgraph import Layer, Web, WebParseError, evaluate, parse_web
+from moycalc.weblin import QMatrix, TensorBasis, generator_step
 
 MAX_WIDTH = 4
 MAX_LAYERS = 6
@@ -164,6 +171,35 @@ def test_random_webs_round_trip(web):
 @given(tangles())
 def test_random_tangles_round_trip(word):
     assert parse_tangle(word.text()) == word
+
+
+# ----------------------------------------------------------------------
+# evaluate adopts its columns without the public row check
+
+
+def _assert_evaluate_keys_rows(web: Web) -> None:
+    """Every column key of ``evaluate(web)`` is a top-basis key, and the
+    public constructor rebuilds the same matrix from its columns."""
+    matrix = evaluate(web)
+    top = TensorBasis(web.k, web.top)
+    rows = set(top)
+    assert all(column.keys() <= rows for column in matrix.columns)
+    assert matrix == QMatrix(top, matrix.cols, [dict(column) for column in matrix.columns])
+
+
+@settings(max_examples=100, deadline=None)
+@given(webs())
+def test_random_webs_evaluate_to_top_basis_rows(web):
+    _assert_evaluate_keys_rows(web)
+
+
+def test_one_generator_webs_evaluate_to_top_basis_rows():
+    generators = [
+        web for k in (2, 3, 4) for n in range(1, 6) for web in special_generator_webs(n, k)
+    ]
+    assert len(generators) == 160
+    for web in generators:
+        _assert_evaluate_keys_rows(web)
 
 
 # ----------------------------------------------------------------------

@@ -1050,10 +1050,11 @@ def _check_plan_against_the_chain(plan, web, matrix, mu, classes):
     translations = [_reference_translation(web, mu, z) for z in classes]
     assert plan.translation(*weight) == _tally(web, translations), where
     # the tally keeps only each image's top word: check the classes the
-    # wall steps push to, representatives included
+    # wall steps push to, representatives included; the steps act on images
     push = plan._walls._pusher(mu)
     assert [
-        LinComb(((mu, w), qp(e)) for e, w in push([(0, z)])) for z in classes
+        LinComb(((mu, Permutation(w)), qp(e)) for e, w in push([(0, z.images)]))
+        for z in classes
     ] == translations, where
     assert plan.matrix(*weight) == _tally(
         web, [_reference_matrix(web, matrix, mu, z) for z in classes]
@@ -1196,6 +1197,49 @@ def test_compare_checks_every_route_before_a_disagreement(route, monkeypatch):
         compare_theorem13(web)
 
 
+def _cosets_webs():
+    """The 160 one-generator webs with n <= 5 and k = 2..4."""
+    return [
+        web for k in (2, 3, 4) for n in range(1, 6) for web in special_generator_webs(n, k)
+    ]
+
+
+def test_agreeing_tallies_hold_only_checked_top_table_words():
+    # compare_theorem13 checks no key when the routes agree: every word of
+    # the translation tally is a top-table word, and the checks pass
+    webs = _cosets_webs()
+    assert len(webs) == 160
+    for web in webs:
+        plan = tangleinv._TransportPlan(web)
+        top = tangleinv._class_table(web.k, web.top)
+        table_words = {(mu, word) for mu, _, words, _ in top.weights() for word in words}
+        for weight in tangleinv._class_table(web.k, web.bottom).weights():
+            tallies = [getattr(plan, route)(*weight) for route in ROUTES]
+            assert {(mu, word) for _, mu, word, _ in tallies[1]} <= table_words
+            for tally in tallies:
+                plan.check(tally)
+
+
+def test_one_shifted_matrix_exponent_is_reported_after_every_check(monkeypatch):
+    web = Web(4, (1, 1, 1, 1), (Layer("merge", 2, 1, 1),))
+    checks = _counting(monkeypatch, tangleinv._TransportPlan, "check")
+    assert compare_theorem13(web)
+    assert checks == []
+    kernel = tangleinv._TransportPlan.matrix
+
+    def one_exponent_off(plan, *args):
+        image = kernel(plan, *args)
+        if image:
+            (i, mu, word, e), c = image.popitem()
+            key = (i, mu, word, e + 1)
+            image[key] = image.get(key, 0) + c
+        return image
+
+    monkeypatch.setattr(tangleinv._TransportPlan, "matrix", one_exponent_off)
+    assert not compare_theorem13(web)
+    assert len(checks) == 3
+
+
 # k=2 on three strands: every weight has a column of two or more boxes,
 # so a top word in decreasing order is column-strict over none of them
 THREE_STRAND_MERGE = Web(2, (1, 1, 1), (Layer("merge", 1, 1, 1),))
@@ -1231,7 +1275,7 @@ def test_a_translation_image_outside_the_restricted_set_raises(monkeypatch):
 
     def off_the_set(path, mu=None):
         push = pusher(path, mu)
-        return lambda terms: [(e, longest) for e, _ in push(terms)]
+        return lambda terms: [(e, longest.images) for e, _ in push(terms)]
 
     monkeypatch.setattr(symhecke.TranslationPath, "_pusher", off_the_set)
     for error in _malformed_image_raises(web, "translation"):
@@ -1266,10 +1310,8 @@ def test_a_map_runs_its_route_once_per_weight(route, monkeypatch):
 
 def test_classes_are_checked_where_they_enter_the_walls(monkeypatch):
     calls = _counting(monkeypatch, symhecke, "_check_classes")
-    for k in (2, 3, 4):
-        for n in range(1, 6):
-            for web in special_generator_webs(n, k):
-                assert compare_theorem13(web)
+    for web in _cosets_webs():
+        assert compare_theorem13(web)
     assert calls == []
     path = TranslationPath(SPLIT_MERGE_WEB.boundaries)
     assert len(path.steps) == 2
@@ -1283,14 +1325,7 @@ def test_classes_are_checked_where_they_enter_the_walls(monkeypatch):
 
 def _cosets_boundaries():
     """The (k, boundary) pairs of the one-generator webs with n <= 5, k = 2..4."""
-    return sorted(
-        {
-            (web.k, web.bottom)
-            for k in (2, 3, 4)
-            for n in range(1, 6)
-            for web in special_generator_webs(n, k)
-        }
-    )
+    return sorted({(web.k, web.bottom) for web in _cosets_webs()})
 
 
 @pytest.mark.parametrize("k, nu", _cosets_boundaries())
