@@ -545,10 +545,10 @@ def _frobenius_failures() -> list[str]:
     for a in _FROB_BASIS:
         for b in _FROB_BASIS:
             if a * b != b * a:
-                failures.append(f"commutativity at {a}, {b}")
+                failures.append(f"commutativity at {a}*{b}")
             for c in _FROB_BASIS:
                 if (a * b) * c != a * (b * c):
-                    failures.append(f"associativity at {a}, {b}, {c}")
+                    failures.append(f"associativity at {a}*{b}*{c}")
         if one * a != a:
             failures.append(f"unit at {a}")
 
@@ -571,117 +571,83 @@ def _frobenius_failures() -> list[str]:
     return failures
 
 
-def _family_report(
-    check: str, anchor: str, held: str, failures: list[str]
-) -> Report:
-    """A family's report: its witness says what ``held``, or lists the
-    first four failures."""
-    return Report(
-        check=check,
-        anchor=anchor,
-        passed=not failures,
-        witness="; ".join(failures[:4]) if failures else held,
-    )
-
-
 def verify_foam() -> list[Report]:
     """Exact checks of the whole foam shadow, one report per family."""
-    reports = []
-
-    reports.append(
-        _family_report(
-            "foam-frobenius",
-            "C[x]/(x^3) with the signed comultiplication and the "
-            "trace -1 on x^2 is a commutative Frobenius algebra",
-            "unit, associativity, counit, coassociativity and the "
-            "compatibility square hold on the full basis",
-            _frobenius_failures(),
-        )
+    # the comultiplication and the trace of 1, x and x^2
+    structure = (
+        ({(0, 2): -1, (1, 1): -1, (2, 0): -1}, 0),
+        ({(1, 2): -1, (2, 1): -1}, 0),
+        ({(2, 2): -1}, -1),
     )
-
-    expected_comul = {
-        0: {(0, 2): Fraction(-1), (1, 1): Fraction(-1), (2, 0): Fraction(-1)},
-        1: {(1, 2): Fraction(-1), (2, 1): Fraction(-1)},
-        2: {(2, 2): Fraction(-1)},
-    }
-    display_ok = all(
-        frob_comul(FrobElement.x(power)) == expected_comul[power]
-        for power in range(3)
-    ) and [frob_trace(FrobElement.x(power)) for power in range(3)] == [
-        0,
-        0,
-        -1,
+    structure_failures = [
+        str(a)
+        for a, (comul, trace) in zip(_FROB_BASIS, structure)
+        if frob_comul(a) != comul or frob_trace(a) != trace
     ]
-    reports.append(
-        Report(
-            check="foam-structure-constants",
-            anchor=(
-                "the comultiplication sends 1 to -(1@x^2 + x@x + x^2@1), "
-                "x to -(x@x^2 + x^2@x), x^2 to -x^2@x^2, and the trace "
-                "kills 1 and x and sends x^2 to -1"
-            ),
-            passed=display_ok,
-            witness="all structure constants match" if display_ok else "",
-        )
-    )
 
     theta_failures = []
-    for triple in permutations((0, 1, 2)):
-        expected = Fraction(-1) if _inversion_count(triple) % 2 else Fraction(1)
-        if theta_eval(*triple) != expected:
-            theta_failures.append(f"{triple} != {expected}")
+    for d1, d2, d3 in permutations((0, 1, 2)):
+        expected = -1 if _inversion_count((d1, d2, d3)) % 2 else 1
+        if theta_eval(d1, d2, d3) != expected:
+            theta_failures.append(f"({d1},{d2},{d3}) != {expected}")
     for d1, d2, d3 in product(range(4), repeat=3):
         if len({d1, d2, d3}) < 3 and theta_eval(d1, d2, d3) != 0:
             theta_failures.append(f"({d1},{d2},{d3}) != 0")
-    reports.append(
-        _family_report(
-            "foam-theta",
-            "theta surfaces evaluate to the sign of the dot "
-            "arrangement: +1 on even arrangements of 0,1,2 dots, "
-            "-1 on odd ones, 0 whenever two disks carry equal dots",
-            "all dot triples up to 3 dots per disk",
-            theta_failures,
-        )
-    )
 
     mutations_fail = all(
         any(_surgery_sum(_neck, a, keep) != -a for a in _FROB_BASIS)
         for keep in ((0, 1), (0, 2), (1, 2))
     ) and any(_surgery_sum(_neck, a) != a for a in _FROB_BASIS)
-    surgery_ok = surgery_check() and mutations_fail
     accepted = surgery_search()
-    reports.append(
-        Report(
-            check="foam-surgery",
-            anchor=(
-                "cutting a tube decomposes minus the identity into the "
-                "three two-dot terms through the trace-then-unit "
-                "composite, and fails under sign flips or dropped terms"
-            ),
-            passed=surgery_ok and accepted == ["trace-then-unit"],
-            witness=f"accepted realizations: {', '.join(accepted)}",
-        )
-    )
 
     degree_failures = []
     for name in BASIC_FOAM_NAMES:
         for dots in range(3):
             mapped = basic_map(name, dots)
-            if mapped.is_zero():
-                continue
-            if mapped.degree() != foam_degree(name, dots):
+            if not mapped.is_zero() and mapped.degree() != foam_degree(name, dots):
                 degree_failures.append(
                     f"{name} with {dots} dots: map degree "
                     f"{mapped.degree()} != {foam_degree(name, dots)}"
                 )
-    reports.append(
-        _family_report(
+
+    return [
+        Report.of_failures(
+            "foam-frobenius",
+            "C[x]/(x^3) with the signed comultiplication and the "
+            "trace -1 on x^2 is a commutative Frobenius algebra",
+            _frobenius_failures(),
+            "unit, associativity, counit, coassociativity and the "
+            "compatibility square hold on the full basis",
+        ),
+        Report.of_failures(
+            "foam-structure-constants",
+            "the comultiplication sends 1 to -(1@x^2 + x@x + x^2@1), "
+            "x to -(x@x^2 + x^2@x), x^2 to -x^2@x^2, and the trace "
+            "kills 1 and x and sends x^2 to -1",
+            structure_failures,
+            "all structure constants match",
+        ),
+        Report.of_failures(
+            "foam-theta",
+            "theta surfaces evaluate to the sign of the dot "
+            "arrangement: +1 on even arrangements of 0,1,2 dots, "
+            "-1 on odd ones, 0 whenever two disks carry equal dots",
+            theta_failures,
+            "all dot triples up to 3 dots per disk",
+        ),
+        Report(
+            "foam-surgery",
+            "cutting a tube decomposes minus the identity into the "
+            "three two-dot terms through the trace-then-unit "
+            "composite, and fails under sign flips or dropped terms",
+            surgery_check() and mutations_fail and accepted == ["trace-then-unit"],
+            f"accepted realizations: {', '.join(accepted)}",
+        ),
+        Report.of_failures(
             "foam-degrees",
             "the degree of every basic foam piece equals the degree "
             "of its linear map, shifts included, and each dot adds 2",
-            "all catalogue entries with up to two dots",
             degree_failures,
-        )
-    )
-
-    return reports
+            "all catalogue entries with up to two dots",
+        ),
+    ]

@@ -76,7 +76,10 @@ class LaurentPoly:
 
     @classmethod
     def q_power(cls, exponent: int) -> "LaurentPoly":
-        """The monomial q^exponent (exponent may be negative)."""
+        """The monomial q^exponent (exponent may be negative, but must be
+        exactly an ``int``)."""
+        if type(exponent) is not int:
+            raise ValueError(f"q_power needs an int exponent, got {exponent!r}")
         return _trusted(((exponent, 1),))
 
     @classmethod
@@ -257,8 +260,8 @@ def quantum_int(m: int) -> LaurentPoly:
     >>> str(quantum_int(4))
     'q^3 + q + q^-1 + q^-3'
     """
-    if m < 0:
-        raise ValueError(f"quantum_int expects m >= 0, got {m}")
+    if type(m) is not int or m < 0:
+        raise ValueError(f"quantum_int expects an int m >= 0, got {m!r}")
     return LaurentPoly({m - 1 - 2 * j: 1 for j in range(m)})
 
 

@@ -3,7 +3,8 @@
 Every verifier produces a list of ``Report`` values; the CLI renders
 them either as human-readable lines or as line-delimited records whose
 ``anchor`` field restates the claim being checked, so a record is
-meaningful on its own.
+meaningful on its own.  ``Report.of_failures`` is the one rule from a
+claim's failed cases to its verdict and witness.
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ class Report:
     anchor: str
     passed: bool
     witness: str = ""
+
+    @classmethod
+    def of_failures(
+        cls, check: str, anchor: str, failures: list[str], held: str
+    ) -> Report:
+        """Passed when no case failed.  The witness is ``held`` on a pass;
+        on a failure it names every failed case, in order."""
+        witness = "failed at " + ", ".join(failures) if failures else held
+        return cls(check, anchor, not failures, witness)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

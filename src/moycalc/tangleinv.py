@@ -60,7 +60,7 @@ from .boxcomb import (
 from .qlaurent import ONE, ZERO, LaurentPoly, LinComb, _tally, quantum_int
 from .reporting import Report
 from .symhecke import O_lists, Permutation, TranslationPath, _check_classes, _value_blocks
-from .weblin import QMatrix, TensorBasis, special_pairs
+from .weblin import QMatrix, TensorBasis, _check_rank, special_pairs
 from .webgraph import (
     Layer,
     Web,
@@ -198,8 +198,8 @@ class TangleWord(_SliceWord):
     def __post_init__(self) -> None:
         object.__setattr__(self, "bottom", tuple(self.bottom))
         object.__setattr__(self, "layers", tuple(self.layers))
-        if self.k is not None and self.k < 2:
-            raise ValueError(f"tangle rank k must be >= 2, got {self.k}")
+        if self.k is not None:
+            _check_rank(self.k, 2, "tangle rank")
         for sign in self.bottom:
             if sign not in _SIGNS:
                 raise ValueError(
@@ -301,8 +301,7 @@ def _resolve_rank(t: TangleWord, k: int | None) -> int:
         raise ValueError(
             "no rank given: pass k= or parse a tangle header that sets it"
         )
-    if rank < 2:
-        raise ValueError(f"tangle rank k must be >= 2, got {rank}")
+    _check_rank(rank, 2, "tangle rank")
     return rank
 
 
@@ -642,26 +641,21 @@ def reidemeister_suite(k: int) -> list[Report]:
     braidings of three strands agree, and both zig-zags equal the
     plain strand.
     """
-    reports = []
-    for move, prefix, boundaries, anchor, witness in _SUITE:
-        failures = [
-            label
-            for signs in map(tuple, boundaries)
-            for label, one, other in _move_sides(move, signs, 1)
-            if tangle_matrix(TangleWord(signs, one), k)
-            != tangle_matrix(TangleWord(signs, other), k)
-        ]
-        if failures:
-            witness = "failed at " + ", ".join(failures)
-        reports.append(
-            Report(
-                check=f"{prefix}-k{k}",
-                anchor=anchor,
-                passed=not failures,
-                witness=witness,
-            )
+    return [
+        Report.of_failures(
+            f"{prefix}-k{k}",
+            anchor,
+            [
+                label
+                for signs in map(tuple, boundaries)
+                for label, one, other in _move_sides(move, signs, 1)
+                if tangle_matrix(TangleWord(signs, one), k)
+                != tangle_matrix(TangleWord(signs, other), k)
+            ],
+            held,
         )
-    return reports
+        for move, prefix, boundaries, anchor, held in _SUITE
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -1119,8 +1113,7 @@ def grothendieck_map(
 def special_generator_webs(n: int, k: int) -> list[Web]:
     """Every one-layer merge or split web of special type on a
     boundary composition of ``n`` with parts that are valid labels."""
-    if k < 2:
-        raise ValueError(f"web rank k must be >= 2, got {k}")
+    _check_rank(k, 2, "web rank")
     labels = sorted({1, 2, k - 1, k})
     pairs = sorted(special_pairs(k))
     webs = []

@@ -8,6 +8,10 @@ other three suites stay beside what they check: ``webgraph.verify_moy``,
 ``tangleinv.reidemeister_suite`` and ``foamalg.verify_foam``.  The
 Hecke sweep cannot live in ``symhecke``: it enumerates compositions
 with ``boxcomb``, which already imports ``symhecke``.
+
+Each sweep hands its failed cases to ``Report.of_failures``: a
+``mu|nu`` pair or a content, a permutation or a ``w|mu`` pair, a web
+as its layer and bottom (``merge(1,1@1) on 1,1``).
 """
 
 from __future__ import annotations
@@ -26,36 +30,37 @@ from .webgraph import verify_moy
 __all__ = ["Suite", "SUITES", "bijections_suite", "hecke_suite", "groth_suite"]
 
 
+def _parts(composition: tuple[int, ...]) -> str:
+    return ",".join(map(str, composition))
+
+
 def bijections_suite(n: int, k: int) -> list[Report]:
     shapes = positive_compositions(n)
-    counts_match = all(
-        len(O_set(mu, nu)) == len(column_strict_fillings(mu, nu))
-        for mu in shapes
-        for nu in shapes
-    )
-    dimension_match = all(
-        sum(len(column_strict_fillings(mu, nu)) for mu in all_compositions(n, k))
-        == prod(comb(k, part) for part in nu)
-        for nu in shapes
-    )
+    all_shapes = all_compositions(n, k)
     return [
-        Report(
-            check=f"bijections-coset-filling-n{n}",
-            anchor=(
-                "minimal double-coset representatives and column-strict "
-                "fillings are equinumerous for every shape/content pair"
-            ),
-            passed=counts_match,
-            witness=f"{len(shapes) ** 2} (mu, nu) pairs",
+        Report.of_failures(
+            f"bijections-coset-filling-n{n}",
+            "minimal double-coset representatives and column-strict "
+            "fillings are equinumerous for every shape/content pair",
+            [
+                f"{_parts(mu)}|{_parts(nu)}"
+                for mu in shapes
+                for nu in shapes
+                if len(O_set(mu, nu)) != len(column_strict_fillings(mu, nu))
+            ],
+            f"{len(shapes) ** 2} (mu, nu) pairs",
         ),
-        Report(
-            check=f"bijections-dimension-n{n}-k{k}",
-            anchor=(
-                "column-strict fillings over all shapes count the wedge "
-                "space dimension, the product of binomials C(k, part)"
-            ),
-            passed=dimension_match,
-            witness=f"{len(shapes)} contents at k={k}",
+        Report.of_failures(
+            f"bijections-dimension-n{n}-k{k}",
+            "column-strict fillings over all shapes count the wedge "
+            "space dimension, the product of binomials C(k, part)",
+            [
+                _parts(nu)
+                for nu in shapes
+                if sum(len(column_strict_fillings(mu, nu)) for mu in all_shapes)
+                != prod(comb(k, part) for part in nu)
+            ],
+            f"{len(shapes)} contents at k={k}",
         ),
     ]
 
@@ -65,33 +70,31 @@ def hecke_suite(n: int) -> list[Report]:
         Permutation(images)
         for images in sorted(permutations(range(1, n + 1)))
     ]
-    bar_ok = all(kl_element(w).bar() == kl_element(w) for w in group)
     pairs = [
         (w, mu)
         for mu in positive_compositions(n)
         for w in group
         if annihilates(w, mu)
     ]
-    annihilator_ok = all(sign_action(kl_element(w), mu).is_zero() for w, mu in pairs)
     return [
-        Report(
-            check=f"hecke-kl-bar-invariant-n{n}",
-            anchor=(
-                "every Kazhdan-Lusztig basis element is fixed by the bar "
-                "involution"
-            ),
-            passed=bar_ok,
-            witness=f"{len(group)} elements",
+        Report.of_failures(
+            f"hecke-kl-bar-invariant-n{n}",
+            "every Kazhdan-Lusztig basis element is fixed by the bar "
+            "involution",
+            [str(w) for w in group if kl_element(w).bar() != kl_element(w)],
+            f"{len(group)} elements",
         ),
-        Report(
-            check=f"hecke-annihilator-n{n}",
-            anchor=(
-                "when the insertion tableau has more rows than the "
-                "composition has nonzero parts, the Kazhdan-Lusztig "
-                "element acts as zero on the induced sign module"
-            ),
-            passed=annihilator_ok,
-            witness=f"{len(pairs)} (element, composition) pairs",
+        Report.of_failures(
+            f"hecke-annihilator-n{n}",
+            "when the insertion tableau has more rows than the "
+            "composition has nonzero parts, the Kazhdan-Lusztig "
+            "element acts as zero on the induced sign module",
+            [
+                f"{w}|{_parts(mu)}"
+                for w, mu in pairs
+                if not sign_action(kl_element(w), mu).is_zero()
+            ],
+            f"{len(pairs)} (element, composition) pairs",
         ),
     ]
 
@@ -101,14 +104,16 @@ def groth_suite(n: int, k: int) -> list[Report]:
         web for size in range(1, n + 1) for web in special_generator_webs(size, k)
     ]
     return [
-        Report(
-            check=f"groth-three-routes-n{n}-k{k}",
-            anchor=(
-                "the diagrammatic, translation, and matrix transports "
-                "agree on every basis class of every one-generator web"
-            ),
-            passed=all(compare_theorem13(web) for web in webs),
-            witness=f"{len(webs)} webs",
+        Report.of_failures(
+            f"groth-three-routes-n{n}-k{k}",
+            "the diagrammatic, translation, and matrix transports "
+            "agree on every basis class of every one-generator web",
+            [
+                f"{web.layers[0].text()} on {_parts(web.bottom)}"
+                for web in webs
+                if not compare_theorem13(web)
+            ],
+            f"{len(webs)} webs",
         )
     ]
 

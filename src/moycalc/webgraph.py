@@ -57,6 +57,7 @@ from .weblin import (
     INPUT_SPANS,
     QMatrix,
     TensorBasis,
+    _check_rank,
     _generator_matrix,
     _lift,
     _lift_columns,
@@ -217,8 +218,7 @@ class Web(_SliceWord):
     def __post_init__(self) -> None:
         object.__setattr__(self, "bottom", tuple(self.bottom))
         object.__setattr__(self, "layers", tuple(self.layers))
-        if self.k < 2:
-            raise ValueError(f"web rank k must be >= 2, got {self.k}")
+        _check_rank(self.k, 2, "web rank")
         allowed = {1, 2, self.k - 1, self.k}
         for label in self.bottom:
             if label not in allowed:
@@ -634,90 +634,59 @@ def verify_moy(k: int) -> list[Report]:
     and the report records exact equality together with the quantum
     multiplicities involved ([k], [2], [k-1], [k-2]).
     """
-    if k < 2:
-        raise ValueError(f"rank k must be >= 2, got {k}")
-    reports = []
+    _check_rank(k, 2)
 
-    factor_k = quantum_int(k)
-    ident_k = QMatrix.identity(TensorBasis(k, (k,)))
-    ok = all(
-        evaluate(digon_web(k, a, b)) == factor_k * ident_k
-        for a, b in ((1, k - 1), (k - 1, 1))
-    )
-    reports.append(
-        Report(
-            check=f"moy-I-k{k}",
-            anchor=(
-                f"digon webs with label pairs (1,{k - 1}) and ({k - 1},1) "
-                f"on one {k}-strand both equal [{k}]*id at k={k}"
-            ),
-            passed=ok,
-            witness=f"[{k}] = {factor_k}",
-        )
-    )
-
-    factor_2 = quantum_int(2)
-    ident_2 = QMatrix.identity(TensorBasis(k, (2,)))
-    ok = evaluate(digon_web(k, 1, 1)) == factor_2 * ident_2
-    reports.append(
-        Report(
-            check=f"moy-II-k{k}",
-            anchor=(
-                f"the digon web split(1,1);merge(1,1) on one 2-strand "
-                f"equals [2]*id at k={k}"
-            ),
-            passed=ok,
-            witness=f"[2] = {factor_2}",
-        )
-    )
-
-    lhs = evaluate(relation_iii_web(k))
-    square = square_web_matrix(k)
-    ident_iii = QMatrix.identity(TensorBasis(k, (1, k)))
-    ok = lhs == square + quantum_int(k - 1) * ident_iii
-    reports.append(
-        Report(
-            check=f"moy-III-k{k}",
-            anchor=(
-                f"the four-layer web on boundary (1,{k}) equals the square "
-                f"web plus [{k - 1}]*id at k={k}"
-            ),
-            passed=ok,
-            witness=(
-                f"[{k - 1}] = {quantum_int(k - 1)}; square web vanishes "
-                f"(its middle edge spans a 0-dimensional space)"
-            ),
-        )
-    )
-
-    lhs = evaluate(relation_iv_web(k))
-    wall = evaluate(double_wall_web(k))
-    ident_iv = QMatrix.identity(TensorBasis(k, (k, 1, k - 1)))
-    ok = lhs == ident_iv + quantum_int(k - 2) * wall
-    reports.append(
-        Report(
-            check=f"moy-IV-k{k}",
-            anchor=(
-                f"the eight-layer web on boundary ({k},1,{k - 1}) equals "
-                f"id plus [{k - 2}]*(double wall web) at k={k}"
-            ),
-            passed=ok,
-            witness=f"[{k - 2}] = {quantum_int(k - 2)}",
-        )
-    )
+    def identity(boundary: tuple[int, ...]) -> QMatrix:
+        return QMatrix.identity(TensorBasis(k, boundary))
 
     e1 = evaluate(e_web(k, 3, 1))
     e2 = evaluate(e_web(k, 3, 2))
-    ok = e1 @ e2 @ e1 - e1 == e2 @ e1 @ e2 - e2
-    reports.append(
-        Report(
-            check=f"moy-V-k{k}",
-            anchor=(
-                f"the two braid differences of the E-webs on three "
-                f"1-strands agree at k={k}"
+    # (relation, anchor, whether both sides agree, witness)
+    relations = (
+        (
+            "I",
+            f"digon webs with label pairs (1,{k - 1}) and ({k - 1},1) "
+            f"on one {k}-strand both equal [{k}]*id at k={k}",
+            all(
+                evaluate(digon_web(k, a, b)) == quantum_int(k) * identity((k,))
+                for a, b in ((1, k - 1), (k - 1, 1))
             ),
-            passed=ok,
-            witness="E_s = split(1,1) after merge(1,1)",
-        )
+            f"[{k}] = {quantum_int(k)}",
+        ),
+        (
+            "II",
+            f"the digon web split(1,1);merge(1,1) on one 2-strand "
+            f"equals [2]*id at k={k}",
+            evaluate(digon_web(k, 1, 1)) == quantum_int(2) * identity((2,)),
+            f"[2] = {quantum_int(2)}",
+        ),
+        (
+            "III",
+            f"the four-layer web on boundary (1,{k}) equals the square "
+            f"web plus [{k - 1}]*id at k={k}",
+            evaluate(relation_iii_web(k))
+            == square_web_matrix(k) + quantum_int(k - 1) * identity((1, k)),
+            f"[{k - 1}] = {quantum_int(k - 1)}; square web vanishes "
+            f"(its middle edge spans a 0-dimensional space)",
+        ),
+        (
+            "IV",
+            f"the eight-layer web on boundary ({k},1,{k - 1}) equals "
+            f"id plus [{k - 2}]*(double wall web) at k={k}",
+            evaluate(relation_iv_web(k))
+            == identity((k, 1, k - 1))
+            + quantum_int(k - 2) * evaluate(double_wall_web(k)),
+            f"[{k - 2}] = {quantum_int(k - 2)}",
+        ),
+        (
+            "V",
+            f"the two braid differences of the E-webs on three "
+            f"1-strands agree at k={k}",
+            e1 @ e2 @ e1 - e1 == e2 @ e1 @ e2 - e2,
+            "E_s = split(1,1) after merge(1,1)",
+        ),
     )
-    return reports
+    return [
+        Report(f"moy-{name}-k{k}", anchor, passed, witness)
+        for name, anchor, passed, witness in relations
+    ]

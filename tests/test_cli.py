@@ -13,7 +13,7 @@ import moycalc
 import moycalc.symhecke as symhecke
 import moycalc.tangleinv as tangleinv
 import moycalc.verify as verify
-from moycalc.cli import EXIT_CLOSED_PIPE, main
+from moycalc.cli import EXIT_CLOSED_PIPE, build_parser, main
 from moycalc.reporting import Report
 
 CIRCLE_WEB = "web k=3 bottom=\ncup(1,2@1)\ncap(@1)\n"
@@ -336,6 +336,68 @@ def test_verify_exit_one_on_check_failure(capsys, monkeypatch) -> None:
     code, out, _ = run(capsys, "verify", "foam")
     assert code == 1
     assert out.startswith("FAIL foam-x")
+
+
+def test_verify_groth_names_the_failing_web(capsys, monkeypatch) -> None:
+    def mutant(web):
+        return (web.layers[0].text(), web.bottom) != ("merge(1,1@1)", (1, 1))
+
+    monkeypatch.setattr(verify, "compare_theorem13", mutant)
+    code, out, _ = run(capsys, "verify", "groth", "--n", "3", "--k", "3")
+    assert code == 1
+    assert out == (
+        f"FAIL groth-three-routes-n3-k3: {GROTH_ANCHOR} [failed at merge(1,1@1) on 1,1]\n"
+    )
+
+
+def test_verify_hecke_names_the_failing_pair(capsys, monkeypatch) -> None:
+    # 321 annihilates the sign module of (2, 1); the mutant makes its KL
+    # element act there as the identity element does
+    real = verify.sign_action
+    longest, identity = (
+        symhecke.kl_element(symhecke.Permutation(w)) for w in ((3, 2, 1), (1, 2, 3))
+    )
+
+    def mutant(h, mu):
+        return real(identity if (h, mu) == (longest, (2, 1)) else h, mu)
+
+    monkeypatch.setattr(verify, "sign_action", mutant)
+    code, out, _ = run(capsys, "verify", "hecke", "--n", "3")
+    bar, annihilator = out.splitlines()
+    assert code == 1
+    assert bar.startswith("PASS hecke-kl-bar-invariant-n3: ")
+    assert annihilator.startswith("FAIL hecke-annihilator-n3: ")
+    assert annihilator.endswith(" [failed at 321|2,1]")
+
+
+def test_verify_bijections_names_the_failing_pair(capsys, monkeypatch) -> None:
+    # (2, 1) has two parts, so it is no content of the k=3 dimension sweep
+    real = verify.column_strict_fillings
+
+    def mutant(mu, nu):
+        extra = (None,) if (mu, nu) == ((2, 1), (1, 2)) else ()
+        return (*real(mu, nu), *extra)
+
+    monkeypatch.setattr(verify, "column_strict_fillings", mutant)
+    code, out, _ = run(capsys, "verify", "bijections", "--n", "3", "--k", "3")
+    counts, dimension = out.splitlines()
+    assert code == 1
+    assert counts.startswith("FAIL bijections-coset-filling-n3: ")
+    assert counts.endswith(" [failed at 2,1|1,2]")
+    assert dimension.startswith("PASS bijections-dimension-n3-k3: ")
+
+
+def test_verify_records_hold_one_key_value_record_per_check() -> None:
+    """Every check name, at the CLI's default n and k, is unique across
+    the suites and holds no whitespace or '=', so each records line
+    reads as one key=value record."""
+    checks = []
+    for name, suite in verify.SUITES.items():
+        args = build_parser().parse_args(["verify", name])
+        checks += [report.check for report in suite.run(args.n, args.k)]
+    assert len(checks) == len(set(checks)) == 19
+    for check in checks:
+        assert check and "=" not in check and not any(c.isspace() for c in check)
 
 
 def test_verify_unknown_suite_is_a_usage_error(capsys) -> None:

@@ -8,6 +8,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
+from moycalc import foamalg
 from moycalc.foamalg import (
     BASIC_FOAM_NAMES,
     FlagRingElement,
@@ -677,3 +678,22 @@ def test_verify_foam_reports() -> None:
     rendered = render_reports(reports, "text")
     assert rendered.count("PASS") == 5
     assert "FAIL" not in rendered
+
+
+def test_verify_foam_names_the_failing_theta_triple(monkeypatch) -> None:
+    def mutant(d1, d2, d3):
+        flipped = (d1, d2, d3) == (1, 0, 2)
+        return -theta_eval(d1, d2, d3) if flipped else theta_eval(d1, d2, d3)
+
+    monkeypatch.setattr(foamalg, "theta_eval", mutant)
+    failed = [(r.check, r.witness) for r in verify_foam() if not r.passed]
+    assert failed == [("foam-theta", "failed at (1,0,2) != -1")]
+
+
+def test_verify_foam_names_the_failing_structure_power(monkeypatch) -> None:
+    def mutant(a):
+        return {} if a == X else frob_comul(a)
+
+    monkeypatch.setattr(foamalg, "frob_comul", mutant)
+    reports = {r.check: r for r in verify_foam()}
+    assert reports["foam-structure-constants"].line().endswith(" [failed at x]")

@@ -66,6 +66,22 @@ def test_quantum_int_rejects_negative():
         quantum_int(-1)
 
 
+@pytest.mark.parametrize(
+    "call, reason",
+    [
+        (lambda: LaurentPoly.q_power(0.5), "q_power needs an int exponent, got 0.5"),
+        (lambda: LaurentPoly.q_power(True), "q_power needs an int exponent, got True"),
+        (lambda: quantum_int(2.5), "quantum_int expects an int m >= 0, got 2.5"),
+        (lambda: quantum_int(True), "quantum_int expects an int m >= 0, got True"),
+    ],
+    ids=["q-power-float", "q-power-bool", "quantum-int-float", "quantum-int-bool"],
+)
+def test_monomials_and_quantum_ints_take_exact_ints(call, reason):
+    with pytest.raises(ValueError, match=reason) as info:
+        call()
+    assert type(info.value) is ValueError
+
+
 def test_negative_powers_are_rejected_and_repr_reads_the_text():
     with pytest.raises(ValueError, match="power must be a nonnegative int, got -1") as info:
         Q ** -1

@@ -134,6 +134,15 @@ def test_word_rejects_low_rank():
         TangleWord((), (), 1)
 
 
+def test_a_rank_that_is_not_an_int_is_rejected():
+    with pytest.raises(ValueError, match="tangle rank k must be an int, got 2.5"):
+        TangleWord((), (), 2.5)
+    with pytest.raises(ValueError, match="tangle rank k must be an int, got 2.5"):
+        link_poly(corpus_word("unknot"), 2.5)
+    with pytest.raises(ValueError, match="web rank k must be an int, got True"):
+        special_generator_webs(2, True)
+
+
 def test_word_rejects_cap_on_equal_signs():
     with pytest.raises(ValueError, match="layer 1: cap at position 1"):
         TangleWord(("-", "-"), (TangleLayer("cap", 1),))

@@ -121,6 +121,12 @@ def test_web_rejects_small_rank():
         Web(1, (1,), ())
 
 
+@pytest.mark.parametrize("k", [3.0, True, "3"])
+def test_web_rejects_a_rank_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match=f"web rank k must be an int, got {k!r}"):
+        Web(k, (1, 2))
+
+
 def test_web_layer_errors_name_the_layer():
     with pytest.raises(ValueError, match="layer 1: merge"):
         Web(3, (1, 1, 2), (Layer("merge", 2, 1, 1),))
@@ -682,3 +688,19 @@ def test_report_rendering():
     assert failing.line() == "FAIL x: a claim [w]"
     with pytest.raises(ValueError, match="unknown format"):
         render_reports(reports, fmt="json")
+
+
+def test_report_of_failures_names_every_failed_case_in_order():
+    held = Report.of_failures("c", "a claim", [], "3 cases")
+    assert held == Report(check="c", anchor="a claim", passed=True, witness="3 cases")
+    failed = Report.of_failures("c", "a claim", ["x|1", "y|2"], "3 cases")
+    assert failed.line() == "FAIL c: a claim [failed at x|1, y|2]"
+
+
+def test_verify_moy_fails_only_the_relation_a_mutant_breaks(monkeypatch):
+    # a square web that does not vanish breaks relation III alone
+    monkeypatch.setattr(
+        webgraph, "square_web_matrix", lambda k: QMatrix.identity(TensorBasis(k, (1, k)))
+    )
+    reports = verify_moy(3)
+    assert [r.check for r in reports if not r.passed] == ["moy-III-k3"]

@@ -175,6 +175,8 @@ _ONE_STRAND = TensorBasis(2, (1,))
     "call, reason",
     [
         (lambda: TensorBasis(0, ()), "rank k must be >= 1, got 0"),
+        (lambda: TensorBasis(2.5, (1,)), "rank k must be an int, got 2.5"),
+        (lambda: TensorBasis(True, (1,)), "rank k must be an int, got True"),
         (lambda: TensorBasis(3, (-1,)), r"negative label in \(-1,\)"),
         (lambda: QMatrix(_ONE_STRAND, _ONE_STRAND, [{}]), "need one column per column key"),
         (
@@ -191,8 +193,8 @@ _ONE_STRAND = TensorBasis(2, (1,))
         (lambda: hecke_E(0, 3, 2), "position s=0 out of range for n=3"),
     ],
     ids=[
-        "rank-0", "negative-label", "short-columns", "scalar", "matmul",
-        "step-kind", "local-kind", "malformed", "hecke-position",
+        "rank-0", "rank-float", "rank-bool", "negative-label", "short-columns",
+        "scalar", "matmul", "step-kind", "local-kind", "malformed", "hecke-position",
     ],
 )
 def test_wedge_layer_errors(call, reason):
