@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
 from typing import Iterable, Sequence
 
-from .qlaurent import ONE, LaurentPoly, LinComb
+from .qlaurent import ONE, LaurentPoly, LinComb, _check_int
 from .symhecke import (
     Permutation,
     _blocks,
@@ -68,13 +68,16 @@ __all__ = [
 
 
 def all_compositions(n: int, parts: int) -> list[tuple[int, ...]]:
-    """All compositions of n into exactly ``parts`` parts, zeros allowed."""
+    """All compositions of n into exactly ``parts`` parts, zeros allowed, in
+    lexicographic order: the gaps between ``parts - 1`` bars among n stars."""
+    _check_int(n, "composition sum n", 0)
+    _check_int(parts, "number of parts", 0)
     if parts == 0:
         return [()] if n == 0 else []
+    end = n + parts - 1
     return [
-        (first,) + rest
-        for first in range(n + 1)
-        for rest in all_compositions(n - first, parts - 1)
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
+        for bars in combinations(range(end), parts - 1)
     ]
 
 
@@ -99,6 +102,7 @@ def _compositions(n: int, allowed: Sequence[int]) -> list[tuple[int, ...]]:
 
 def positive_compositions(n: int) -> list[tuple[int, ...]]:
     """All compositions of n into positive parts."""
+    _check_int(n, "composition sum n", 0)
     return _compositions(n, range(1, n + 1))
 
 
@@ -202,22 +206,22 @@ def _require_standard_content(f: Filling) -> int:
     return n
 
 
+def _action_inverse(w: Permutation, f: Filling) -> Permutation:
+    """w^{-1}, once ``f`` holds each of 1..n once and ``w`` permutes 1..n."""
+    if w.n != _require_standard_content(f):
+        raise ValueError("permutation size does not match filling size")
+    return w.inverse()
+
+
 def act_left(w: Permutation, f: Filling) -> Filling:
     """Permute boxes: the box previously numbered w^{-1}(i) moves to i."""
-    n = _require_standard_content(f)
-    if w.n != n:
-        raise ValueError("permutation size does not match filling size")
     old = f.flat()
-    inv = w.inverse()
-    return f.with_flat([old[inv(i) - 1] for i in range(1, n + 1)])
+    return f.with_flat([old[j - 1] for j in _action_inverse(w, f).images])
 
 
 def act_right(f: Filling, w: Permutation) -> Filling:
     """Permute entries: each entry v is replaced by w^{-1}(v)."""
-    n = _require_standard_content(f)
-    if w.n != n:
-        raise ValueError("permutation size does not match filling size")
-    inv = w.inverse()
+    inv = _action_inverse(w, f)
     return f.with_flat([inv(v) for v in f.flat()])
 
 

@@ -43,7 +43,7 @@ from itertools import permutations, product
 from math import comb
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
-from .qlaurent import _tally
+from .qlaurent import _check_int, _tally
 from .reporting import Report
 from .symhecke import _inversion_count
 
@@ -164,8 +164,7 @@ class FrobElement(_RingElement):
 
     @classmethod
     def x(cls, power: int = 1) -> "FrobElement":
-        if power < 0:
-            raise ValueError(f"power must be >= 0, got {power}")
+        _check_int(power, "power", 0)
         return cls(tuple(int(i == power) for i in range(3)))
 
     def _times(self, other: "FrobElement") -> "FrobElement":
@@ -273,7 +272,8 @@ class FlagRingElement(_RingElement):
 def flag_monomial(d1: int, d2: int, d3: int) -> FlagRingElement:
     """The class of X1^d1 X2^d2 X3^d3 in normal form."""
     for d in (d1, d2, d3):
-        if not isinstance(d, int) or d < 0:
+        _check_int(d, "dot count")
+        if d < 0:
             raise ValueError(f"dot counts must be nonnegative ints, got {d!r}")
     sign = (-1) ** d3
     return FlagRingElement._from_pairs(
@@ -481,8 +481,7 @@ BASIC_FOAM_NAMES: tuple[str, ...] = tuple(sorted(_catalogue()))
 
 def _catalogue_entry(name: str, dots: int) -> tuple[FoamMap, int]:
     """The undotted map and degree of a basic foam piece."""
-    if type(dots) is not int or dots < 0:
-        raise ValueError(f"dot count must be an int >= 0, got {dots!r}")
+    _check_int(dots, "dot count", 0)
     try:
         return _catalogue()[name]
     except KeyError:

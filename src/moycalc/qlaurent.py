@@ -5,8 +5,9 @@ constants, link polynomials) lives in the ring Z[q, q^-1].  This module
 keeps that arithmetic exact: coefficients are Python ints, exponents may
 be negative, and nothing is ever floated.
 
-Each kind of sum has one loop: Laurent sums are ``LaurentPoly``'s
-constructor, product sums ``LinComb.of_products`` and plain-number sums
+Each kind of sum has one loop: Laurent sums are ``_summed`` (the
+``LaurentPoly`` constructor checks its pairs first; ``+`` and ``*`` do
+not), product sums ``LinComb.of_products`` and plain-number sums
 ``_tally``.  The packed Hecke loops and the translation route's count
 stay inline, as measured faster.
 
@@ -44,9 +45,9 @@ class LaurentPoly:
     exponents are merged, zero coefficients dropped, and the pairs
     sorted by descending exponent, so equality and hashing are
     structural.  Every exponent and coefficient must be exactly an
-    ``int``; anything else raises ``ValueError``.  ``+``, ``*`` and
-    ``parse_laurent`` sum through this constructor; the maps that keep
-    the form use ``_trusted``.
+    ``int``; anything else raises ``ValueError``.  ``parse_laurent``
+    sums through this constructor, ``+`` and ``*`` through its unchecked
+    sum ``_summed``; the maps that keep the form use ``_trusted``.
     """
 
     # normalized (exponent, coefficient) pairs, descending exponent
@@ -54,14 +55,12 @@ class LaurentPoly:
 
     def __post_init__(self) -> None:
         raw = self.terms
-        pairs = raw.items() if isinstance(raw, (dict, Mapping)) else raw
-        acc: dict[int, int] = {}
+        pairs = tuple(raw.items() if isinstance(raw, (dict, Mapping)) else raw)
         for exp, coeff in pairs:
             # exactly int: a bool, float or Fraction is not a term of Z[q, q^-1]
             if type(exp) is not int or type(coeff) is not int:
                 raise ValueError(f"term {exp!r}: {coeff!r} needs an int exponent and coefficient")
-            acc[exp] = acc.get(exp, 0) + coeff
-        _set_terms(self, _normal(acc))
+        _set_terms(self, _summed(pairs))
 
     # ------------------------------------------------------------------
     # constructors
@@ -107,24 +106,19 @@ class LaurentPoly:
             other = LaurentPoly.from_int(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return LaurentPoly(self.terms + other.terms)
+        return _trusted(_summed(self.terms + other.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
         return _trusted(tuple((e, -c) for e, c in self.terms))
 
-    def __sub__(self, other: object) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __rsub__(self, other: object) -> "LaurentPoly":
-        if isinstance(other, int):
-            return LaurentPoly.from_int(other) - self
-        return NotImplemented
+        return (-self).__add__(other)
+
+    def __sub__(self, other: object) -> "LaurentPoly":
+        difference = self.__rsub__(other)
+        return difference if difference is NotImplemented else -difference
 
     def __mul__(self, other: object) -> "LaurentPoly":
         if isinstance(other, int):
@@ -133,8 +127,8 @@ class LaurentPoly:
             return _trusted(tuple((e, c * other) for e, c in self.terms))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return LaurentPoly(
-            (e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms
+        return _trusted(
+            _summed((e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms)
         )
 
     __rmul__ = __mul__
@@ -193,6 +187,25 @@ def _normal(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
     """The normal form of exponent -> coefficient sums: zeros dropped,
     exponents descending."""
     return tuple(sorted([term for term in acc.items() if term[1]], reverse=True))
+
+
+def _summed(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The one Laurent sum: (exponent, coefficient) pairs, already exact
+    ints, summed into normal form, unchecked."""
+    acc: dict[int, int] = {}
+    for exp, coeff in pairs:
+        acc[exp] = acc.get(exp, 0) + coeff
+    return _normal(acc)
+
+
+def _check_int(value: object, what: str, least: int | None = None) -> None:
+    """The one exact-int check of ranks, counts and indices: ``value`` must
+    be exactly an ``int`` (not a bool or float), and at least ``least`` if
+    given.  ``what`` names the whole quantity, for example ``"web rank k"``."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
 
 
 def _tally(pairs: Iterable[tuple[Hashable, object]]) -> dict:

@@ -36,11 +36,11 @@ rule are pinned by the regression tables in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .qlaurent import ONE, LaurentPoly, LinComb, _pack, _tally, _unpack
+from .qlaurent import ONE, LaurentPoly, LinComb, _check_int, _pack, _tally, _unpack
 from .weblin import QMatrix
 
 __all__ = [
@@ -114,18 +114,12 @@ class Permutation:
     @classmethod
     def s(cls, i: int, n: int) -> "Permutation":
         """The adjacent transposition swapping i and i+1."""
-        _check_generator(i, n)
-        images = list(range(1, n + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return cls(tuple(images))
+        return cls.identity(n).times_s(i)
 
     @classmethod
     def from_word(cls, word: Iterable[int], n: int) -> "Permutation":
         """Product s_{i_1} s_{i_2} ... s_{i_r} of the listed generators."""
-        result = cls.identity(n)
-        for i in word:
-            result = result * cls.s(i, n)
-        return result
+        return reduce(Permutation.times_s, word, cls.identity(n))
 
     @classmethod
     def from_one_line(cls, text: str | Sequence[int]) -> "Permutation":
@@ -205,6 +199,7 @@ class Permutation:
 
 
 def _check_generator(i: int, n: int) -> None:
+    _check_int(i, "generator index")
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
 
@@ -450,10 +445,7 @@ class HeckeElement:
             return hecke_mul(self, scalar)
         return NotImplemented
 
-    def __rmul__(self, scalar) -> "HeckeElement":
-        if isinstance(scalar, (int, LaurentPoly)):
-            return self * scalar
-        return NotImplemented
+    __rmul__ = __mul__
 
     def coeff(self, w: Permutation) -> LaurentPoly:
         return self.terms.coeff(w)
@@ -896,6 +888,7 @@ class FlagList:
 
     def times_quantum(self, m: int) -> "FlagList":
         """[m]·self: one shifted copy per monomial of the quantum integer."""
+        _check_int(m, "quantum multiple m")
         if m < 0:
             raise ValueError(f"quantum multiple needs m >= 0, got {m}")
         out: list[tuple[int, Permutation]] = []
@@ -937,21 +930,20 @@ class FlagList:
 def list_A(r: int, s: int, n: int) -> FlagList:
     """The descending-generator list: words r(r-1)...s, (r-1)...s, ..., s, e
     with exponents 0, 1, ..., r-s+1."""
-    terms = []
-    for j in range(r - s + 2):
-        word = tuple(range(r - j, s - 1, -1))
-        terms.append((j, Permutation.from_word(word, n)))
-    return FlagList(tuple(terms))
+    return _chain_list((range(r - j, s - 1, -1) for j in range(r - s + 2)), n)
 
 
 def list_B(s: int, r: int, n: int) -> FlagList:
     """The ascending-generator list: words s(s+1)...r, (s+1)...r, ..., r, e
     with exponents 0, 1, ..., r-s+1."""
-    terms = []
-    for j in range(r - s + 2):
-        word = tuple(range(s + j, r + 1))
-        terms.append((j, Permutation.from_word(word, n)))
-    return FlagList(tuple(terms))
+    return _chain_list((range(s + j, r + 1) for j in range(r - s + 2)), n)
+
+
+def _chain_list(words: Iterable[Iterable[int]], n: int) -> FlagList:
+    """The flag list giving the j-th generator word exponent j."""
+    return FlagList(
+        tuple((j, Permutation.from_word(word, n)) for j, word in enumerate(words))
+    )
 
 
 def _single_split(

@@ -57,10 +57,10 @@ from .boxcomb import (
     _unqualified,
     all_compositions,
 )
-from .qlaurent import ONE, ZERO, LaurentPoly, LinComb, _tally, quantum_int
+from .qlaurent import ONE, ZERO, LaurentPoly, LinComb, _check_int, _tally, quantum_int
 from .reporting import Report
 from .symhecke import O_lists, Permutation, TranslationPath, _check_classes, _value_blocks
-from .weblin import QMatrix, TensorBasis, _check_rank, special_pairs
+from .weblin import QMatrix, TensorBasis, special_pairs
 from .webgraph import (
     Layer,
     Web,
@@ -199,7 +199,7 @@ class TangleWord(_SliceWord):
         object.__setattr__(self, "bottom", tuple(self.bottom))
         object.__setattr__(self, "layers", tuple(self.layers))
         if self.k is not None:
-            _check_rank(self.k, 2, "tangle rank")
+            _check_int(self.k, "tangle rank k", 2)
         for sign in self.bottom:
             if sign not in _SIGNS:
                 raise ValueError(
@@ -301,7 +301,7 @@ def _resolve_rank(t: TangleWord, k: int | None) -> int:
         raise ValueError(
             "no rank given: pass k= or parse a tangle header that sets it"
         )
-    _check_rank(rank, 2, "tangle rank")
+    _check_int(rank, "tangle rank k", 2)
     return rank
 
 
@@ -510,29 +510,21 @@ def skein_oracle(t: TangleWord, k: int = 2) -> LaurentPoly:
 
 
 def _loop_count(picture: Sequence[tuple[str, int]]) -> int:
-    """Circles in a closed crossingless cup/cap word, by union-find."""
-    parent: list[int] = []
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    strands: list[int] = []
+    """Circles in a closed crossingless cup/cap word.  Both ends of an
+    open arc carry its id: a cap on one arc's two ends closes a circle,
+    and a cap on two arcs gives the second one's far end the first's id."""
+    ends: list[int] = []
     loops = 0
-    for op, pos in picture:
+    for arc, (op, pos) in enumerate(picture):
         if op == "cup":
-            left = len(parent)
-            parent.extend((left, left))
-            strands[pos - 1 : pos - 1] = [left, left + 1]
+            ends[pos - 1 : pos - 1] = [arc, arc]
+            continue
+        one, two = ends[pos - 1], ends[pos]
+        del ends[pos - 1 : pos + 1]
+        if one == two:
+            loops += 1
         else:
-            one, two = find(strands[pos - 1]), find(strands[pos])
-            if one == two:
-                loops += 1
-            else:
-                parent[two] = one
-            del strands[pos - 1 : pos + 1]
+            ends[ends.index(two)] = one
     return loops
 
 
@@ -786,7 +778,7 @@ def _check_class_key(
         raise ValueError(f"key ({mu}, {size} letters) does not match content {nu}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GrothVector:
     """A finitely supported Laurent combination of basis classes.
 
@@ -833,15 +825,6 @@ class GrothVector:
 
     def is_zero(self) -> bool:
         return not self.coords
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GrothVector):
-            return NotImplemented
-        return (
-            self.k == other.k
-            and self.nu == other.nu
-            and self.coords == other.coords
-        )
 
     def __add__(self, other: "GrothVector") -> "GrothVector":
         if not isinstance(other, GrothVector):
@@ -1113,7 +1096,8 @@ def grothendieck_map(
 def special_generator_webs(n: int, k: int) -> list[Web]:
     """Every one-layer merge or split web of special type on a
     boundary composition of ``n`` with parts that are valid labels."""
-    _check_rank(k, 2, "web rank")
+    _check_int(k, "web rank k", 2)
+    _check_int(n, "boundary size n", 0)
     labels = sorted({1, 2, k - 1, k})
     pairs = sorted(special_pairs(k))
     webs = []

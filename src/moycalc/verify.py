@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 
 from .boxcomb import all_compositions, column_strict_fillings, positive_compositions
 from .foamalg import verify_foam
+from .qlaurent import _check_int
 from .reporting import Report
 from .symhecke import O_set, Permutation, annihilates, kl_element, sign_action
 from .tangleinv import compare_theorem13, reidemeister_suite, special_generator_webs
@@ -35,6 +36,7 @@ def _parts(composition: tuple[int, ...]) -> str:
 
 
 def bijections_suite(n: int, k: int) -> list[Report]:
+    _check_int(n, "sweep size n", 1)
     shapes = positive_compositions(n)
     all_shapes = all_compositions(n, k)
     return [
@@ -66,6 +68,7 @@ def bijections_suite(n: int, k: int) -> list[Report]:
 
 
 def hecke_suite(n: int) -> list[Report]:
+    _check_int(n, "sweep size n", 1)
     group = [
         Permutation(images)
         for images in sorted(permutations(range(1, n + 1)))
@@ -100,6 +103,7 @@ def hecke_suite(n: int) -> list[Report]:
 
 
 def groth_suite(n: int, k: int) -> list[Report]:
+    _check_int(n, "sweep size n", 1)
     webs = [
         web for size in range(1, n + 1) for web in special_generator_webs(size, k)
     ]

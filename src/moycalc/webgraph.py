@@ -51,13 +51,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from .qlaurent import LaurentPoly, quantum_int
+from .qlaurent import LaurentPoly, _check_int, quantum_int
 from .reporting import Report
 from .weblin import (
     INPUT_SPANS,
     QMatrix,
     TensorBasis,
-    _check_rank,
     _generator_matrix,
     _lift,
     _lift_columns,
@@ -218,7 +217,7 @@ class Web(_SliceWord):
     def __post_init__(self) -> None:
         object.__setattr__(self, "bottom", tuple(self.bottom))
         object.__setattr__(self, "layers", tuple(self.layers))
-        _check_rank(self.k, 2, "web rank")
+        _check_int(self.k, "web rank k", 2)
         allowed = {1, 2, self.k - 1, self.k}
         for label in self.bottom:
             if label not in allowed:
@@ -634,7 +633,7 @@ def verify_moy(k: int) -> list[Report]:
     and the report records exact equality together with the quantum
     multiplicities involved ([k], [2], [k-1], [k-2]).
     """
-    _check_rank(k, 2)
+    _check_int(k, "rank k", 2)
 
     def identity(boundary: tuple[int, ...]) -> QMatrix:
         return QMatrix.identity(TensorBasis(k, boundary))

@@ -44,7 +44,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .qlaurent import ONE, LaurentPoly, LinComb
+from .qlaurent import ONE, LaurentPoly, LinComb, _check_int
 
 __all__ = [
     "TensorBasis",
@@ -74,15 +74,6 @@ Scalar = Union[int, LaurentPoly]
 # bases
 
 
-def _check_rank(k: object, least: int, what: str = "rank") -> None:
-    """The one rank check of bases, webs and tangles: ``k`` must be
-    exactly an ``int`` (not a bool or float) of at least ``least``."""
-    if type(k) is not int:
-        raise ValueError(f"{what} k must be an int, got {k!r}")
-    if k < least:
-        raise ValueError(f"{what} k must be >= {least}, got {k}")
-
-
 @dataclass(frozen=True)
 class TensorBasis:
     """Standard basis of ⋀^{a_1}V ⊗ ... ⊗ ⋀^{a_l}V, enumerated lexicographically.
@@ -99,7 +90,7 @@ class TensorBasis:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
-        _check_rank(self.k, 1)
+        _check_int(self.k, "rank k", 1)
         if any(a < 0 for a in self.labels):
             raise ValueError(f"negative label in {self.labels}")
         factors = [

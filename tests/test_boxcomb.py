@@ -56,6 +56,43 @@ def test_composition_enumeration_counts():
     assert (2, 0, 1) in all_compositions(3, 3)
 
 
+def _recursive_all_compositions(n: int, parts: int) -> list[tuple[int, ...]]:
+    """Compositions listed by first part, recursively: the reference
+    that the stars-and-bars ``all_compositions`` is checked against."""
+    if parts == 0:
+        return [()] if n == 0 else []
+    return [
+        (first,) + rest
+        for first in range(n + 1)
+        for rest in _recursive_all_compositions(n - first, parts - 1)
+    ]
+
+
+@pytest.mark.parametrize("parts", range(6))
+def test_all_compositions_match_the_recursion_in_order(parts):
+    for n in range(9):
+        assert all_compositions(n, parts) == _recursive_all_compositions(n, parts), n
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: all_compositions(3, -1), "number of parts must be >= 0, got -1"),
+        (lambda: all_compositions(3, 2.5), "number of parts must be an int, got 2.5"),
+        (lambda: all_compositions(2.5, 2), "composition sum n must be an int, got 2.5"),
+        (lambda: all_compositions(-1, 2), "composition sum n must be >= 0, got -1"),
+        (lambda: positive_compositions(True), "composition sum n must be an int, got True"),
+        (lambda: positive_compositions(2.5), "composition sum n must be an int, got 2.5"),
+    ],
+    ids=["negative-parts", "float-parts", "float-sum", "negative-sum", "bool-sum", "float-positive"],
+)
+def test_composition_counts_must_be_exact_ints(call, message):
+    # these recursed until RecursionError, listed [(1,)] for True, or raised TypeError
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert type(info.value) is ValueError
+
+
 # ----------------------------------------------------------------------
 # fillings and the two actions
 

@@ -400,6 +400,25 @@ def test_verify_records_hold_one_key_value_record_per_check() -> None:
         assert check and "=" not in check and not any(c.isspace() for c in check)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify.bijections_suite(2, 2.5), "number of parts must be an int, got 2.5"),
+        (lambda: verify.bijections_suite(0, 2), "sweep size n must be >= 1, got 0"),
+        (lambda: verify.hecke_suite(2.0), "sweep size n must be an int, got 2.0"),
+        (lambda: verify.groth_suite(2.5, 3), "sweep size n must be an int, got 2.5"),
+        (lambda: verify.groth_suite(0, 3), "sweep size n must be >= 1, got 0"),
+    ],
+    ids=["bijections-float-k", "bijections-zero", "hecke-float", "groth-float", "groth-zero"],
+)
+def test_verify_sweeps_need_an_exact_int_size(call, message) -> None:
+    # these recursed until RecursionError, raised TypeError, or passed a
+    # claim over no webs
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert type(info.value) is ValueError
+
+
 def test_verify_unknown_suite_is_a_usage_error(capsys) -> None:
     with pytest.raises(SystemExit) as exc:
         main(["verify", "frobnicate"])

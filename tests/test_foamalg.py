@@ -147,6 +147,23 @@ def test_frob_element_validation() -> None:
         FrobElement.x(-1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FrobElement.x(1.5), "power must be an int, got 1.5"),
+        (lambda: FrobElement.x(True), "power must be an int, got True"),
+        (lambda: flag_monomial(True, 0, 0), "dot count must be an int, got True"),
+        (lambda: basic_map("tube-merge", True), "dot count must be an int, got True"),
+        (lambda: foam_degree("tube-merge", -1), "dot count must be >= 0, got -1"),
+    ],
+    ids=["float-power", "bool-power", "bool-monomial", "bool-dots", "negative-dots"],
+)
+def test_powers_and_dot_counts_must_be_exact_ints(call, message):
+    # x(1.5) was 0, x(True) was x, and flag_monomial took True as one dot
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_high_powers_truncate() -> None:
     assert FrobElement.x(3).is_zero()
     assert frob_mul(X2, X).is_zero()

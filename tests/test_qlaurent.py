@@ -178,6 +178,21 @@ def test_constructor_rejects_terms_that_are_not_ints(terms):
         LaurentPoly(terms)
 
 
+def test_sums_products_and_differences_do_not_recheck_their_terms(monkeypatch):
+    """``+``, ``*`` and ``-`` of two polynomials sum their operands'
+    checked terms through ``_summed``; only the public constructor (and
+    so an ``int`` operand) checks raw pairs."""
+    a, b = quantum_int(3), Q - 2
+
+    def fail(self):
+        raise AssertionError("arithmetic re-checked its terms")
+
+    monkeypatch.setattr(LaurentPoly, "__post_init__", fail)
+    assert str(a + b) == "q^2 + q - 1 + q^-2"
+    assert str(a * b) == "q^3 - 2q^2 + q - 2 + q^-1 - 2q^-2"
+    assert str(a - b) == "q^2 - q + 3 + q^-2"
+
+
 @given(polys)
 def test_text_round_trip(a):
     assert parse_laurent(str(a)) == a

@@ -197,6 +197,23 @@ def test_hecke_difference_and_texts():
     assert FlagList(()).text() == "(empty)"
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FlagList(()).times_quantum(1.5), "quantum multiple m must be an int, got 1.5"),
+        (lambda: Permutation.s(1.5, 3), "generator index must be an int, got 1.5"),
+        (lambda: Permutation.s(True, 3), "generator index must be an int, got True"),
+        (lambda: Permutation.from_word([2, 1.0], 3), "generator index must be an int, got 1.0"),
+    ],
+    ids=["float-quantum", "float-generator", "bool-generator", "float-word"],
+)
+def test_counts_and_generator_indices_must_be_exact_ints(call, message):
+    # 1.5 raised TypeError, and True passed as the generator 1
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert type(info.value) is ValueError
+
+
 @pytest.mark.parametrize("i", [0, 4, -1])
 def test_side_products_reject_generators_out_of_range(i):
     p = perm("2413")

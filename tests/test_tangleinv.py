@@ -434,6 +434,80 @@ def test_oracle_rejects_open_words():
         skein_oracle(TangleWord(("-",), ()))
 
 
+def _union_find_loop_count(picture) -> int:
+    """Circles by union-find with path compression over the picture's
+    arcs: the reference that the arc-relabelling ``_loop_count`` is
+    checked against."""
+    parent: list[int] = []
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    strands: list[int] = []
+    loops = 0
+    for op, pos in picture:
+        if op == "cup":
+            left = len(parent)
+            parent.extend((left, left))
+            strands[pos - 1 : pos - 1] = [left, left + 1]
+        else:
+            one, two = find(strands[pos - 1]), find(strands[pos])
+            if one == two:
+                loops += 1
+            else:
+                parent[two] = one
+            del strands[pos - 1 : pos + 1]
+    return loops
+
+
+@st.composite
+def crossingless_pictures(draw):
+    """A closed cup/cap picture with at most six cups: random cups and
+    caps from the empty boundary, then caps until nothing is left.  A
+    picture is unoriented, so a cap may close any adjacent pair."""
+    picture, width, cups = [], 0, 0
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        moves = [("cap", pos) for pos in range(1, width)]
+        if cups < 6:
+            moves += [("cup", pos) for pos in range(1, width + 2)]
+        if not moves:
+            break
+        op, pos = draw(st.sampled_from(moves))
+        picture.append((op, pos))
+        cups += op == "cup"
+        width += 2 if op == "cup" else -2
+    while width:
+        picture.append(("cap", draw(st.integers(min_value=1, max_value=width - 1))))
+        width -= 2
+    return picture
+
+
+@settings(max_examples=300, deadline=None)
+@given(picture=crossingless_pictures())
+def test_loop_count_matches_union_find_on_random_pictures(picture):
+    assert tangleinv._loop_count(picture) == _union_find_loop_count(picture), picture
+
+
+@pytest.mark.parametrize(
+    "picture, circles",
+    [
+        ([], 0),
+        ([("cup", 1), ("cap", 1)], 1),
+        ([("cup", 1), ("cup", 2), ("cap", 2), ("cap", 1)], 2),
+        ([("cup", 1), ("cup", 3), ("cap", 1), ("cap", 1)], 2),
+        ([("cup", 1), ("cup", 3), ("cap", 2), ("cap", 1)], 1),
+        ([("cup", 1), ("cup", 3), ("cup", 5), ("cap", 2), ("cap", 2), ("cap", 1)], 1),
+    ],
+    ids=["empty", "one", "nested", "side-by-side", "zig-zag", "double-zig-zag"],
+)
+def test_loop_count_named_pictures(picture, circles):
+    assert tangleinv._loop_count(picture) == circles
+    assert _union_find_loop_count(picture) == circles
+
+
 @st.composite
 def closed_words(draw):
     """A closed word on at most four strands with at most six crossings:
@@ -712,6 +786,16 @@ def test_vector_addition_needs_matching_content():
         left + right
 
 
+def test_vector_equality_reads_every_field_and_stays_unhashable():
+    basis = GrothVector.basis(2, (1, 1), (1, 1), e(2))
+    assert basis == GrothVector.basis(2, (1, 1), (1, 1), e(2))
+    assert basis != GrothVector.basis(3, (1, 1), (2, 0, 0), e(2))
+    assert basis != GrothVector.zero(2, (1, 1))
+    assert basis != basis.coords
+    with pytest.raises(TypeError):
+        hash(basis)
+
+
 def test_vector_rejects_strange_scalars():
     basis = GrothVector.basis(2, (1, 1), (1, 1), e(2))
     with pytest.raises(TypeError):
@@ -789,6 +873,21 @@ def test_routes_agree_on_all_small_special_generators(n, k):
 def test_special_generator_webs_reject_a_rank_below_two(k):
     with pytest.raises(ValueError, match=f"web rank k must be >= 2, got {k}"):
         special_generator_webs(2, k)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (2.5, "boundary size n must be an int, got 2.5"),
+        (True, "boundary size n must be an int, got True"),
+        (-1, "boundary size n must be >= 0, got -1"),
+    ],
+    ids=["float", "bool", "negative"],
+)
+def test_special_generator_webs_need_an_exact_int_size(n, message):
+    # 2.5 and -1 listed no webs, and True listed the webs on (1,)
+    with pytest.raises(ValueError, match=message):
+        special_generator_webs(n, 3)
 
 
 def test_special_generator_web_inventory():
