@@ -41,7 +41,9 @@ builds, multiplies and adds every ordered pair of the quantum integers
 [1]..[12]; the generator layer applies one k=4 merge window to every
 basis vector of six 1-labelled strands; the evaluate layer evaluates
 the one-layer web of that merge, whose first layer is read off its
-window map; the compose layer multiplies a split matrix by a merge
+window map; the algebra layer forms E_1·E_2·E_1 - E_1 on three k=4
+strands, the left side of the braid relation in the tangle-moves
+workload's MOY items; the compose layer multiplies a split matrix by a merge
 matrix on five strands; the tensor layer puts E_1 on three k=4 strands
 beside the k=4 positive crossing.
 """
@@ -80,6 +82,7 @@ from moycalc.symhecke import (
 from moycalc.tangleinv import compare_theorem13, special_generator_webs
 from moycalc.webgraph import Layer, Web, evaluate
 from moycalc.weblin import (
+    QMatrix,
     TensorBasis,
     apply_window,
     crossing_matrix,
@@ -164,6 +167,11 @@ def laurent_pairs(polys: list[LaurentPoly]) -> None:
             total = total + LaurentPoly(dict(a.terms)) * b
 
 
+def braid_side(e1: QMatrix, e2: QMatrix) -> QMatrix:
+    """E1·E2·E1 - E1, the left side of the braid relation on three strands."""
+    return e1 @ e2 @ e1 - e1
+
+
 def cases() -> list[tuple[str, str, Callable[[], tuple[float, float]]]]:
     """(layer, input, one repeat returning its raw and scaled seconds)."""
     out: list[tuple[str, str, Callable[[], tuple[float, float]]]] = [
@@ -206,12 +214,14 @@ def cases() -> list[tuple[str, str, Callable[[], tuple[float, float]]]]:
     out.append(("generator", "k4|1,1,1,1,1,1|merge(1,1@3)", apply))
     one_layer = Web(4, (1,) * 6, (Layer("merge", 3, 1, 1),))
     out.append(("evaluate", "k4|1,1,1,1,1,1|merge(1,1@3)", partial(timed, evaluate, one_layer)))
+    e1, e2 = hecke_E(1, 3, 4), hecke_E(2, 3, 4)
+    out.append(("algebra", "k4|1,1,1|E1*E2*E1-E1", partial(timed, braid_side, e1, e2)))
     merge = merge_matrix(4, (1,) * 5, 2)
     split = split_matrix(4, (1, 2, 1, 1), 2, 1, 1)
     compose = partial(timed, matmul, split, merge)
     out.append(("compose", "k4|1,1,1,1,1|split(1,1@2)*merge(1,1@2)", compose))
-    hecke, cross = hecke_E(1, 3, 4), crossing_matrix("+", 4)
-    out.append(("tensor", "k4|E1(1,1,1)x(cross+)", partial(timed, hecke.tensor, cross)))
+    cross = crossing_matrix("+", 4)
+    out.append(("tensor", "k4|E1(1,1,1)x(cross+)", partial(timed, e1.tensor, cross)))
     return out
 
 

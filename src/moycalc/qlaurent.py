@@ -134,7 +134,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "LaurentPoly":
-        if not isinstance(power, int) or power < 0:
+        if type(power) is not int or power < 0:
             raise ValueError(f"power must be a nonnegative int, got {power!r}")
         result = LaurentPoly.one()
         for _ in range(power):
@@ -185,7 +185,11 @@ _set_terms = LaurentPoly.terms.__set__
 
 def _normal(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
     """The normal form of exponent -> coefficient sums: zeros dropped,
-    exponents descending."""
+    exponents descending.  A one-term sum, the common case in matrix
+    products, skips the list and the sort."""
+    if len(acc) == 1:
+        (term,) = acc.items()
+        return (term,) if term[1] else ()
     return tuple(sorted([term for term in acc.items() if term[1]], reverse=True))
 
 

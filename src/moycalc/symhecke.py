@@ -109,6 +109,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        _check_int(n, "permutation size n", 0)
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
@@ -484,7 +485,8 @@ class HeckeElement:
 # and E so that every exponent position is at least 1 where a right
 # shift comes, which makes each one exact.  Keys and coefficients enter
 # through ``_raw`` and leave through ``_lincomb``, which decodes each
-# one once.
+# distinct packed value of one sum once (a column of ``sign_action``
+# repeats few values over many keys).
 RawSum = dict[int, int]
 
 
@@ -547,9 +549,14 @@ def _raw(terms: LinComb, group: _IndexedGroup, width: int, offset: int) -> RawSu
 def _lincomb(vec: RawSum, group: _IndexedGroup, width: int, offset: int) -> LinComb:
     perms = group.perms
     out = LinComb()
+    # keys with equal packed values share one (immutable) decoded polynomial
+    decoded: dict[int, LaurentPoly] = {}
     for y, acc in vec.items():
         if acc:
-            out[perms[y]] = _unpack(acc, width, offset)
+            poly = decoded.get(acc)
+            if poly is None:
+                poly = decoded[acc] = _unpack(acc, width, offset)
+            out[perms[y]] = poly
     return out
 
 

@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .qlaurent import ONE, LaurentPoly, LinComb, _check_int
 
@@ -139,7 +139,10 @@ class QMatrix:
     ``rows`` and ``cols`` are index sequences (a TensorBasis, or any
     tuple of hashable keys); ``columns`` holds one sparse
     {row_key: poly} ``LinComb`` per column key, in column order.
-    Mappings that are not yet a ``LinComb`` are copied into one.
+    Mappings that are not yet a ``LinComb`` are copied into one, and
+    every row key is checked against ``rows``.  The algebra (``+``,
+    ``-``, scalar ``*``, ``@``, ``bar``, ``tensor``) builds its keys from
+    its checked operands' rows, so it adopts its results via ``_trusted``.
     """
 
     rows: Sequence
@@ -230,28 +233,26 @@ class QMatrix:
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if not isinstance(other, QMatrix):
             return NotImplemented
-        if (tuple(self.rows), tuple(self.cols)) != (tuple(other.rows), tuple(other.cols)):
-            raise ValueError("sum index mismatch")
-        return QMatrix(
-            self.rows,
-            self.cols,
-            tuple(a + b for a, b in zip(self.columns, other.columns)),
-        )
+        return self._columnwise(other, LinComb.__add__)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return self + (-other)
+        return self._columnwise(other, LinComb.__sub__)
+
+    def _columnwise(self, other: "QMatrix", op: Callable) -> "QMatrix":
+        """``op`` on each pair of columns of two matrices on one index."""
+        if (tuple(self.rows), tuple(self.cols)) != (tuple(other.rows), tuple(other.cols)):
+            raise ValueError("sum index mismatch")
+        return QMatrix._trusted(self.rows, self.cols, tuple(map(op, self.columns, other.columns)))
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, tuple(-a for a in self.columns))
+        return QMatrix._trusted(self.rows, self.cols, tuple(-a for a in self.columns))
 
     def __mul__(self, scalar: Scalar) -> "QMatrix":
         if not isinstance(scalar, (int, LaurentPoly)):
             return NotImplemented
-        return QMatrix(
-            self.rows, self.cols, tuple(a * scalar for a in self.columns)
-        )
+        return QMatrix._trusted(self.rows, self.cols, tuple(a * scalar for a in self.columns))
 
     __rmul__ = __mul__
 
@@ -270,7 +271,7 @@ class QMatrix:
             )
             for column in other.columns
         )
-        return QMatrix(self.rows, other.cols, images)
+        return QMatrix._trusted(self.rows, other.cols, images)
 
     def tensor(self, other: "QMatrix") -> "QMatrix":
         """Monoidal (side-by-side) product; keys concatenate."""
@@ -285,11 +286,11 @@ class QMatrix:
             for left in self.columns
             for right in other.columns
         )
-        return QMatrix(rows, cols, columns)
+        return QMatrix._trusted(rows, cols, columns)
 
     def bar(self) -> "QMatrix":
         """Entrywise bar involution q -> q^-1."""
-        return QMatrix(self.rows, self.cols, tuple(a.bar() for a in self.columns))
+        return QMatrix._trusted(self.rows, self.cols, tuple(a.bar() for a in self.columns))
 
     def __str__(self) -> str:
         cells: dict[object, list[str]] = {}

@@ -39,6 +39,7 @@ def test_every_line_is_one_layer_record(capsys):
         "laurent",
         "generator",
         "evaluate",
+        "algebra",
         "compose",
         "tensor",
     ]

@@ -14,6 +14,7 @@ from moycalc.qlaurent import (
     ONE,
     Q,
     ZERO,
+    _normal,
     _pack,
     _unpack,
     parse_laurent,
@@ -87,6 +88,19 @@ def test_negative_powers_are_rejected_and_repr_reads_the_text():
         Q ** -1
     assert type(info.value) is ValueError
     assert repr(Q) == "LaurentPoly('q')"
+
+
+@pytest.mark.parametrize("power", [True, False])
+def test_powers_take_exact_ints(power):
+    with pytest.raises(ValueError, match=f"power must be a nonnegative int, got {power!r}"):
+        Q ** power
+
+
+@given(st.integers(-50, 50), st.integers(-10**20, 10**20))
+def test_one_term_sums_take_the_short_normal_form(e, c):
+    assert _normal({e: 0}) == ()
+    assert _normal({e: c}) == (((e, c),) if c else ())
+    assert _normal({e: c, e + 1: 0}) == _normal({e: c})
 
 
 # ----------------------------------------------------------------------

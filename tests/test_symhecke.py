@@ -6,11 +6,11 @@ import hashlib
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moycalc import boxcomb
-from moycalc.qlaurent import ONE, LaurentPoly, LinComb, _unpack
+from moycalc.qlaurent import ONE, LaurentPoly, LinComb, _pack, _unpack
 from moycalc.symhecke import (
     FlagList,
     HeckeElement,
@@ -212,6 +212,25 @@ def test_counts_and_generator_indices_must_be_exact_ints(call, message):
     with pytest.raises(ValueError, match=message) as info:
         call()
     assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Permutation.identity(True), "permutation size n must be an int, got True"),
+        (lambda: Permutation.identity(-1), "permutation size n must be >= 0, got -1"),
+        (lambda: Permutation.identity(2.5), "permutation size n must be an int, got 2.5"),
+        (lambda: Permutation.s(1, 2.5), "permutation size n must be an int, got 2.5"),
+        (lambda: list_A(2, 1, 3.0), "permutation size n must be an int, got 3.0"),
+    ],
+    ids=["bool-size", "negative-size", "float-size", "float-generator-size", "float-list-size"],
+)
+def test_permutation_sizes_must_be_exact_ints(call, message):
+    # True was the size 1, -1 the empty permutation, and a float raised TypeError
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert Permutation.identity(0).images == ()
 
 
 @pytest.mark.parametrize("i", [0, 4, -1])
@@ -929,6 +948,32 @@ def test_an_undersized_width_is_refused_not_decoded():
     with pytest.raises(ValueError, match="at offset -1"):
         _raw(terms, group, width, -1)
     assert _unpack(8, 4, 0) == LaurentPoly({1: 1, 0: -8})
+
+
+@st.composite
+def raw_sums(draw):
+    """(raw sum, group, width, offset): a few packed values, zero among them,
+    spread over the keys of S_n so that values repeat; coefficients are
+    drawn at the balanced extremes and -1 often, so negative digits borrow."""
+    group = _group(draw(st.integers(1, 4)))
+    width = draw(st.integers(2, 12))
+    offset = draw(st.integers(0, 4))
+    top = (1 << (width - 1)) - 1
+    coeffs = st.one_of(st.sampled_from([top, -top, -1]), st.integers(-top, top))
+    polys = st.dictionaries(st.integers(-offset, 6), coeffs, max_size=4).map(LaurentPoly)
+    values = [0] + [_pack(p, width, offset) for p in draw(st.lists(polys, min_size=1, max_size=3))]
+    keys = st.integers(0, len(group.perms) - 1)
+    return draw(st.dictionaries(keys, st.sampled_from(values))), group, width, offset
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_sums())
+@example(({0: -1, 1: 0, 2: -1, 3: 5, 4: 5, 5: -1}, _group(3), 3, 0))
+def test_lincomb_decodes_each_entry_as_unpack_does(case):
+    vec, group, width, offset = case
+    got = _lincomb(vec, group, width, offset)
+    want = [(group.perms[y], _unpack(acc, width, offset)) for y, acc in vec.items() if acc]
+    assert type(got) is LinComb and list(got.items()) == want
 
 
 # sha256 of the texts below, one line each: every printed Hecke output

@@ -545,6 +545,72 @@ def test_matmul_and_tensor_match_dense_products(a, b, c):
     assert all(all(column.values()) for column in (a @ b).columns + t.columns)
 
 
+@st.composite
+def layer_products(draw):
+    """(k, a, b, scalar): two random products of layer matrices on one
+    boundary of k-strands, each factor E_i - q^e·id, and a scalar."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 3 if k < 4 else 2))
+    identity = QMatrix.identity(TensorBasis(k, (1,) * n))
+
+    def word():
+        factors = st.tuples(st.integers(1, n - 1), st.integers(-2, 2))
+        out = identity
+        for i, e in draw(st.lists(factors, min_size=1, max_size=3)):
+            out = out @ (hecke_E(i, n, k) - qp(e) * identity)
+        return out
+
+    scalar = draw(st.one_of(st.integers(-3, 3), small_polys))
+    return k, word(), word(), scalar
+
+
+def _entrywise(op, *matrices: QMatrix) -> tuple:
+    return tuple(
+        tuple(op(*cells) for cells in zip(*rows))
+        for rows in zip(*(m.entries for m in matrices))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(layer_products())
+def test_matrix_algebra_results_pass_the_row_check(case):
+    """Each result is adopted unchecked; rebuilt through the checked
+    constructor, which raises on a stray row key, it is the same matrix,
+    with no zero entry stored, and it has the entrywise values."""
+    k, a, b, scalar = case
+    down = merge_matrix(k, a.rows.labels, 1)
+    results = {
+        "+": (a + b, _entrywise(lambda x, y: x + y, a, b)),
+        "-": (a - b, _entrywise(lambda x, y: x - y, a, b)),
+        "neg": (-a, _entrywise(lambda x: -x, a)),
+        "*": (a * scalar, _entrywise(lambda x: x * scalar, a)),
+        "rmul": (scalar * a, _entrywise(lambda x: scalar * x, a)),
+        "bar": (a.bar(), _entrywise(LaurentPoly.bar, a)),
+        "@": (down @ a, tuple(map(tuple, _dense_product(down, a)))),
+        "tensor": (a.tensor(down), None),
+    }
+    for name, (result, want) in results.items():
+        rebuilt = QMatrix(result.rows, result.cols, result.columns)
+        assert result == rebuilt, name
+        assert all(type(c) is LinComb and all(c.values()) for c in result.columns), name
+        if want is not None:
+            assert result.entries == want, name
+    # Z[q, q^-1] has no zero divisors: each pair of nonzero entries is one
+    t = results["tensor"][0]
+    assert t.shape == (a.shape[0] * down.shape[0], a.shape[1] * down.shape[1])
+    assert sum(map(len, t.columns)) == sum(map(len, a.columns)) * sum(map(len, down.columns))
+    for c1, left in zip(a.cols, a.columns):
+        for c2, right in zip(down.cols, down.columns):
+            for (r1, x), (r2, y) in product(left.items(), right.items()):
+                assert t.entry(r1 + r2, c1 + c2) == x * y
+    with pytest.raises(ValueError, match="sum index mismatch"):
+        a + down
+    with pytest.raises(ValueError, match="sum index mismatch"):
+        a - down
+    with pytest.raises(ValueError, match="composition index mismatch"):
+        a @ down
+
+
 # ----------------------------------------------------------------------
 # apply_window against the nested accumulation loop it replaced
 
