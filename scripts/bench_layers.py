@@ -31,7 +31,10 @@ layer is the one-time cost that those warm rows leave out:
 ``grothendieck_map`` of a k=4 merge web on six 1-strands, which builds
 the class table of its bottom (1,1,1,1,1,1), in a fresh interpreter per
 repeat whose weight classes (``O_lists``) are listed before the clock
-starts.  The bijection layer sends every class of one fixed (mu, nu)
+starts.  The crossing layer is ``local_map("cross+", 4, 1, 1)``, the
+positive crossing's window map built from the merge and split maps,
+also in a fresh interpreter per repeat (the map is cached for the
+process).  The bijection layer sends every class of one fixed (mu, nu)
 at n=6 through psi, phi, phi_inverse and psi_inverse, also run once
 before it is timed.  The
 classes layer lists the classes of every weight with four parts over
@@ -114,6 +117,13 @@ from moycalc.webgraph import Layer, Web
 O_lists(all_compositions(6, 4), (1,) * 6)
 web = Web(4, (1,) * 6, (Layer("merge", 1, 1, 1),))
 print(json.dumps(timed(grothendieck_map, web)))
+"""
+
+COLD_CROSSING = """
+import json
+from bench_layers import timed
+from moycalc.weblin import local_map
+print(json.dumps(timed(local_map, "cross+", 4, 1, 1)))
 """
 
 
@@ -207,6 +217,7 @@ def cases() -> list[tuple[str, str, Callable[[], tuple[float, float]]]]:
     groth_sweep(webs)
     out.append(("groth", "k2-4|n1-5|160-webs", partial(timed, groth_sweep, webs)))
     out.append(("classtable", "k4|1,1,1,1,1,1", partial(cold, COLD_CLASS_TABLE)))
+    out.append(("crossing", "k4|cross+|cold", partial(cold, COLD_CROSSING)))
     polys = [quantum_int(m) for m in range(1, 13)]
     out.append(("laurent", "[1]..[12]", partial(timed, laurent_pairs, polys)))
     state = [{key: ONE} for key in TensorBasis(4, (1,) * 6)]

@@ -481,6 +481,7 @@ def skein_oracle(t: TangleWord, k: int = 2) -> LaurentPoly:
     Neither the crossing matrices nor the web evaluation pipeline is
     touched, so agreement with ``link_poly`` cross-validates both.
     """
+    _check_int(k, "tangle rank k")
     if k != 2:
         raise ValueError(
             f"the skein-resolution oracle covers only k=2, got k={k}"
@@ -750,6 +751,7 @@ def move_pairs(
     """
     if move not in _MOVES:
         raise ValueError(f"unknown move {move!r}; have {', '.join(_MOVES)}")
+    _check_int(limit, "pair limit", 0)
     pairs: list[tuple[TangleWord, TangleWord]] = []
     for name in _MOVE_HOSTS:
         host = corpus_word(name)

@@ -58,10 +58,8 @@ from .weblin import (
     QMatrix,
     TensorBasis,
     _generator_matrix,
-    _lift,
-    _lift_columns,
+    _push,
     _resolve_label,
-    apply_window,
     generator_step,
     local_map,
     reversal_matrix,
@@ -220,6 +218,7 @@ class Web(_SliceWord):
         _check_int(self.k, "web rank k", 2)
         allowed = {1, 2, self.k - 1, self.k}
         for label in self.bottom:
+            _check_int(label, "bottom label")
             if label not in allowed:
                 raise ValueError(
                     f"bottom label {label} not in {{1,2,k-1,k}} for k={self.k}"
@@ -425,28 +424,20 @@ def layer_matrix(layer: Layer, k: int, labels: Sequence[int]) -> QMatrix:
 def evaluate(web: Web) -> QMatrix:
     """The matrix of the web, bottom basis to top basis.
 
-    The identity columns of the bottom basis are pushed as a sparse
-    state through each layer's local window map; a closed web pushes a
-    single column.  The first layer's images are read off its map, and
-    every later layer's are summed by ``apply_window``.  The pushed
-    columns are the matrix's columns; their keys are top-basis keys by
-    construction, so the matrix is adopted without the row check.
+    The identity columns of the bottom basis are pushed through each
+    layer's local window map by ``weblin._push``; a closed web pushes a
+    single column.  The pushed columns are the matrix's columns; their
+    keys are top-basis keys by construction, so the matrix is adopted
+    without the row check.
     """
     rank = web.k
     bottom = TensorBasis(rank, web.bottom)
-    if not web.layers:
-        return QMatrix.identity(bottom)
-    # the bottom's keys stand for their identity columns until the first layer
-    state, push = bottom, _lift_columns
+    steps = []
     for layer, labels in zip(web.layers, web.boundaries):
-        if layer.kind in _LABELLED_KINDS:
-            pair = (layer.a, layer.b)
-        else:
-            pair = labels[layer.pos - 1 : layer.pos + 1]
-        local = local_map(layer.kind, rank, *pair)
-        state = push(local, layer.pos, INPUT_SPANS[layer.kind], state)
-        push = apply_window
-    return QMatrix._trusted(TensorBasis(rank, web.top), bottom, state)
+        kind, pos = layer.kind, layer.pos
+        pair = labels[pos - 1 : pos + 1] if layer.a is None else (layer.a, layer.b)
+        steps.append((local_map(kind, rank, *pair), pos, INPUT_SPANS[kind]))
+    return QMatrix._trusted(TensorBasis(rank, web.top), bottom, _push(bottom, steps))
 
 
 def evaluate_closed(web: Web) -> LaurentPoly:
@@ -577,9 +568,9 @@ def square_web_matrix(k: int) -> QMatrix:
     space, which is zero-dimensional, so this matrix is identically zero
     — computed from the general merge/split engine rather than asserted.
     """
-    up = _lift(k, (1, k), (k + 1,), 1, 2, local_map("merge", k, 1, k))
-    down = _lift(k, (k + 1,), (1, k), 1, 1, local_map("split", k, 1, k))
-    return down @ up
+    basis = TensorBasis(k, (1, k))
+    steps = [(local_map("merge", k, 1, k), 1, 2), (local_map("split", k, 1, k), 1, 1)]
+    return QMatrix._trusted(basis, basis, _push(basis, steps))
 
 
 def relation_iii_web(k: int) -> Web:

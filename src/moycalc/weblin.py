@@ -14,9 +14,12 @@ V^{⊗n}, and the crossing matrices in their frozen normalization.
 
 Every generator is stored once as a local window map (``local_map``) on
 the one or two factors it touches; ``apply_window`` applies such a map
-to a sparse state of {basis key: poly} columns.  Web evaluation pushes
-states through these maps, and the whole-boundary matrices above are
-built by pushing the identity basis through the same function.
+to a sparse state of {basis key: poly} columns.  ``_push`` is the one
+loop over such maps: it pushes the identity columns of some basis keys
+through a list of (window map, pos, span) steps.  Web evaluation, the
+whole-boundary matrices above, E_s and the crossing's own window map
+(the merge(1,1) and split(1,1) maps pushed over the (1,1) window, then
+the frozen normalization) are all built by it.
 ``generator_step`` is the one rule for which generator fits which
 boundary; the matrix constructors here and webs and their parser in
 ``webgraph`` all call it.
@@ -91,8 +94,10 @@ class TensorBasis:
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
         _check_int(self.k, "rank k", 1)
-        if any(a < 0 for a in self.labels):
-            raise ValueError(f"negative label in {self.labels}")
+        for a in self.labels:
+            _check_int(a, "basis label")
+            if a < 0:
+                raise ValueError(f"negative label in {self.labels}")
         factors = [
             tuple(combinations(range(1, self.k + 1), a)) for a in self.labels
         ]
@@ -438,18 +443,14 @@ def _lift_columns(
     ]
 
 
-def _lift(
-    k: int,
-    labels: tuple[int, ...],
-    top: tuple[int, ...],
-    pos: int,
-    span: int,
-    local: LocalMap,
-) -> QMatrix:
-    """Lift a local map on factors [pos, pos+span) of ``labels`` to the
-    whole boundary, with ``top`` the boundary above it."""
-    cols = TensorBasis(k, labels)
-    return QMatrix(TensorBasis(k, top), cols, _lift_columns(local, pos, span, cols))
+def _push(keys: Sequence[Key], steps: Iterable[tuple[LocalMap, int, int]]) -> list[LinComb]:
+    """The identity columns of ``keys`` pushed through (window map, pos,
+    span) steps in turn, the one evaluation loop: the first step's images
+    are read off its map, every later step's are summed by ``apply_window``."""
+    state, push = keys, _lift_columns  # keys stand for their identity columns
+    for local, pos, span in steps:
+        state, push = push(local, pos, span, state), apply_window
+    return [LinComb._new(((key, ONE),)) for key in keys] if push is _lift_columns else state
 
 
 def _generator_matrix(
@@ -462,11 +463,16 @@ def _generator_matrix(
 ) -> QMatrix:
     """The whole-boundary matrix of one generator, typed by
     ``generator_step``."""
+    for what, value in (("position", pos), ("label", a), ("label", b)):
+        if value is not None:
+            _check_int(value, f"{kind} {what}")
     labels = tuple(labels)
     top = generator_step(kind, k, labels, pos, a, b)
     if a is None:
         a, b = labels[pos - 1 : pos + 1]
-    return _lift(k, labels, top, pos, INPUT_SPANS[kind], local_map(kind, k, a, b))
+    cols = TensorBasis(k, labels)
+    step = (local_map(kind, k, a, b), pos, INPUT_SPANS[kind])
+    return QMatrix(TensorBasis(k, top), cols, _push(cols, [step]))
 
 
 @lru_cache(maxsize=None)
@@ -502,8 +508,18 @@ def local_map(kind: str, k: int, a: int, b: int) -> LocalMap:
     elif kind == "cap":
         # the merge onto the one-dimensional full power, closed off
         local = {key: (((), c),) for key, ((_, c),) in local_map("merge", k, a, b).items()}
-    elif kind.startswith("cross"):
-        local = _block_local(crossing_matrix(kind[len("cross"):], k))
+    elif kind in ("cross+", "cross-"):
+        # Frozen crossing normalization, fixed once by the exhaustive search in
+        # tests/test_weblin.py (test_crossing_search_regression):
+        # X⁺ = -q^{-k}(E - q·id), X⁻ = -q^{k}(E - q^{-1}·id), E = split ∘ merge.
+        # A window's split images come in window order and include it.
+        e = 1 if kind == "cross+" else -1
+        shift, scale = -LaurentPoly.q_power(e), -LaurentPoly.q_power(-e * k)
+        windows = TensorBasis(k, (1, 1)).elements
+        steps = [(local_map("merge", k, 1, 1), 1, 2), (local_map("split", k, 1, 1), 1, 1)]
+        for key, column in zip(windows, _push(windows, steps)):
+            products = [*((out, c, scale) for out, c in column.items()), (key, shift, scale)]
+            local[key] = tuple(LinComb.of_products(products).items())
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
     return MappingProxyType(local)
@@ -580,35 +596,24 @@ def intertwiner_matrix(
 
 def hecke_E(s: int, n: int, k: int) -> QMatrix:
     """The operator E_s = split ∘ merge at factors (s, s+1) of V^{⊗n}."""
+    _check_int(s, "position s")
+    _check_int(n, "strand count n")
     if not (1 <= s <= n - 1):
         raise ValueError(f"position s={s} out of range for n={n}")
-    labels = (1,) * n
-    merged = labels[: s - 1] + (2,) + labels[s + 1 :]
-    down = merge_matrix(k, labels, s)
-    up = split_matrix(k, merged, s, 1, 1)
-    return up @ down
+    basis = TensorBasis(k, (1,) * n)
+    steps = [(local_map("merge", k, 1, 1), s, 2), (local_map("split", k, 1, 1), s, 1)]
+    return QMatrix._trusted(basis, basis, _push(basis, steps))
 
 
 def crossing_matrix(sign: str, k: int) -> QMatrix:
     """The crossing on V ⊗ V: sign "+" or "-", mutually inverse."""
-    E = hecke_E(1, 2, k)
-    if sign not in ("+", "-"):
-        raise ValueError(f"crossing sign must be '+' or '-', got {sign!r}")
-    # Frozen crossing normalization, fixed once by the exhaustive search in
-    # tests/test_weblin.py (test_crossing_search_regression):
-    # X⁺ = -q^{-k}(E - q·id), X⁻ = -q^{k}(E - q^{-1}·id).
-    e = 1 if sign == "+" else -1
-    ident = QMatrix.identity(E.rows)
-    return (E - LaurentPoly.q_power(e) * ident) * -LaurentPoly.q_power(-e * k)
-
-
-def _block_local(block: QMatrix) -> dict[Key, tuple[tuple[Key, LaurentPoly], ...]]:
-    """Read a small matrix back off as a local map for _lift."""
-    return {col_key: tuple(block.column(col_key)) for col_key in block.cols}
+    return cross_matrix_at(sign, k, (1, 1), 1)
 
 
 def cross_matrix_at(sign: str, k: int, labels: Sequence[int], pos: int) -> QMatrix:
     """The crossing embedded at factors (pos, pos+1) of a larger boundary."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"crossing sign must be '+' or '-', got {sign!r}")
     return _generator_matrix("cross" + sign, k, labels, pos)
 
 

@@ -36,6 +36,7 @@ def test_every_line_is_one_layer_record(capsys):
         "transport",
         "groth",
         "classtable",
+        "crossing",
         "laurent",
         "generator",
         "evaluate",

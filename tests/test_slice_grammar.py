@@ -22,7 +22,7 @@ from moycalc.tangleinv import (
     special_generator_webs,
 )
 from moycalc.webgraph import Layer, Web, WebParseError, evaluate, parse_web
-from moycalc.weblin import QMatrix, TensorBasis, generator_step
+from moycalc.weblin import INPUT_SPANS, QMatrix, TensorBasis, _push, generator_step, local_map
 
 MAX_WIDTH = 4
 MAX_LAYERS = 6
@@ -200,6 +200,30 @@ def test_one_generator_webs_evaluate_to_top_basis_rows():
     assert len(generators) == 160
     for web in generators:
         _assert_evaluate_keys_rows(web)
+
+
+def _steps(web: Web) -> list:
+    """The (window map, pos, span) push steps of a web's layers."""
+    steps = []
+    for layer, labels in zip(web.layers, web.boundaries):
+        pair = (layer.a, layer.b) if layer.a is not None else labels[layer.pos - 1 : layer.pos + 1]
+        steps.append((local_map(layer.kind, web.k, *pair), layer.pos, INPUT_SPANS[layer.kind]))
+    return steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pushing_any_bottom_keys_gives_their_evaluate_columns(data):
+    # a block of bottom keys, in any order, pushes to those keys' columns
+    web = data.draw(webs())
+    bottom = TensorBasis(web.k, web.bottom).elements
+    keys = data.draw(st.lists(st.sampled_from(bottom), unique=True))
+    matrix = evaluate(web)
+    columns = dict(zip(matrix.cols, matrix.columns))
+    got = _push(keys, _steps(web))
+    assert got == [columns[key] for key in keys]
+    # same row keys in the same order: printed outputs read dict order
+    assert [list(column) for column in got] == [list(columns[key]) for key in keys]
 
 
 # ----------------------------------------------------------------------

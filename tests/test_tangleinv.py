@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from moycalc import symhecke, tangleinv
+from moycalc import symhecke, tangleinv, webgraph, weblin
 from moycalc.boxcomb import (
     WeightedDiagramSum,
     all_compositions,
@@ -429,6 +429,35 @@ def test_oracle_only_speaks_rank_2():
         skein_oracle(corpus_word("unknot"), 3)
 
 
+def test_oracle_rank_is_an_exact_int():
+    with pytest.raises(ValueError, match="tangle rank k must be an int, got 2.0"):
+        skein_oracle(corpus_word("unknot"), 2.0)
+
+
+def test_oracle_stands_apart_from_the_web_pipeline(monkeypatch):
+    # the compiled values first; then every route into web evaluation raises
+    expected = {name: link_poly(corpus_word(name), 2) for name in CORPUS}
+    assert len(expected) == 18
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rank-2 oracle reached the web pipeline")
+
+    for module, name in (
+        (webgraph, "evaluate"),
+        (webgraph, "_push"),
+        (weblin, "local_map"),
+        (weblin, "_push"),
+        (tangleinv, "_compiled"),
+        (tangleinv, "evaluate"),
+        (tangleinv, "evaluate_closed"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="reached the web pipeline"):
+        link_poly(corpus_word("unknot"), 2)
+    for name, value in expected.items():
+        assert skein_oracle(corpus_word(name)) == value, name
+
+
 def test_oracle_rejects_open_words():
     with pytest.raises(ValueError, match="closed tangle word required"):
         skein_oracle(TangleWord(("-",), ()))
@@ -709,6 +738,20 @@ def test_move_pairs_rejects_unknown_move():
 
 def test_move_pairs_respects_the_limit():
     assert len(move_pairs("r1", limit=3)) == 3
+
+
+@pytest.mark.parametrize(
+    "limit, reason",
+    [
+        (True, "pair limit must be an int, got True"),
+        (2.5, "pair limit must be an int, got 2.5"),
+        (-1, "pair limit must be >= 0, got -1"),
+    ],
+)
+def test_move_pairs_limit_is_a_count(limit, reason):
+    with pytest.raises(ValueError, match=reason) as info:
+        move_pairs("r1", limit)
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("move", ["r1", "r2", "r3", "zigzag"])

@@ -116,6 +116,13 @@ def test_web_rejects_label_outside_special_set():
         Web(5, (3,), ())
 
 
+@pytest.mark.parametrize("label", [True, 1.0])
+def test_web_bottom_labels_are_exact_ints(label):
+    # True == 1 and 1.0 == 1 pass the label-set test, so the type is checked first
+    with pytest.raises(ValueError, match=f"bottom label must be an int, got {label!r}"):
+        Web(3, (label, 2))
+
+
 def test_web_rejects_small_rank():
     with pytest.raises(ValueError, match="rank k"):
         Web(1, (1,), ())
@@ -624,6 +631,12 @@ def test_square_web_matrix_is_zero():
         square = square_web_matrix(k)
         assert square.is_zero()
         assert square.shape == (k, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_square_web_matrix_is_the_zero_matrix_on_its_boundary(k):
+    basis = TensorBasis(k, (1, k))
+    assert square_web_matrix(k) == QMatrix(basis, basis, [{}] * len(basis))
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -26,7 +26,7 @@ from moycalc.weblin import (
     special_pairs,
     split_matrix,
 )
-from moycalc.weblin import _block_local, _lift, _lift_columns
+from moycalc.weblin import _lift_columns, _push
 from moycalc.webgraph import Layer, Web, evaluate, layer_matrix
 
 
@@ -354,19 +354,30 @@ def test_crossing_braid(k):
     assert x1p @ x2p @ x1p == x2p @ x1p @ x2p
 
 
+def _window_map(block: QMatrix) -> dict:
+    """A candidate crossing on V ⊗ V read back off as a window map."""
+    return {col_key: tuple(block.column(col_key)) for col_key in block.cols}
+
+
+def _lifted(k: int, labels: tuple[int, ...], pos: int, local: dict) -> QMatrix:
+    """A candidate crossing's window map at (pos, pos+1) of ``labels``."""
+    basis = TensorBasis(k, labels)
+    return QMatrix(basis, basis, _push(basis, [(local, pos, 2)]))
+
+
 def _kink_closures(cand_plus: QMatrix, cand_minus: QMatrix, k: int) -> list[QMatrix]:
     """Close each candidate crossing off with a cup/cap on either side."""
     closures = []
     for block in (cand_plus, cand_minus):
-        local = _block_local(block)
+        local = _window_map(block)
         # right kink: bend in a (1, k-1) pair above-right, cross, close
         m1 = cup_matrix(k, (1,), 2, 1, k - 1)
-        m2 = _lift(k, (1, 1, k - 1), (1, 1, k - 1), 1, 2, local)
+        m2 = _lifted(k, (1, 1, k - 1), 1, local)
         m3 = cap_matrix(k, (1, 1, k - 1), 2)
         closures.append(m3 @ m2 @ m1)
         # left kink: bend in a (k-1, 1) pair below-left, cross, close
         m1 = cup_matrix(k, (1,), 1, k - 1, 1)
-        m2 = _lift(k, (k - 1, 1, 1), (k - 1, 1, 1), 2, 2, local)
+        m2 = _lifted(k, (k - 1, 1, 1), 2, local)
         m3 = cap_matrix(k, (k - 1, 1, 1), 1)
         closures.append(m3 @ m2 @ m1)
     return closures
@@ -418,10 +429,9 @@ def crossing_search(k: int) -> list[tuple[int, int, int]]:
 
 
 def _braid_holds(block: QMatrix, k: int) -> bool:
-    local = _block_local(block)
-    labels = (1, 1, 1)
-    x1 = _lift(k, labels, labels, 1, 2, local)
-    x2 = _lift(k, labels, labels, 2, 2, local)
+    local = _window_map(block)
+    x1 = _lifted(k, (1, 1, 1), 1, local)
+    x2 = _lifted(k, (1, 1, 1), 2, local)
     return x1 @ x2 @ x1 == x2 @ x1 @ x2
 
 
@@ -429,6 +439,59 @@ def _braid_holds(block: QMatrix, k: int) -> bool:
 def test_crossing_search_regression(k):
     # the frozen normalization is the unique survivor of the protocol
     assert crossing_search(k) == [(-1, -k, 1)]
+
+
+# ----------------------------------------------------------------------
+# the push-built constructions against the matrix formulas they replaced
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("sign, e", [("+", 1), ("-", -1)])
+def test_crossing_window_map_matches_the_matrix_formula(sign, e, k):
+    # X± = -q^∓k·(split ∘ merge − q^±1·id) on V ⊗ V, read back column by column
+    E = split_matrix(k, (2,), 1, 1, 1) @ merge_matrix(k, (1, 1), 1)
+    block = (E - qp(e) * QMatrix.identity(E.rows)) * -qp(-e * k)
+    # same windows and images, in the read-back's row order
+    assert list(local_map("cross" + sign, k, 1, 1).items()) == list(_window_map(block).items())
+    assert crossing_matrix(sign, k) == block
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hecke_E_matches_split_after_merge(n, k):
+    labels = (1,) * n
+    for s in range(1, n):
+        merged = labels[: s - 1] + (2,) + labels[s + 1 :]
+        want = split_matrix(k, merged, s, 1, 1) @ merge_matrix(k, labels, s)
+        assert hecke_E(s, n, k) == want
+
+
+# ----------------------------------------------------------------------
+# exact ints at the wedge layer's edges
+
+
+@pytest.mark.parametrize(
+    "call, reason",
+    [
+        (lambda: TensorBasis(2, (True,)), "basis label must be an int, got True"),
+        (lambda: TensorBasis(2, (1.0,)), "basis label must be an int, got 1.0"),
+        (lambda: merge_matrix(2, (1, 1), 1.0), "merge position must be an int, got 1.0"),
+        (lambda: merge_matrix(2, (1, 1), True), "merge position must be an int, got True"),
+        (lambda: cup_matrix(3, (), 1, True, 2), "cup label must be an int, got True"),
+        (lambda: split_matrix(3, (2,), 1, 1, 1.0), "split label must be an int, got 1.0"),
+        (lambda: hecke_E(1.5, 3, 2), "position s must be an int, got 1.5"),
+        (lambda: hecke_E(1, 3.0, 2), "strand count n must be an int, got 3.0"),
+        (lambda: hecke_E(True, 2, 2), "position s must be an int, got True"),
+    ],
+    ids=[
+        "basis-bool", "basis-float", "merge-float", "merge-bool", "cup-bool",
+        "split-float", "hecke-float-s", "hecke-float-n", "hecke-bool-s",
+    ],
+)
+def test_wedge_layer_takes_exact_ints(call, reason):
+    with pytest.raises(ValueError, match=reason) as info:
+        call()
+    assert type(info.value) is ValueError
 
 
 def test_crossing_rejects_bad_labels():
