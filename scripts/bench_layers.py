@@ -34,9 +34,10 @@ repeat whose weight classes (``O_lists``) are listed before the clock
 starts.  The crossing layer is ``local_map("cross+", 4, 1, 1)``, the
 positive crossing's window map built from the merge and split maps,
 also in a fresh interpreter per repeat (the map is cached for the
-process).  The bijection layer sends every class of one fixed (mu, nu)
-at n=6 through psi, phi, phi_inverse and psi_inverse, also run once
-before it is timed.  The
+process).  The foam layer is ``verify_foam()``, the five foam claims,
+run once before it is timed.  The bijection layer sends every class of
+one fixed (mu, nu) at n=6 through psi, phi, phi_inverse and
+psi_inverse, also run once before it is timed.  The
 classes layer lists the classes of every weight with four parts over
 the content (1,1,1,1,1,1) in one ``O_lists`` pass, warm: the bijection
 row has built that content's masks.  The web-side rows are warm too: the laurent layer
@@ -73,6 +74,7 @@ from moycalc.boxcomb import (
     psi,
     psi_inverse,
 )
+from moycalc.foamalg import verify_foam
 from moycalc.qlaurent import ONE, ZERO, LaurentPoly, quantum_int
 from moycalc.symhecke import (
     O_lists,
@@ -218,6 +220,8 @@ def cases() -> list[tuple[str, str, Callable[[], tuple[float, float]]]]:
     out.append(("groth", "k2-4|n1-5|160-webs", partial(timed, groth_sweep, webs)))
     out.append(("classtable", "k4|1,1,1,1,1,1", partial(cold, COLD_CLASS_TABLE)))
     out.append(("crossing", "k4|cross+|cold", partial(cold, COLD_CROSSING)))
+    verify_foam()
+    out.append(("foam", "verify_foam|warm", partial(timed, verify_foam)))
     polys = [quantum_int(m) for m in range(1, 13)]
     out.append(("laurent", "[1]..[12]", partial(timed, laurent_pairs, polys)))
     state = [{key: ONE} for key in TensorBasis(4, (1,) * 6)]

@@ -181,12 +181,15 @@ class Filling:
         return Filling(_cut(values, self.shape))
 
     def text(self) -> str:
-        return ",".join(
-            "[" + ",".join(str(v) for v in col) + "]" for col in self.columns
-        )
+        return _bracket_groups(self.columns)
 
-    def __str__(self) -> str:
-        return self.text()
+    __str__ = text
+
+
+def _bracket_groups(groups: Iterable[Iterable[int]]) -> str:
+    """The one bracket text of int groups, for example "[1,2],[3]": a
+    filling's columns, or a tableau's rows."""
+    return ",".join("[" + ",".join(map(str, group)) + "]" for group in groups)
 
 
 def _filling(word: Sequence[int], shape: Sequence[int]) -> Filling:

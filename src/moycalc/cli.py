@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import verify
-from .boxcomb import column_strict_fillings
+from .boxcomb import _bracket_groups, column_strict_fillings
 from .reporting import all_passed, render_reports
 from .symhecke import Permutation, kl_element, rs_tableaux
 from .tangleinv import link_poly, parse_tangle
@@ -168,14 +168,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_rs(args: argparse.Namespace) -> int:
     insertion, recording = rs_tableaux(_parse_permutation(args.permutation))
-
-    def rows(tableau: tuple[tuple[int, ...], ...]) -> str:
-        return ",".join(
-            "[" + ",".join(str(v) for v in row) + "]" for row in tableau
-        )
-
-    print(f"insertion rows: {rows(insertion)}")
-    print(f"recording rows: {rows(recording)}")
+    print(f"insertion rows: {_bracket_groups(insertion)}")
+    print(f"recording rows: {_bracket_groups(recording)}")
     return 0
 
 

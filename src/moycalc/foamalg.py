@@ -12,8 +12,9 @@ coefficients:
 * The basic-map catalogue builds both sheet algebras from one rule on
   C[x]/(x^k): trace x^(k-1) -> (-1)^k, comultiplication
   x^p -> (-1)^k sum_(i>=p) x^i@x^(k-1+p-i).  k = 2 gives the seam foams
-  between a pair of sheets, k = 3 the one-sheet foams; ``frob_trace``
-  and ``frob_comul`` read the k = 3 maps.
+  between a pair of sheets, k = 3 the one-sheet foams.  ``FrobElement``
+  reads its product and unit off the k = 3 maps, and ``frob_trace``
+  and ``frob_comul`` read the other two.
 * ``FlagRingElement`` is C[X1,X2,X3] modulo the elementary symmetric
   polynomials, in the frozen monomial basis
   {1, X1, X2, X1X2, X1^2, X1X2^2}, with trace = coefficient of X1X2^2.
@@ -43,7 +44,7 @@ from itertools import permutations, product
 from math import comb
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
-from .qlaurent import _check_int, _tally
+from .qlaurent import _check_int, _signed_sum, _tally
 from .reporting import Report
 from .symhecke import _inversion_count
 
@@ -129,27 +130,9 @@ class _RingElement:
     __rmul__ = __mul__
 
     def text(self) -> str:
-        pieces = []
-        for coeff, name in zip(self.coeffs, self._names):
-            if not coeff:
-                continue
-            if coeff == 1 and name != "1":
-                pieces.append(name)
-            elif coeff == -1 and name != "1":
-                pieces.append(f"-{name}")
-            elif name == "1":
-                pieces.append(str(coeff))
-            else:
-                pieces.append(f"{coeff}{name}")
-        if not pieces:
-            return "0"
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+        return _signed_sum(zip(self.coeffs, self._names))
 
-    def __str__(self) -> str:
-        return self.text()
+    __str__ = text
 
 
 # ----------------------------------------------------------------------
@@ -167,11 +150,20 @@ class FrobElement(_RingElement):
         _check_int(power, "power", 0)
         return cls(tuple(int(i == power) for i in range(3)))
 
+    @classmethod
+    def one(cls) -> "FrobElement":
+        """The unit, read off the catalogue's ``circle-birth``."""
+        row = _catalogue()["circle-birth"][0].entries.get((), {})
+        return cls(tuple(row.get((p,), 0) for p in range(3)))
+
     def _times(self, other: "FrobElement") -> "FrobElement":
-        a, b = self.coeffs, other.coeffs
-        return FrobElement(
-            tuple(sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(3))
-        )
+        """The product, read off the catalogue's ``tube-merge``."""
+        a, b, out = self.coeffs, other.coeffs, [0, 0, 0]
+        for (i, j), row in _catalogue()["tube-merge"][0].entries.items():
+            if a[i] and b[j]:
+                for (n,), c in row.items():
+                    out[n] += a[i] * b[j] * c
+        return FrobElement(tuple(out))
 
 
 _FROB_BASIS = tuple(FrobElement.x(power) for power in range(3))

@@ -160,21 +160,7 @@ class LaurentPoly:
         >>> str(LaurentPoly.zero())
         '0'
         """
-        if not self.terms:
-            return "0"
-        pieces: list[str] = []
-        for i, (exp, coeff) in enumerate(self.terms):
-            mag = abs(coeff)
-            if exp == 0:
-                body = str(mag)
-            else:
-                qpart = "q" if exp == 1 else f"q^{exp}"
-                body = qpart if mag == 1 else f"{mag}{qpart}"
-            if i == 0:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
-        return "".join(pieces)
+        return _signed_sum((coeff, _q_name(exp)) for exp, coeff in self.terms)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"
@@ -210,6 +196,29 @@ def _check_int(value: object, what: str, least: int | None = None) -> None:
         raise ValueError(f"{what} must be an int, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{what} must be >= {least}, got {value}")
+
+
+def _q_name(exponent: int) -> str:
+    """The one name of the monomial q^exponent: "1", "q" or "q^e"."""
+    return "1" if exponent == 0 else "q" if exponent == 1 else f"q^{exponent}"
+
+
+def _signed_sum(terms: Iterable[tuple[object, str]]) -> str:
+    """The one text of a sum of (coefficient, monomial name) pairs: zero
+    terms skipped, the name "1" written as its magnitude alone, a
+    magnitude of 1 left off any other name, signs written as " + ",
+    " - " and a leading "-"; "0" for the empty sum."""
+    pieces: list[str] = []
+    for coeff, name in terms:
+        if not coeff:
+            continue
+        mag = abs(coeff)
+        if pieces:
+            pieces.append(" - " if coeff < 0 else " + ")
+        elif coeff < 0:
+            pieces.append("-")
+        pieces.append(str(mag) if name == "1" else name if mag == 1 else f"{mag}{name}")
+    return "".join(pieces) or "0"
 
 
 def _tally(pairs: Iterable[tuple[Hashable, object]]) -> dict:

@@ -40,7 +40,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .qlaurent import ONE, LaurentPoly, LinComb, _check_int, _pack, _tally, _unpack
+from .qlaurent import ONE, LaurentPoly, LinComb, _check_int, _pack, _q_name, _tally, _unpack
 from .weblin import QMatrix
 
 __all__ = [
@@ -913,25 +913,15 @@ class FlagList:
             )
         )
 
-    @staticmethod
-    def _term_text(e: int, w: Permutation) -> str:
-        word = w.word_text()
-        if e == 0:
-            return word
-        if e == 1:
-            return f"q {word}"
-        return f"q^{e} {word}"
-
     def text(self) -> str:
-        if not self.terms:
-            return "(empty)"
-        return ", ".join(self._term_text(e, w) for e, w in self.terms)
+        return ", ".join(
+            w.word_text() if e == 0 else f"{_q_name(e)} {w.word_text()}" for e, w in self.terms
+        ) or "(empty)"
 
     def canonical_text(self) -> str:
         return FlagList(sorted(self.terms, key=lambda t: (t[0], t[1].word_text()))).text()
 
-    def __str__(self) -> str:
-        return self.text()
+    __str__ = text
 
 
 def list_A(r: int, s: int, n: int) -> FlagList:

@@ -525,20 +525,24 @@ def mirror_conjugate(web: Web) -> QMatrix:
 
 
 # ----------------------------------------------------------------------
-# stock webs and the relation checker
+# stock webs and the relation checker; each builder checks its rank
+# first, in ``Web``'s words, before any layer reads it
 
 def digon_web(k: int, a: int, b: int) -> Web:
     """Split an (a+b)-strand into (a, b) and merge it back."""
+    _check_int(k, "web rank k", 2)
     return Web(k, (a + b,), (Layer("split", 1, a, b), Layer("merge", 1, a, b)))
 
 
 def circle_web(k: int, a: int = 1) -> Web:
     """A closed circle: cup then cap, labels (a, k-a)."""
+    _check_int(k, "web rank k", 2)
     return Web(k, (), (Layer("cup", 1, a, k - a), Layer("cap", 1)))
 
 
 def theta_web(k: int) -> Web:
     """A circle carrying one digon: cup, merge, split, cap."""
+    _check_int(k, "web rank k", 2)
     return Web(
         k,
         (),
@@ -553,6 +557,7 @@ def theta_web(k: int) -> Web:
 
 def e_web(k: int, n: int, s: int) -> Web:
     """The merge-then-split web E_s on n parallel 1-strands."""
+    _check_int(k, "web rank k", 2)
     return Web(
         k,
         (1,) * n,
@@ -576,6 +581,7 @@ def square_web_matrix(k: int) -> QMatrix:
 def relation_iii_web(k: int) -> Web:
     """The four-layer web on boundary (1, k) whose evaluation is the
     square web plus [k-1] times the identity."""
+    _check_int(k, "web rank k", 2)
     return Web(
         k,
         (1, k),
@@ -591,6 +597,7 @@ def relation_iii_web(k: int) -> Web:
 def relation_iv_web(k: int) -> Web:
     """The eight-layer web on boundary (k, 1, k-1) whose evaluation is the
     identity plus [k-2] times the double wall web."""
+    _check_int(k, "web rank k", 2)
     return Web(
         k,
         (k, 1, k - 1),
@@ -610,6 +617,7 @@ def relation_iv_web(k: int) -> Web:
 def double_wall_web(k: int) -> Web:
     """The web on (k, 1, k-1) passing through (k, k): merge the right
     pair and split it back."""
+    _check_int(k, "web rank k", 2)
     return Web(
         k,
         (k, 1, k - 1),

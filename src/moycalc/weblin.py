@@ -337,7 +337,8 @@ def generator_step(
     """The boundary above one generator at ``pos`` on the boundary
     ``labels`` below it; ValueError when the generator does not fit.
 
-    This is the one typing rule for generators.  Split and cup take
+    This is the one typing rule for generators.  The position and any
+    labels passed must be exact ints.  Split and cup take
     their label pair (a, b); merge and cap read theirs off the boundary,
     and a pair passed to them must match it.  Merges and splits take
     the special pairs only.
@@ -345,6 +346,9 @@ def generator_step(
     span = INPUT_SPANS.get(kind)
     if span is None:
         raise ValueError(f"unknown generator kind {kind!r}")
+    for what, value in (("position", pos), ("label", a), ("label", b)):
+        if value is not None:
+            _check_int(value, f"{kind} {what}")
     if kind in ("split", "cup") and (a is None or b is None):
         raise ValueError(f"{kind} needs its label pair (a, b), got ({a}, {b})")
     if not 1 <= pos <= len(labels) + 1 - span:
@@ -463,9 +467,6 @@ def _generator_matrix(
 ) -> QMatrix:
     """The whole-boundary matrix of one generator, typed by
     ``generator_step``."""
-    for what, value in (("position", pos), ("label", a), ("label", b)):
-        if value is not None:
-            _check_int(value, f"{kind} {what}")
     labels = tuple(labels)
     top = generator_step(kind, k, labels, pos, a, b)
     if a is None:
@@ -475,9 +476,10 @@ def _generator_matrix(
     return QMatrix(TensorBasis(k, top), cols, _push(cols, [step]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def local_map(kind: str, k: int, a: int, b: int) -> LocalMap:
-    """The local window map of one generator, cached per (kind, k, a, b).
+    """The local window map of one generator, cached per (kind, k, a, b)
+    and their types, so only an exact-int rank k >= 1 is built or served.
 
     ``kind`` is one of merge, split, cup, cap, cross+ and cross-; (a, b)
     is the pair of small labels on the generator's two-strand side
@@ -485,6 +487,7 @@ def local_map(kind: str, k: int, a: int, b: int) -> LocalMap:
     (output window, coefficient) images.  It is shared by every caller,
     so it is returned read-only.  Label checks are ``generator_step``'s.
     """
+    _check_int(k, "rank k", 1)
     local: dict[Key, tuple[tuple[Key, LaurentPoly], ...]] = {}
     full = tuple(range(1, k + 1))
     if kind == "merge":

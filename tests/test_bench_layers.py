@@ -37,6 +37,7 @@ def test_every_line_is_one_layer_record(capsys):
         "groth",
         "classtable",
         "crossing",
+        "foam",
         "laurent",
         "generator",
         "evaluate",

@@ -555,15 +555,14 @@ def test_circle_maps_are_the_three_sheet_unit_and_trace() -> None:
 
 
 def test_tube_maps_match_the_algebra_structure() -> None:
+    # the reference product, written out apart from the catalogue that
+    # FrobElement multiplies through: x^i x^j = x^(i+j) below x^3, else 0
     merge = basic_map("tube-merge")
     for i, j in product(range(3), repeat=2):
-        image = frob_mul(FrobElement.x(i), FrobElement.x(j))
-        expected = {
-            (power,): coeff
-            for power, coeff in enumerate(image.coeffs)
-            if coeff
-        }
+        expected = {(i + j,): Fraction(1)} if i + j < 3 else {}
         assert merge.apply({(i, j): Fraction(1)}) == expected
+        power = FrobElement.x(i + j) if i + j < 3 else FrobElement.zero()
+        assert frob_mul(FrobElement.x(i), FrobElement.x(j)) == power
     split = basic_map("tube-split")
     for power in range(3):
         assert split.apply({(power,): Fraction(1)}) == frob_comul(
@@ -714,3 +713,19 @@ def test_verify_foam_names_the_failing_structure_power(monkeypatch) -> None:
     monkeypatch.setattr(foamalg, "frob_comul", mutant)
     reports = {r.check: r for r in verify_foam()}
     assert reports["foam-structure-constants"].line().endswith(" [failed at x]")
+
+
+@pytest.mark.parametrize(
+    "name, failing",
+    [
+        ("tube-merge", ["foam-frobenius"]),
+        ("circle-birth", ["foam-frobenius", "foam-surgery"]),
+    ],
+)
+def test_verify_foam_checks_the_catalogue_product_and_unit(monkeypatch, name, failing) -> None:
+    catalogue = dict(foamalg._catalogue())
+    foam, degree = catalogue[name]
+    negated = {key: {out: -c for out, c in row.items()} for key, row in foam.entries.items()}
+    catalogue[name] = (FoamMap(foam.source, foam.target, negated), degree)
+    monkeypatch.setattr(foamalg, "_catalogue", lambda: catalogue)
+    assert [r.check for r in verify_foam() if not r.passed] == failing

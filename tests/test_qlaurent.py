@@ -5,9 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from moycalc.boxcomb import Filling, WeightedDiagramSum
+from moycalc.foamalg import FlagRingElement, FrobElement
 from moycalc.qlaurent import (
     LaurentPoly,
     LinComb,
@@ -20,6 +21,7 @@ from moycalc.qlaurent import (
     parse_laurent,
     quantum_int,
 )
+from moycalc.symhecke import FlagList, Permutation
 
 polys = st.builds(
     LaurentPoly,
@@ -101,6 +103,95 @@ def test_one_term_sums_take_the_short_normal_form(e, c):
     assert _normal({e: 0}) == ()
     assert _normal({e: c}) == (((e, c),) if c else ())
     assert _normal({e: c, e + 1: 0}) == _normal({e: c})
+
+
+# ----------------------------------------------------------------------
+# the one signed-sum text against the three renderers it replaced
+
+
+def old_laurent_text(poly: LaurentPoly) -> str:
+    """``LaurentPoly.__str__`` as it was before the shared rule."""
+    if not poly.terms:
+        return "0"
+    pieces: list[str] = []
+    for i, (exp, coeff) in enumerate(poly.terms):
+        mag = abs(coeff)
+        if exp == 0:
+            body = str(mag)
+        else:
+            qpart = "q" if exp == 1 else f"q^{exp}"
+            body = qpart if mag == 1 else f"{mag}{qpart}"
+        if i == 0:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
+    return "".join(pieces)
+
+
+def old_ring_text(element: FrobElement | FlagRingElement) -> str:
+    """The foam ring elements' ``text`` as it was before the shared rule."""
+    pieces = []
+    for coeff, name in zip(element.coeffs, element._names):
+        if not coeff:
+            continue
+        if coeff == 1 and name != "1":
+            pieces.append(name)
+        elif coeff == -1 and name != "1":
+            pieces.append(f"-{name}")
+        elif name == "1":
+            pieces.append(str(coeff))
+        else:
+            pieces.append(f"{coeff}{name}")
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for piece in pieces[1:]:
+        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+    return out
+
+
+def old_flag_list_text(flags: FlagList) -> str:
+    """``FlagList.text`` as it was before the shared q-power name."""
+
+    def term(e: int, w: Permutation) -> str:
+        word = w.word_text()
+        if e == 0:
+            return word
+        if e == 1:
+            return f"q {word}"
+        return f"q^{e} {word}"
+
+    return ", ".join(term(e, w) for e, w in flags.terms) if flags.terms else "(empty)"
+
+
+text_fractions = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+)
+flag_lists = st.builds(
+    FlagList,
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-4, max_value=4),
+            st.permutations(range(1, 5)).map(Permutation.from_one_line),
+        ),
+        max_size=4,
+    ).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    polys,
+    st.tuples(*[text_fractions] * 3).map(FrobElement),
+    st.tuples(*[text_fractions] * 6).map(FlagRingElement),
+    flag_lists,
+)
+def test_shared_text_rules_print_as_the_old_renderers(poly, frob, flag, flags):
+    assert str(poly) == old_laurent_text(poly)
+    assert str(frob) == old_ring_text(frob)
+    assert str(flag) == old_ring_text(flag)
+    assert flags.text() == old_flag_list_text(flags)
 
 
 # ----------------------------------------------------------------------

@@ -134,6 +134,30 @@ def test_web_rejects_a_rank_that_is_not_an_int(k):
         Web(k, (1, 2))
 
 
+STOCK_WEBS = {
+    "digon": lambda k: digon_web(k, 1, 1),
+    "circle": circle_web,
+    "theta": theta_web,
+    "e": lambda k: e_web(k, 3, 1),
+    "relation-iii": relation_iii_web,
+    "relation-iv": relation_iv_web,
+    "double-wall": double_wall_web,
+}
+
+
+@pytest.mark.parametrize("k", [2.0, True, "3"])
+@pytest.mark.parametrize("build", STOCK_WEBS.values(), ids=STOCK_WEBS)
+def test_stock_webs_check_their_rank_first(build, k):
+    with pytest.raises(ValueError, match=f"web rank k must be an int, got {k!r}"):
+        build(k)
+
+
+@pytest.mark.parametrize("build", STOCK_WEBS.values(), ids=STOCK_WEBS)
+def test_stock_webs_reject_a_small_rank_as_web_does(build):
+    with pytest.raises(ValueError, match="web rank k must be >= 2, got 1"):
+        build(1)
+
+
 def test_web_layer_errors_name_the_layer():
     with pytest.raises(ValueError, match="layer 1: merge"):
         Web(3, (1, 1, 2), (Layer("merge", 2, 1, 1),))

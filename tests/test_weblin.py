@@ -494,6 +494,43 @@ def test_wedge_layer_takes_exact_ints(call, reason):
     assert type(info.value) is ValueError
 
 
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (("merge", 3, (1, 1), True), "merge position must be an int, got True"),
+        (("merge", 3, (1, 1), 1.0), "merge position must be an int, got 1.0"),
+        (("split", 3, (2,), 1, 1.0, 1), "split label must be an int, got 1.0"),
+        (("cup", 3, (), 1, 1, True), "cup label must be an int, got True"),
+        (("cap", 3, (1, 2), 1, True, 2), "cap label must be an int, got True"),
+        (("cross+", 3, (1, 1), 1.0), "cross\\+ position must be an int, got 1.0"),
+    ],
+    ids=["merge-bool", "merge-float", "split-float", "cup-bool", "cap-bool", "cross-float"],
+)
+def test_generator_step_takes_exact_ints(args, reason):
+    with pytest.raises(ValueError, match=reason) as info:
+        generator_step(*args)
+    assert type(info.value) is ValueError
+
+
+def test_generator_step_names_an_unknown_kind_before_its_types():
+    with pytest.raises(ValueError, match="unknown generator kind 'frob'"):
+        generator_step("frob", 3, (1, 1), 1.0)
+
+
+@pytest.mark.parametrize("rank", [3.0, True])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "after-int-call"])
+def test_local_map_keys_only_exact_int_ranks(rank, warm):
+    if warm:
+        local_map("merge", int(rank), 1, 1)
+    with pytest.raises(ValueError, match=f"rank k must be an int, got {rank}"):
+        local_map("merge", rank, 1, 1)
+
+
+def test_local_map_needs_a_positive_rank():
+    with pytest.raises(ValueError, match="rank k must be >= 1, got 0"):
+        local_map("merge", 0, 1, 1)
+
+
 def test_crossing_rejects_bad_labels():
     with pytest.raises(ValueError):
         cross_matrix_at("+", 3, (1, 2), 1)
